@@ -100,6 +100,12 @@ def cmd_run(args) -> int:
         print("error: --seeds must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
+        workers = int(os.environ.get("POM_SIM_THREADS", "1"))
+    except ValueError:
+        bad = os.environ["POM_SIM_THREADS"]
+        print(f"error: POM_SIM_THREADS must be an integer, got {bad!r}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         config = load_config(args.config)
     except (OSError, ConfigError, PomSimError) as exc:
         print(f"error: cannot load config: {exc}", file=sys.stderr)
@@ -109,7 +115,6 @@ def cmd_run(args) -> int:
     seeds = list(range(base_seed, base_seed + args.seeds))
     Path(args.out).mkdir(parents=True, exist_ok=True)
 
-    workers = int(os.environ.get("POM_SIM_THREADS", "1"))
     try:
         if workers > 1 and len(seeds) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:

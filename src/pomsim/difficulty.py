@@ -7,7 +7,7 @@ exponentially smoothed block interval tracks a target interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -102,7 +102,14 @@ def retarget(state: RetargetState, observed_interval: float) -> RetargetState:
     ratio = state.target_interval / ema
     ratio = min(max(ratio, 1.0 / state.clamp), state.clamp)
     new_d = max(state.current_difficulty * ratio, state.floor)
-    return replace(state, current_difficulty=new_d, ema_interval=ema)
+    return RetargetState(
+        current_difficulty=new_d,
+        ema_interval=ema,
+        target_interval=state.target_interval,
+        smoothing=state.smoothing,
+        clamp=state.clamp,
+        floor=state.floor,
+    )
 
 
 def rate_constant_from_map(

@@ -8,7 +8,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .simulator import BlockRecord, RunSeries
 
 
 def large_miner_share(hashrates: Iterable[float], threshold: float = 5.0) -> float:
@@ -39,10 +38,9 @@ class EquilibriumSummary:
         return dict(self.__dict__)
 
 
-def _records(series) -> list[BlockRecord]:
-    if isinstance(series, RunSeries):
-        return series.records
-    return list(series)
+def _records(series) -> list:
+    """The block records of a `RunSeries`, or of any iterable of them."""
+    return list(getattr(series, "records", series))
 
 
 def equilibrium_summary(series, burn_in: int) -> EquilibriumSummary:

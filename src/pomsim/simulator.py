@@ -27,6 +27,7 @@ from .difficulty import (
     retarget,
 )
 from .errors import ConfigError, InternalError, ParameterError
+from .metrics import equilibrium_summary
 from .reward_curve import RewardScheduleParams, find_peak, reward, schedule_to_dict
 
 _MAX_STALL_QUANTA = 100_000
@@ -255,7 +256,8 @@ class NetworkState:
     r_max: float
     ids: list[str]
     hashrate: np.ndarray
-    unit_cost: np.ndarray
+    on_cost: np.ndarray  # margin_on * unit_cost * hashrate, hourly
+    off_cost: np.ndarray  # margin_off * unit_cost * hashrate, hourly
     is_large: np.ndarray
     active: np.ndarray
     dwell: np.ndarray
@@ -265,16 +267,18 @@ class NetworkState:
     hist_count: np.ndarray
     hist_pos: int
     blocks_seen: int
+    kappa: float  # solve-rate constant, resolved once per run
+    has_duty: bool
 
 
 def _available(state: NetworkState) -> np.ndarray:
-    avail = state.active.copy()
+    """Miners able to mine this block: `state.active` itself if nobody has a duty cycle."""
+    if not state.has_duty:
+        return state.active
     duty = state.duty_on > 0
-    if duty.any():
-        period = state.duty_on + state.duty_off
-        phase = state.height % np.maximum(period, 1)
-        avail &= ~(duty & (phase >= state.duty_on))
-    return avail
+    period = state.duty_on + state.duty_off
+    phase = state.height % np.maximum(period, 1)
+    return state.active & ~(duty & (phase >= state.duty_on))
 
 
 def _decide_all(
@@ -293,21 +297,15 @@ def _decide_all(
     h = state.hashrate
     prospective = np.where(state.active, max(total_hash, 1e-300), total_hash + h)
     rev = (h / prospective) * block_reward * price * (3600.0 / config.retarget.target_interval)
-    cost = state.unit_cost * h
-    want_on = rev >= config.economics.margin_on * cost
-    want_off = rev < config.economics.margin_off * cost
     busy = state.dwell > 0
-    state.dwell[busy] -= 1
-    flip_on = (~state.active) & want_on & ~busy
-    flip_off = state.active & want_off & ~busy
-    flips = flip_on | flip_off
-    n_flips = int(flips.sum())
-    state.active[flip_on] = True
-    state.active[flip_off] = False
-    if n_flips:
-        base = config.economics.dwell
-        jitter = rng.integers(0, base, n_flips) if base > 0 else np.zeros(n_flips, dtype=int)
-        state.dwell[flips] = base + jitter
+    state.dwell -= busy
+    flips = np.where(state.active, rev < state.off_cost, rev >= state.on_cost)
+    flips &= ~busy
+    state.active ^= flips
+    n_flips = np.count_nonzero(flips)
+    base = config.economics.dwell
+    if n_flips and base > 0:  # with no dwell a flipped miner's counter stays at 0
+        state.dwell[flips] = base + rng.integers(0, base, n_flips)
 
 
 def step(
@@ -318,12 +316,10 @@ def step(
     If no miner is available the step advances time in stall quanta,
     decaying difficulty and re-running decisions until someone re-enters.
     """
-    kappa = config.resolved_rate_constant()
-    floor = config.difficulty_map.floor
     price = config.price.at(state.height)
 
     avail = _available(state)
-    total = float(state.hashrate[avail].sum())
+    total = float(np.add.reduce(state.hashrate[avail]))
     stalls = 0
     while total <= 0.0:
         stalls += 1
@@ -337,17 +333,18 @@ def step(
         r = _block_reward(config, d, state.r_max)
         _decide_all(state, config, rng, r, price, 0.0)
         avail = _available(state)
-        total = float(state.hashrate[avail].sum())
+        total = float(np.add.reduce(state.hashrate[avail]))
 
-    d = max(state.retarget_state.current_difficulty, floor)
-    interval = float(rng.exponential(d / (kappa * total)))
+    d = max(state.retarget_state.current_difficulty, config.difficulty_map.floor)
+    interval = float(rng.exponential(d / (state.kappa * total)))
     state.clock += interval
 
     # winner proportional to available hashrate
     u = rng.random() * total
-    cum = np.cumsum(state.hashrate * avail)
-    widx = int(np.searchsorted(cum, u, side="right"))
-    widx = min(widx, len(cum) - 1)
+    cum = (state.hashrate * avail).cumsum()
+    widx = int(cum.searchsorted(u, "right"))
+    if widx == len(cum):  # u is past cum[-1] by rounding: take the last available miner
+        widx = int(cum.searchsorted(cum[-1]))
 
     raw = _block_reward(config, d, state.r_max)
     if state.blocks_seen < config.pom.window:
@@ -366,8 +363,8 @@ def step(
         raw_reward=raw,
         pom_multiplier=mult,
         credited_reward=credited,
-        active_miner_count=int(avail.sum()),
-        large_miner_share=float(state.hashrate[large_avail].sum()) / total,
+        active_miner_count=int(np.count_nonzero(avail)),
+        large_miner_share=float(np.add.reduce(state.hashrate[large_avail])) / total,
     )
 
     # participation history (circular buffer over the PoM window)
@@ -434,7 +431,8 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         r_max=r_max,
         ids=[m.id for m in agents],
         hashrate=hashrate,
-        unit_cost=unit_cost,
+        on_cost=config.economics.margin_on * (unit_cost * hashrate),
+        off_cost=config.economics.margin_off * (unit_cost * hashrate),
         is_large=is_large,
         active=active,
         dwell=dwell,
@@ -444,6 +442,8 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         hist_count=np.zeros(n, dtype=int),
         hist_pos=0,
         blocks_seen=0,
+        kappa=config.resolved_rate_constant(),
+        has_duty=bool((duty_on > 0).any()),
     )
 
 
@@ -461,24 +461,14 @@ def run(config: SimConfig) -> RunSeries:
         records.append(rec)
 
     burn_in = config.horizon // 5
+    stats = equilibrium_summary(records, burn_in).to_dict() if records else {}
     summary = RunSummary(
         initial_hashrate=h0,
         initial_large_share=share0,
         r_max=state.r_max,
         burn_in=burn_in,
+        **stats,
     )
-    if records:
-        tail = records[burn_in:]
-        hs = np.array([r.total_hash for r in tail])
-        shares = np.array([r.large_miner_share for r in tail])
-        ts = np.array([r.timestamp for r in records])
-        intervals = np.diff(np.concatenate([[0.0], ts]))[burn_in:]
-        summary.mean_hashrate = float(hs.mean())
-        summary.std_hashrate = float(hs.std())
-        summary.mean_interval = float(intervals.mean())
-        summary.std_interval = float(intervals.std())
-        summary.mean_share = float(shares.mean())
-        summary.std_share = float(shares.std())
     return RunSeries(config_digest=config.digest(), records=records, summary=summary)
 
 

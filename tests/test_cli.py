@@ -105,6 +105,17 @@ class TestRun:
         assert rc == EXIT_USAGE
         assert "cannot load config" in capsys.readouterr().err
 
+    def test_non_integer_thread_count_is_usage_error(self, small_config, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("POM_SIM_THREADS", "abc")
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(small_config), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "POM_SIM_THREADS" in err and "'abc'" in err
+        assert not out.exists()
+
     def test_unknown_key_names_field_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

@@ -4,9 +4,10 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from pomsim.agents import MinerAgent, decide, expected_revenue_rate
+from pomsim.agents import MinerAgent, PopulationSpec, decide, expected_revenue_rate
 from pomsim.config import load_config
-from pomsim.difficulty import hash_to_difficulty
+from pomsim import simulator
+from pomsim.difficulty import hash_to_difficulty, retarget
 from pomsim.simulator import (
     EconomicsConfig,
     PricePath,
@@ -16,6 +17,7 @@ from pomsim.simulator import (
     read_series_csv,
     run,
     schedule_max,
+    step,
     write_series_csv,
 )
 from pomsim.reward_curve import calibrate_schedule
@@ -121,6 +123,62 @@ class TestInvariants:
         cutoff_run = run(cfg)
         const_run = run(dataclasses.replace(cfg, constant_reward=True))
         assert cutoff_run.summary.mean_hashrate < const_run.summary.mean_hashrate
+
+
+class _TopDraw:
+    """A generator whose uniform draw is always 1.0, the top of the range."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self):
+        return 1.0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestWinnerAvailability:
+    def test_top_draw_picks_last_available_miner(self):
+        last_off = explicit_miner("c", 5.0)
+        last_off.active = False
+        cfg = make_config(
+            explicit_population=[explicit_miner("a", 10.0), explicit_miner("b", 30.0), last_off],
+            constant_reward=True,
+        )
+        state = initial_state(cfg, np.random.default_rng(cfg.seed))
+        _, rec = step(state, cfg, _TopDraw(cfg.seed))
+        assert rec.winner == "b"
+
+    def test_stall_heavy_run_keeps_invariants(self, monkeypatch):
+        # 2,000 miners overshoot the cutoff: mass exits, stall quanta, re-entry
+        cfg = dataclasses.replace(
+            load_config("configs/dynamics.json"),
+            horizon=300,
+            population=PopulationSpec(n_small=1936, n_large=64),
+        )
+        retargets = []
+
+        def counted(rt, interval):
+            retargets.append(interval)
+            return retarget(rt, interval)
+
+        monkeypatch.setattr(simulator, "retarget", counted)
+        rng = np.random.default_rng(cfg.seed)
+        state = initial_state(cfg, rng)
+        index = {mid: i for i, mid in enumerate(state.ids)}
+        window = cfg.pom.window
+        clock = 0.0
+        for _ in range(cfg.horizon):
+            state, rec = step(state, cfg, rng)
+            written = state.hist[(state.hist_pos - 1) % window]
+            assert written[index[rec.winner]]
+            assert rec.credited_reward <= rec.raw_reward
+            assert 0.0 <= rec.pom_multiplier <= 1.0
+            assert 0.0 <= rec.large_miner_share <= 1.0
+            assert rec.timestamp > clock
+            clock = rec.timestamp
+        assert len(retargets) > cfg.horizon  # the run went through the stall loop
 
 
 class TestDutyCycle:
