@@ -1,0 +1,79 @@
+"""Config digests: `SimConfig.digest()` is pinned per config.
+
+The digest is the SHA-256 of the serialized config, so it pins the
+serializer (`SimConfig.to_dict`) and the parser's defaults together.  The
+golden traces pin `blocks.csv` only; this pins the `config_digest` that
+`summary.json` and `aggregate.json` carry.  To re-pin on purpose, run
+
+    PYTHONPATH=src python tests/test_config_digests.py
+
+and paste the printed table over `GOLDEN`, saying in the change why the
+digests moved.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from pomsim.config import config_from_dict
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name: str) -> dict:
+    return json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
+
+
+def cases():
+    """(name, config dict) for every pinned digest."""
+    out = [(path.stem, _load(path.name)) for path in sorted((ROOT / "configs").glob("*.json"))]
+
+    series = _load("dynamics.json")
+    series["price"] = {"series": [1.0, 2.0, 3.0]}
+    out.append(("price-series", series))
+
+    explicit = _load("dynamics.json")
+    explicit["population"] = {
+        "explicit": [
+            {"hashrate": 10.0, "unit_cost": 0.5},
+            {"id": "big", "hashrate": 20.0, "unit_cost": 1.0, "class": "large"},
+            {"id": "part", "hashrate": 4.0, "unit_cost": 0.2, "duty": [25, 25]},
+        ]
+    }
+    out.append(("explicit-population", explicit))
+
+    params = _load("dynamics.json")
+    params["schedule"] = {"a": 0.58, "b": 2.32, "scale": 9.0, "d_co": 2.2, "spread": 0.077}
+    params["rate_constant"] = 0.0004
+    out.append(("explicit-schedule", params))
+    return out
+
+
+GOLDEN = {
+    "dynamics": "b36ce6b0f9106a37ee4994d983f6cd4d0be80093f746936ae6c5f33168f53167",
+    "example": "6ca48d9bcdc8488dbcf1e0510375e85bd2750ee54d54d6e8ca63873377815149",
+    "price_step": "1fd718b58cf4f9c203fd8af7f690e21c48610782241fa80b8e7a0b9bf93b0122",
+    "price-series": "09916e0babc98236709eb6a5a8faba52079163424c1d5fefae1b7547b9b6f516",
+    "explicit-population": "66575c37b72e84d83529dc27f6c8064de2340b028ffcb0e762648d4b02d4c6b6",
+    "explicit-schedule": "6a8c6a11260d7248966f0df6b2756d4f7b566146129e00a213a8e31cb647185d",
+}
+
+
+CASES = cases()
+
+
+@pytest.mark.parametrize("name,data", CASES, ids=[name for name, _ in CASES])
+def test_config_digest_is_pinned(name, data):
+    assert config_from_dict(data).digest() == GOLDEN[name]
+
+
+def test_every_case_is_pinned():
+    assert sorted(GOLDEN) == sorted(name for name, _ in CASES)
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for name, data in CASES:
+        print(f'    "{name}": "{config_from_dict(data).digest()}",')
+    print("}")
