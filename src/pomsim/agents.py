@@ -135,9 +135,7 @@ class PopulationSpec:
             raise ParameterError("large_hash lower bound must be positive")
 
 
-def generate_population(
-    spec: PopulationSpec, rng: np.random.Generator, pom_window: int = 50
-) -> list[MinerAgent]:
+def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> list[MinerAgent]:
     """Draw the miner population from the seeded generator.
 
     Draw order (small hashrates, large hashrates, small costs, large costs)
@@ -155,7 +153,6 @@ def generate_population(
                 hashrate=float(hs[i]),
                 unit_cost=float(cs[i]),
                 miner_class="small",
-                history=deque(maxlen=pom_window),
             )
         )
     for i in range(spec.n_large):
@@ -165,7 +162,6 @@ def generate_population(
                 hashrate=float(hl[i]),
                 unit_cost=float(cl[i]),
                 miner_class="large",
-                history=deque(maxlen=pom_window),
             )
         )
     return agents

@@ -99,11 +99,14 @@ def cmd_run(args) -> int:
     if args.seeds < 1:
         print("error: --seeds must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    threads = os.environ.get("POM_SIM_THREADS", "1")
     try:
-        workers = int(os.environ.get("POM_SIM_THREADS", "1"))
+        workers = int(threads)
     except ValueError:
-        bad = os.environ["POM_SIM_THREADS"]
-        print(f"error: POM_SIM_THREADS must be an integer, got {bad!r}", file=sys.stderr)
+        workers = 0
+    if workers < 1:
+        print(f"error: POM_SIM_THREADS must be a positive integer, got {threads!r}",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         config = load_config(args.config)

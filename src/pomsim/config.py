@@ -1,21 +1,180 @@
-"""Experiment configuration: strict JSON schema in, SimConfig out.
+"""Experiment configuration: the config dataclasses and their one JSON schema.
 
-Unknown keys are rejected everywhere (silent misconfiguration is the main
-operator hazard) and every error names the offending field path.
+The JSON keys of a section are the fields of its dataclass, and so are its
+required keys (fields without a default), its defaults and its value types:
+`read` builds a section from JSON and `dump` turns one back into JSON, both
+from `dataclasses.fields`.  Unknown keys are rejected everywhere (silent
+misconfiguration is the main operator hazard), values are strict (no
+coercion; numbers must be finite) and every error names the field path.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from collections import deque
+import sys
 from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .agents import MinerAgent, PomCredit, PopulationSpec
-from .difficulty import DifficultyMap, fit_difficulty_map
-from .errors import ConfigError, PomSimError
-from .reward_curve import calibrate_schedule, schedule_from_dict
-from .simulator import EconomicsConfig, PricePath, RetargetConfig, SimConfig
+from .difficulty import DifficultyMap, RetargetState, fit_difficulty_map, rate_constant_from_map
+from .errors import ConfigError, ParameterError, PomSimError
+from .reward_curve import (
+    BaseCurveParams,
+    CutoffParams,
+    RewardScheduleParams,
+    calibrate_schedule,
+    schedule_to_dict,
+)
+
+
+@dataclass(frozen=True)
+class RetargetConfig:
+    target_interval: float = 120.0
+    smoothing: float = 0.2
+    clamp: float = 1.25
+
+    def __post_init__(self):
+        # delegate range checks to RetargetState
+        RetargetState(
+            current_difficulty=1.0,
+            ema_interval=self.target_interval,
+            target_interval=self.target_interval,
+            smoothing=self.smoothing,
+            clamp=self.clamp,
+        )
+
+
+@dataclass(frozen=True)
+class EconomicsConfig:
+    margin_on: float = 1.1
+    margin_off: float = 0.9
+    dwell: int = 30
+
+    def __post_init__(self):
+        if not (self.margin_off <= 1.0 <= self.margin_on):
+            raise ParameterError(
+                f"need margin_off <= 1 <= margin_on, got {self.margin_off}, {self.margin_on}"
+            )
+        if self.dwell < 0:
+            raise ParameterError(f"dwell must be nonnegative, got {self.dwell}")
+
+
+@dataclass(frozen=True)
+class PricePath:
+    """Exogenous coin price: constant, one-time step, or explicit series."""
+
+    constant: Optional[float] = None
+    initial: Optional[float] = None
+    factor: Optional[float] = None
+    at_block: Optional[int] = None
+    series: Optional[tuple[float, ...]] = None
+
+    def __post_init__(self):
+        step = [v is not None for v in (self.initial, self.factor, self.at_block)]
+        if sum([self.constant is not None, any(step), self.series is not None]) != 1:
+            raise ParameterError("price path must be exactly one of constant/step/series")
+        if not all(step) and any(step):
+            raise ParameterError("step price path needs initial, factor and at_block")
+        if self.at_block is not None and self.at_block < 0:
+            raise ParameterError(f"at_block must be nonnegative, got {self.at_block}")
+        if self.constant is not None:
+            values = [self.constant]
+        elif self.series is not None:
+            values = list(self.series)
+        else:
+            values = [self.initial, self.initial * self.factor]
+        if not values or min(values) <= 0.0:
+            raise ParameterError("price path must be nonempty and positive everywhere")
+
+    def at(self, height: int) -> float:
+        if self.constant is not None:
+            return self.constant
+        if self.series is not None:
+            return self.series[min(height, len(self.series) - 1)]
+        return self.initial * self.factor if height >= self.at_block else self.initial
+
+
+@dataclass
+class SimConfig:
+    schedule: RewardScheduleParams
+    horizon: int
+    seed: int
+    difficulty_map: DifficultyMap = field(default_factory=fit_difficulty_map)
+    retarget: RetargetConfig = field(default_factory=RetargetConfig)
+    population: PopulationSpec = field(default_factory=PopulationSpec)
+    explicit_population: Optional[list[MinerAgent]] = None
+    pom: PomCredit = field(default_factory=PomCredit)
+    price: PricePath = field(default_factory=lambda: PricePath(constant=30.0))
+    economics: EconomicsConfig = field(default_factory=EconomicsConfig)
+    constant_reward: bool = False
+    rate_constant: Optional[float] = None
+    anchor_hashrate: float = 40.0
+    large_threshold: float = 5.0
+
+    def __post_init__(self):
+        if self.horizon < 0:
+            raise ConfigError("$.horizon: must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("$.seed: must be nonnegative")
+        if not (self.anchor_hashrate > 0.0):
+            raise ConfigError("$.anchor_hashrate: must be positive")
+        if not (self.large_threshold > 0.0):
+            raise ConfigError("$.large_threshold: must be positive")
+        if self.rate_constant is not None and not (self.rate_constant > 0.0):
+            raise ConfigError("$.rate_constant: must be positive when given")
+
+    def resolved_rate_constant(self) -> float:
+        if self.rate_constant is not None:
+            return self.rate_constant
+        return rate_constant_from_map(
+            self.difficulty_map, self.anchor_hashrate, self.retarget.target_interval
+        )
+
+    def to_dict(self) -> dict:
+        """The JSON form that `config_from_dict` reads back to an equal config."""
+        d = dump(self)
+        d["schedule"] = schedule_to_dict(self.schedule)
+        d["price"] = {k: v for k, v in d["price"].items() if v is not None}
+        if self.explicit_population is not None:
+            d["population"] = {"explicit": [dump(m) for m in self.explicit_population]}
+        return d
+
+    def digest(self) -> str:
+        """SHA-256 hex of the canonical JSON form, seed left out.
+
+        The digest identifies the experiment; the seed identifies the run.
+        """
+        d = self.to_dict()
+        d.pop("seed")
+        canon = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+# field name -> JSON key, where the two differ
+_KEY = {"miner_class": "class"}
+# fields that JSON does not carry: the explicit population is a variant of
+# `population`, and a miner's run state is not configuration
+_HIDDEN = {
+    SimConfig: ("explicit_population",),
+    MinerAgent: ("active", "dwell_remaining", "history"),
+}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+@cache
+def _schema(cls) -> tuple:
+    """(JSON key, field name, type, has a default) for each field JSON carries."""
+    types = get_type_hints(cls)
+    return tuple(
+        (_KEY.get(f.name, f.name), f.name, types[f.name],
+         f.default is not MISSING or f.default_factory is not MISSING)
+        for f in fields(cls)
+        if f.name not in _HIDDEN.get(cls, ())
+    )
 
 
 @contextmanager
@@ -29,251 +188,137 @@ def _section(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _require_mapping(obj, path: str) -> dict:
+def _mapping(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
     return obj
 
 
-def _check_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()):
-    unknown = set(obj) - required - set(optional)
+def _check_keys(obj: dict, path: str, allowed, required):
+    unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = set(required) - set(obj)
     if missing:
         raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}")
 
 
-def _number(obj: dict, key: str, path: str, allow_none: bool = False):
-    v = obj.get(key)
-    if v is None and allow_none:
-        return None
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+def _value(tp, v, path: str):
+    """One JSON value as type `tp`: no coercion, and numbers must be finite."""
+    if get_origin(tp) is Union:  # Optional[X]: null or an X
+        if v is None:
+            return None
+        tp = get_args(tp)[0]
+    if is_dataclass(tp):
+        return _VARIANTS.get(tp, read)(tp, v, path)
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        n = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(v, list) or (n is not None and len(v) != n):
+            what = f"a list of {n} values" if n else "a list"
+            raise ConfigError(f"{path}: expected {what}, got {v!r}")
+        return tuple(
+            _value(args[0 if n is None else i], x, f"{path}[{i}]") for i, x in enumerate(v)
+        )
+    if tp is float and type(v) in (int, float) and abs(v) <= sys.float_info.max:
+        return float(v)
+    if type(v) is tp and tp is not float:
+        return v
+    raise ConfigError(f"{path}: expected {_EXPECTED[tp]}, got {v!r}")
 
 
-def _integer(obj: dict, key: str, path: str) -> int:
-    v = obj.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
+def read(cls, obj, path: str, **given):
+    """Build section `cls` from the JSON object `obj` found at `path`.
+
+    `given` supplies field values that JSON does not carry, or defaults for
+    fields that have none on the dataclass; a JSON key overrides them.
+    """
+    obj = _mapping(obj, path)
+    schema = {key: (name, tp) for key, name, tp, _ in _schema(cls)}
+    required = [key for key, name, _, opt in _schema(cls) if not opt and name not in given]
+    _check_keys(obj, path, schema, required)
+    kwargs = dict(given)
+    for key, v in obj.items():
+        name, tp = schema[key]
+        kwargs[name] = _value(tp, v, f"{path}.{key}")
+    with _section(path):
+        return cls(**kwargs)
+
+
+def dump(obj) -> dict:
+    """The JSON form of a section, one key per field: the inverse of `read`."""
+    return {key: _plain(getattr(obj, name)) for key, name, _, _ in _schema(type(obj))}
+
+
+def _plain(v):
+    if is_dataclass(v):
+        return dump(v)
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
     return v
 
 
-def _pair(obj: dict, key: str, path: str) -> tuple[float, float]:
-    v = obj.get(key)
-    if not (isinstance(v, list) and len(v) == 2):
-        raise ConfigError(f"{path}.{key}: expected a [lo, hi] pair, got {v!r}")
-    return (float(v[0]), float(v[1]))
+# the variant forms: each is read by hand, then handed to `read` or a fit
+_LANDMARKS = ("peak_d", "half_d", "tenth_d", "r_max")
 
 
-def _parse_schedule(obj, path: str):
-    obj = _require_mapping(obj, path)
+def _schedule(cls, obj, path: str) -> RewardScheduleParams:
+    """Landmarks to calibrate from, or the flat a/b/scale[/d_co/spread] fields."""
+    obj = _mapping(obj, path)
     if "landmarks" in obj:
-        _check_keys(obj, path, {"landmarks"})
-        lm = _require_mapping(obj["landmarks"], f"{path}.landmarks")
-        _check_keys(
-            lm,
-            f"{path}.landmarks",
-            {"peak_d", "half_d", "tenth_d", "r_max"},
-            {"b_ratio"},
-        )
-        return calibrate_schedule(
-            peak_d=_number(lm, "peak_d", f"{path}.landmarks"),
-            half_d=_number(lm, "half_d", f"{path}.landmarks"),
-            tenth_d=_number(lm, "tenth_d", f"{path}.landmarks"),
-            r_max_target=_number(lm, "r_max", f"{path}.landmarks"),
-            b_ratio=_number(lm, "b_ratio", f"{path}.landmarks") if "b_ratio" in lm else 4.0,
-        )
-    _check_keys(obj, path, {"a", "b"}, {"scale", "d_co", "spread"})
-    return schedule_from_dict(obj)
+        _check_keys(obj, path, {"landmarks"}, {"landmarks"})
+        lpath = f"{path}.landmarks"
+        lm = _mapping(obj["landmarks"], lpath)
+        _check_keys(lm, lpath, [*_LANDMARKS, "b_ratio"], _LANDMARKS)
+        args = {k: _value(float, v, f"{lpath}.{k}") for k, v in lm.items()}
+        args["r_max_target"] = args.pop("r_max")
+        with _section(path):
+            return calibrate_schedule(**args)
+    cut = {f.name for f in fields(CutoffParams)}
+    base = read(BaseCurveParams, {k: v for k, v in obj.items() if k not in cut}, path)
+    cutoff = {k: v for k, v in obj.items() if k in cut}
+    with _section(path):
+        return cls(base=base, cutoff=read(CutoffParams, cutoff, path) if cutoff else None)
 
 
-def _parse_difficulty_map(obj, path: str) -> DifficultyMap:
-    obj = _require_mapping(obj, path)
-    if "anchors" in obj:
-        _check_keys(obj, path, {"anchors"}, {"floor"})
-        anchors = obj["anchors"]
-        if not isinstance(anchors, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in anchors
-        ):
-            raise ConfigError(f"{path}.anchors: expected a list of [hashrate, difficulty] pairs")
-        floor = _number(obj, "floor", path) if "floor" in obj else 1e-6
-        return fit_difficulty_map(anchors, floor=floor)
-    _check_keys(obj, path, {"slope", "intercept"}, {"floor"})
-    return DifficultyMap(
-        slope=_number(obj, "slope", path),
-        intercept=_number(obj, "intercept", path),
-        floor=_number(obj, "floor", path) if "floor" in obj else 1e-6,
-    )
+def _difficulty_map(cls, obj, path: str) -> DifficultyMap:
+    """Anchor pairs to fit the map to, or its slope/intercept/floor fields."""
+    obj = _mapping(obj, path)
+    if "anchors" not in obj:
+        return read(cls, obj, path)
+    _check_keys(obj, path, {"anchors", "floor"}, {"anchors"})
+    anchors = _value(tuple[tuple[float, float], ...], obj["anchors"], f"{path}.anchors")
+    floor = {"floor": _value(float, obj["floor"], f"{path}.floor")} if "floor" in obj else {}
+    with _section(path):
+        return fit_difficulty_map(anchors, **floor)
 
 
-def _parse_population(obj, path: str, pom_window: int):
-    obj = _require_mapping(obj, path)
-    if "explicit" in obj:
-        _check_keys(obj, path, {"explicit"})
-        agents = []
-        entries = obj["explicit"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError(f"{path}.explicit: expected a nonempty list of miners")
-        for i, e in enumerate(entries):
-            epath = f"{path}.explicit[{i}]"
-            e = _require_mapping(e, epath)
-            _check_keys(e, epath, {"hashrate", "unit_cost"}, {"id", "class", "duty"})
-            duty = e.get("duty")
-            if duty is not None:
-                if not (isinstance(duty, list) and len(duty) == 2):
-                    raise ConfigError(f"{epath}.duty: expected [on_blocks, off_blocks]")
-                duty = (int(duty[0]), int(duty[1]))
-            agents.append(
-                MinerAgent(
-                    id=str(e.get("id", f"m{i:03d}")),
-                    hashrate=_number(e, "hashrate", epath),
-                    unit_cost=_number(e, "unit_cost", epath),
-                    miner_class=str(e.get("class", "small")),
-                    duty=duty,
-                    history=deque(maxlen=pom_window),
-                )
-            )
-        return None, agents
-    _check_keys(
-        obj,
-        path,
-        set(),
-        {"n_small", "n_large", "small_hash", "large_hash", "small_cost", "large_cost"},
-    )
-    kwargs = {}
-    if "n_small" in obj:
-        kwargs["n_small"] = _integer(obj, "n_small", path)
-    if "n_large" in obj:
-        kwargs["n_large"] = _integer(obj, "n_large", path)
-    for key in ("small_hash", "large_hash", "small_cost", "large_cost"):
-        if key in obj:
-            kwargs[key] = _pair(obj, key, path)
-    return PopulationSpec(**kwargs), None
+_VARIANTS = {RewardScheduleParams: _schedule, DifficultyMap: _difficulty_map}
 
 
-def _parse_price(obj, path: str) -> PricePath:
-    obj = _require_mapping(obj, path)
-    if "constant" in obj:
-        _check_keys(obj, path, {"constant"})
-        return PricePath(constant=_number(obj, "constant", path))
-    if "series" in obj:
-        _check_keys(obj, path, {"series"})
-        series = obj["series"]
-        if not isinstance(series, list) or not series:
-            raise ConfigError(f"{path}.series: expected a nonempty list of prices")
-        return PricePath(series=tuple(float(v) for v in series))
-    _check_keys(obj, path, {"initial", "factor", "at_block"})
-    return PricePath(
-        initial=_number(obj, "initial", path),
-        factor=_number(obj, "factor", path),
-        at_block=_integer(obj, "at_block", path),
-    )
+def _explicit_population(obj: dict, path: str) -> list[MinerAgent]:
+    _check_keys(obj, path, {"explicit"}, {"explicit"})
+    entries = obj["explicit"]
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"{path}.explicit: expected a nonempty list of miners")
+    return [
+        read(MinerAgent, e, f"{path}.explicit[{i}]", id=f"m{i:03d}") for i, e in enumerate(entries)
+    ]
 
 
-TOP_REQUIRED = {"schedule", "horizon", "seed"}
-TOP_OPTIONAL = {
-    "constant_reward",
-    "difficulty_map",
-    "retarget",
-    "population",
-    "pom",
-    "price",
-    "economics",
-    "rate_constant",
-    "anchor_hashrate",
-    "large_threshold",
-}
-
-
-def config_from_dict(data: dict) -> SimConfig:
-    data = _require_mapping(data, "$")
-    _check_keys(data, "$", TOP_REQUIRED, TOP_OPTIONAL)
-
-    pom = PomCredit()
-    if "pom" in data:
-        pobj = _require_mapping(data["pom"], "$.pom")
-        _check_keys(pobj, "$.pom", set(), {"window", "required"})
-        with _section("$.pom"):
-            pom = PomCredit(
-                window=_integer(pobj, "window", "$.pom") if "window" in pobj else 50,
-                required=_integer(pobj, "required", "$.pom") if "required" in pobj else 40,
-            )
-
-    retarget = RetargetConfig()
-    if "retarget" in data:
-        robj = _require_mapping(data["retarget"], "$.retarget")
-        _check_keys(robj, "$.retarget", set(), {"target_interval", "smoothing", "clamp"})
-        defaults = RetargetConfig()
-        with _section("$.retarget"):
-            retarget = RetargetConfig(
-                target_interval=_number(robj, "target_interval", "$.retarget")
-                if "target_interval" in robj
-                else defaults.target_interval,
-                smoothing=_number(robj, "smoothing", "$.retarget")
-                if "smoothing" in robj
-                else defaults.smoothing,
-                clamp=_number(robj, "clamp", "$.retarget") if "clamp" in robj else defaults.clamp,
-            )
-
-    economics = EconomicsConfig()
-    if "economics" in data:
-        eobj = _require_mapping(data["economics"], "$.economics")
-        _check_keys(eobj, "$.economics", set(), {"margin_on", "margin_off", "dwell"})
-        defaults = EconomicsConfig()
-        with _section("$.economics"):
-            economics = EconomicsConfig(
-                margin_on=_number(eobj, "margin_on", "$.economics")
-                if "margin_on" in eobj
-                else defaults.margin_on,
-                margin_off=_number(eobj, "margin_off", "$.economics")
-                if "margin_off" in eobj
-                else defaults.margin_off,
-                dwell=_integer(eobj, "dwell", "$.economics") if "dwell" in eobj else defaults.dwell,
-            )
-
-    population, explicit = (PopulationSpec(), None)
-    if "population" in data:
-        population, explicit = _parse_population(data["population"], "$.population", pom.window)
-
-    try:
-        return SimConfig(
-            schedule=_parse_schedule(data["schedule"], "$.schedule"),
-            horizon=_integer(data, "horizon", "$"),
-            seed=_integer(data, "seed", "$"),
-            difficulty_map=_parse_difficulty_map(data["difficulty_map"], "$.difficulty_map")
-            if "difficulty_map" in data
-            else fit_difficulty_map(),
-            retarget=retarget,
-            population=population if population is not None else PopulationSpec(),
-            explicit_population=explicit,
-            pom=pom,
-            price=_parse_price(data["price"], "$.price")
-            if "price" in data
-            else PricePath(constant=30.0),
-            economics=economics,
-            constant_reward=bool(data.get("constant_reward", False)),
-            rate_constant=_number(data, "rate_constant", "$", allow_none=True)
-            if "rate_constant" in data
-            else None,
-            anchor_hashrate=_number(data, "anchor_hashrate", "$")
-            if "anchor_hashrate" in data
-            else 40.0,
-            large_threshold=_number(data, "large_threshold", "$")
-            if "large_threshold" in data
-            else 5.0,
-        )
-    except ConfigError:
-        raise
-    except PomSimError as exc:
-        raise ConfigError(f"$: {exc}") from exc
+def config_from_dict(data) -> SimConfig:
+    data = _mapping(data, "$")
+    explicit = None
+    population = data.get("population")
+    if isinstance(population, dict) and "explicit" in population:
+        explicit = _explicit_population(population, "$.population")
+        data = {k: v for k, v in data.items() if k != "population"}
+    return read(SimConfig, data, "$", explicit_population=explicit)
 
 
 def load_config(path) -> SimConfig:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return config_from_dict(data)

@@ -219,6 +219,8 @@ def calibrate_schedule(
         base=BaseCurveParams(a=a_star, b=b_ratio * a_star), cutoff=cutoff
     )
     d_star, r_unscaled = find_peak(unscaled, 1e-12, tenth_d * 2.0)
+    if not (r_unscaled > 0.0):
+        raise CalibrationError(f"composed peak found no positive reward below d={tenth_d * 2.0:g}")
     scale = r_max_target / r_unscaled
     schedule = RewardScheduleParams(
         base=BaseCurveParams(a=a_star, b=b_ratio * a_star, scale=scale), cutoff=cutoff

@@ -10,202 +10,21 @@ for a given (config, seed).
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .agents import MinerAgent, PomCredit, PopulationSpec, generate_population
-from .difficulty import (
-    DifficultyMap,
-    RetargetState,
-    fit_difficulty_map,
-    hash_to_difficulty,
-    rate_constant_from_map,
-    retarget,
-)
-from .errors import ConfigError, InternalError, ParameterError
+from .agents import generate_population
+# the config dataclasses live in `config`; EconomicsConfig, PricePath and
+# RetargetConfig are re-exported here for callers that import them from here
+from .config import EconomicsConfig, PricePath, RetargetConfig, SimConfig  # noqa: F401
+from .difficulty import RetargetState, hash_to_difficulty, retarget
+from .errors import ConfigError, InternalError
 from .metrics import equilibrium_summary
-from .reward_curve import RewardScheduleParams, find_peak, reward, schedule_to_dict
+from .reward_curve import RewardScheduleParams, find_peak, reward
 
 _MAX_STALL_QUANTA = 100_000
-
-
-@dataclass(frozen=True)
-class RetargetConfig:
-    target_interval: float = 120.0
-    smoothing: float = 0.2
-    clamp: float = 1.25
-
-    def __post_init__(self):
-        # delegate range checks to RetargetState
-        RetargetState(
-            current_difficulty=1.0,
-            ema_interval=self.target_interval,
-            target_interval=self.target_interval,
-            smoothing=self.smoothing,
-            clamp=self.clamp,
-        )
-
-
-@dataclass(frozen=True)
-class EconomicsConfig:
-    margin_on: float = 1.1
-    margin_off: float = 0.9
-    dwell: int = 30
-
-    def __post_init__(self):
-        if not (self.margin_off <= 1.0 <= self.margin_on):
-            raise ParameterError(
-                f"need margin_off <= 1 <= margin_on, got {self.margin_off}, {self.margin_on}"
-            )
-        if self.dwell < 0:
-            raise ParameterError(f"dwell must be nonnegative, got {self.dwell}")
-
-
-@dataclass(frozen=True)
-class PricePath:
-    """Exogenous coin price: constant, one-time step, or explicit series."""
-
-    constant: Optional[float] = None
-    initial: Optional[float] = None
-    factor: Optional[float] = None
-    at_block: Optional[int] = None
-    series: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self):
-        kinds = sum(
-            [self.constant is not None, self.initial is not None, self.series is not None]
-        )
-        if kinds != 1:
-            raise ParameterError("price path must be exactly one of constant/step/series")
-        if self.initial is not None and (self.factor is None or self.at_block is None):
-            raise ParameterError("step price path needs initial, factor and at_block")
-        for v in self.values_preview():
-            if v <= 0.0:
-                raise ParameterError("price path must be positive everywhere")
-
-    def values_preview(self):
-        if self.constant is not None:
-            return [self.constant]
-        if self.series is not None:
-            return list(self.series)
-        return [self.initial, self.initial * self.factor]
-
-    def at(self, height: int) -> float:
-        if self.constant is not None:
-            return self.constant
-        if self.series is not None:
-            return self.series[min(height, len(self.series) - 1)]
-        return self.initial * self.factor if height >= self.at_block else self.initial
-
-
-@dataclass
-class SimConfig:
-    schedule: RewardScheduleParams
-    horizon: int
-    seed: int
-    difficulty_map: DifficultyMap = field(default_factory=fit_difficulty_map)
-    retarget: RetargetConfig = field(default_factory=RetargetConfig)
-    population: PopulationSpec = field(default_factory=PopulationSpec)
-    explicit_population: Optional[list[MinerAgent]] = None
-    pom: PomCredit = field(default_factory=PomCredit)
-    price: PricePath = field(default_factory=lambda: PricePath(constant=30.0))
-    economics: EconomicsConfig = field(default_factory=EconomicsConfig)
-    constant_reward: bool = False
-    rate_constant: Optional[float] = None
-    anchor_hashrate: float = 40.0
-    large_threshold: float = 5.0
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise ConfigError("horizon: must be nonnegative")
-        if not (self.large_threshold > 0.0):
-            raise ConfigError("large_threshold: must be positive")
-        if self.rate_constant is not None and not (self.rate_constant > 0.0):
-            raise ConfigError("rate_constant: must be positive when given")
-
-    def resolved_rate_constant(self) -> float:
-        if self.rate_constant is not None:
-            return self.rate_constant
-        return rate_constant_from_map(
-            self.difficulty_map, self.anchor_hashrate, self.retarget.target_interval
-        )
-
-    def to_dict(self) -> dict:
-        d = {
-            "schedule": schedule_to_dict(self.schedule),
-            "constant_reward": self.constant_reward,
-            "difficulty_map": {
-                "slope": self.difficulty_map.slope,
-                "intercept": self.difficulty_map.intercept,
-                "floor": self.difficulty_map.floor,
-            },
-            "retarget": {
-                "target_interval": self.retarget.target_interval,
-                "smoothing": self.retarget.smoothing,
-                "clamp": self.retarget.clamp,
-            },
-            "pom": {"window": self.pom.window, "required": self.pom.required},
-            "economics": {
-                "margin_on": self.economics.margin_on,
-                "margin_off": self.economics.margin_off,
-                "dwell": self.economics.dwell,
-            },
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "rate_constant": self.rate_constant,
-            "anchor_hashrate": self.anchor_hashrate,
-            "large_threshold": self.large_threshold,
-        }
-        if self.explicit_population is not None:
-            d["population"] = {
-                "explicit": [
-                    {
-                        "id": m.id,
-                        "hashrate": m.hashrate,
-                        "unit_cost": m.unit_cost,
-                        "class": m.miner_class,
-                        "duty": list(m.duty) if m.duty else None,
-                    }
-                    for m in self.explicit_population
-                ]
-            }
-        else:
-            p = self.population
-            d["population"] = {
-                "n_small": p.n_small,
-                "n_large": p.n_large,
-                "small_hash": list(p.small_hash),
-                "large_hash": list(p.large_hash),
-                "small_cost": list(p.small_cost),
-                "large_cost": list(p.large_cost),
-            }
-        if self.price.constant is not None:
-            d["price"] = {"constant": self.price.constant}
-        elif self.price.series is not None:
-            d["price"] = {"series": list(self.price.series)}
-        else:
-            d["price"] = {
-                "initial": self.price.initial,
-                "factor": self.price.factor,
-                "at_block": self.price.at_block,
-            }
-        return d
-
-    def digest(self) -> str:
-        # the digest identifies the experiment; the seed identifies the run
-        d = self.to_dict()
-        d.pop("seed")
-        return config_digest(d)
-
-
-def config_digest(config_dict: dict) -> str:
-    """SHA-256 hex of the canonicalized config JSON."""
-    canon = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -324,7 +143,13 @@ def step(
     while total <= 0.0:
         stalls += 1
         if stalls > _MAX_STALL_QUANTA:
-            raise InternalError("network stalled: no miner re-entered within the stall budget")
+            raise InternalError(
+                f"network stalled: no miner re-entered within {_MAX_STALL_QUANTA} quanta "
+                f"at height {state.height}, clock {state.clock!r} s, difficulty "
+                f"{state.retarget_state.current_difficulty!r}, price {price!r}; "
+                f"{np.count_nonzero(state.active & ~avail)} active miner(s) "
+                "held off only by their duty phase"
+            )
         rt = state.retarget_state
         quantum = rt.target_interval * rt.clamp
         state.clock += quantum
@@ -398,7 +223,7 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     if config.explicit_population is not None:
         agents = config.explicit_population
     else:
-        agents = generate_population(config.population, rng, pom_window=config.pom.window)
+        agents = generate_population(config.population, rng)
     n = len(agents)
     if n == 0:
         raise ConfigError("population: must contain at least one miner")

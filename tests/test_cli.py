@@ -116,6 +116,18 @@ class TestRun:
         assert "POM_SIM_THREADS" in err and "'abc'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_thread_count_is_usage_error(self, threads, small_config, tmp_path,
+                                                      capsys, monkeypatch):
+        monkeypatch.setenv("POM_SIM_THREADS", threads)
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(small_config), "--seeds", "2", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "POM_SIM_THREADS" in err and f"'{threads}'" in err
+        assert not out.exists()
+
     def test_unknown_key_names_field_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

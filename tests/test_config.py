@@ -1,9 +1,15 @@
+import copy
 import json
+import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pomsim.config import config_from_dict, load_config
 from pomsim.errors import ConfigError
+from pomsim.simulator import SimConfig
 
 
 def minimal(**extra):
@@ -132,3 +138,130 @@ class TestLoadConfig:
     def test_shipped_examples_parse(self):
         for name in ("configs/example.json", "configs/dynamics.json", "configs/price_step.json"):
             assert load_config(name).horizon > 0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _example(**changes):
+    """configs/example.json with top-level sections replaced."""
+    d = json.loads((ROOT / "configs" / "example.json").read_text(encoding="utf-8"))
+    d.update(changes)
+    return d
+
+
+def _miner(**fields):
+    return {"population": {"explicit": [{"hashrate": 1.0, "unit_cost": 0.1, **fields}]}}
+
+
+EXAMPLE_POPULATION = _example()["population"]
+LANDMARKS = _example()["schedule"]["landmarks"]
+
+HARDENING = [
+    # (case id, config, field path the error must name)
+    ("d_co-without-spread", _example(schedule={"a": 0.58, "b": 2.32, "d_co": 2.2}), "$.schedule"),
+    ("non-numeric-hash-pair",
+     _example(population={**EXAMPLE_POPULATION, "small_hash": ["x", 2]}),
+     "$.population.small_hash[0]"),
+    ("non-numeric-duty", _example(**_miner(duty=["a", 2])), "$.population.explicit[0].duty[0]"),
+    ("string-bool", _example(constant_reward="no"), "$.constant_reward"),
+    ("negative-at-block",
+     _example(price={"initial": 1.0, "factor": 2.0, "at_block": -5}), "$.price"),
+    ("infinite-price", _example(price={"constant": math.inf}), "$.price.constant"),
+    ("infinite-target-interval",
+     _example(retarget={"target_interval": math.inf}), "$.retarget.target_interval"),
+    ("infinite-anchor-hashrate", _example(anchor_hashrate=math.inf), "$.anchor_hashrate"),
+    ("string-series", _example(price={"series": ["1", "2"]}), "$.price.series[0]"),
+    ("integer-miner-id", _example(**_miner(id=7)), "$.population.explicit[0].id"),
+    ("step-field-next-to-constant",
+     _example(price={"constant": 30.0, "factor": 2.0}), "$.price"),
+    ("step-field-next-to-series",
+     _example(price={"series": [1.0, 2.0], "at_block": 3}), "$.price"),
+    ("empty-series", _example(price={"series": []}), "$.price"),
+    ("negative-seed", _example(seed=-1), "$.seed"),
+    ("landmark-reward-underflow",  # the composed peak search finds only zero reward
+     _example(schedule={"landmarks": {**LANDMARKS, "tenth_d": 1e6}}), "$.schedule"),
+]
+
+
+@pytest.mark.parametrize("data,path", [c[1:] for c in HARDENING], ids=[c[0] for c in HARDENING])
+def test_bad_input_is_a_config_error_naming_the_field_path(data, path):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+# one config per variant form: landmarks, anchors and a population spec; a
+# price step; an explicit population; flat schedule, slope map and price series
+BASES = [
+    _example(),
+    json.loads((ROOT / "configs" / "price_step.json").read_text(encoding="utf-8")),
+    _example(**_miner(id="a", duty=[5, 5], **{"class": "large"}), rate_constant=0.0004),
+    _example(schedule={"a": 0.58, "b": 2.32, "scale": 9.0, "d_co": 2.2, "spread": 0.077},
+             difficulty_map={"slope": 0.04, "intercept": 0.1}, price={"series": [1.0, 2.0]}),
+]
+
+
+@pytest.mark.parametrize("data", BASES)
+def test_to_dict_reads_back_to_the_same_config(data):
+    cfg = config_from_dict(data)
+    again = config_from_dict(cfg.to_dict())
+    assert again == cfg
+    assert again.to_dict() == cfg.to_dict()
+
+
+# Fuzzed contract: any mutation of a valid config parses, or fails with a
+# ConfigError that names a field path.  No other exception may escape.
+
+_LEAVES = st.sampled_from(
+    ["x", True, False, None, [], [1.0, "x"], {}, math.inf, -math.inf, math.nan, 0, -1, 2.5]
+).map(copy.deepcopy)  # a later mutation must not edit the shared leaf
+
+
+def _known_keys(obj):
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_known_keys, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_known_keys, obj))
+    return set()
+
+
+_KEYS = st.sampled_from(sorted(set().union(*map(_known_keys, BASES)) | {"zzz"}))
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _paths(v, prefix + (k,))
+
+
+@st.composite
+def mutated_configs(draw):
+    data = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        # not the root: test_non_object_rejected covers a config that is not an object
+        path = draw(st.sampled_from(list(_paths(data))[1:]))
+        parent = data
+        for k in path[:-1]:
+            parent = parent[k]
+        op = draw(st.sampled_from(["drop", "add", "swap"]))
+        if op == "drop":
+            del parent[path[-1]]
+        elif op == "add" and isinstance(parent[path[-1]], dict):
+            parent[path[-1]][draw(_KEYS)] = draw(_LEAVES)
+        else:
+            parent[path[-1]] = draw(_LEAVES)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_mutated_config_parses_or_names_a_field_path(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError as exc:
+        assert str(exc).startswith("$"), str(exc)
+    else:
+        assert isinstance(cfg, SimConfig)
+        assert config_from_dict(cfg.to_dict()).digest() == cfg.digest()

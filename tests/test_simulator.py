@@ -8,6 +8,7 @@ from pomsim.agents import MinerAgent, PopulationSpec, decide, expected_revenue_r
 from pomsim.config import load_config
 from pomsim import simulator
 from pomsim.difficulty import hash_to_difficulty, retarget
+from pomsim.errors import InternalError
 from pomsim.simulator import (
     EconomicsConfig,
     PricePath,
@@ -213,6 +214,30 @@ class TestStallRecovery:
         series = run(cfg)
         assert len(series.records) == 50
         assert all(r.active_miner_count == 1 for r in series.records)
+
+
+    def test_stall_error_carries_the_state(self, monkeypatch):
+        # two costly full-time miners leave, and the duty miners that stay active are
+        # in their off phase: the stall loop does not advance the height, so the
+        # network cannot restart
+        monkeypatch.setattr(simulator, "_MAX_STALL_QUANTA", 100)
+        cfg = dataclasses.replace(
+            load_config("configs/dynamics.json"),
+            seed=0,
+            explicit_population=[
+                explicit_miner("f0", 10.0, unit_cost=1.0),
+                explicit_miner("f1", 10.0, unit_cost=1.0),
+                explicit_miner("d0", 1.0, unit_cost=0.5, duty=(5, 5)),
+                explicit_miner("d1", 1.0, unit_cost=0.5, duty=(3, 7)),
+                explicit_miner("d2", 1.0, unit_cost=0.5, duty=(40, 10)),
+            ],
+        )
+        with pytest.raises(InternalError) as info:
+            run(cfg)
+        msg = str(info.value)
+        assert "within 100 quanta at height 245, clock " in msg
+        assert ", difficulty 1e-06, price 30.0;" in msg
+        assert msg.endswith("3 active miner(s) held off only by their duty phase")
 
 
 class TestVectorizedDecisions:
