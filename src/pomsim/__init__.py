@@ -31,8 +31,6 @@ from .reward_curve import (
     cutoff_factor,
     find_peak,
     reward,
-    schedule_from_dict,
-    schedule_from_json,
     schedule_to_dict,
     schedule_to_json,
 )
@@ -50,6 +48,6 @@ from .simulator import (
     step,
     write_series_csv,
 )
-from .config import config_from_dict, load_config
+from .config import config_from_dict, load_config, schedule_from_dict, schedule_from_json
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,7 +3,9 @@
 Agents switch between active and inactive by comparing expected revenue to
 operating cost through a hysteresis band, with a dwell time so a single
 noisy block cannot flap them.  The proof-of-mining credit scales a winner's
-reward by its recent participation.
+reward by its recent participation.  Each rule is written once, over arrays
+(`revenue_rate`, `decide_all`, `pom_credit`); the simulator applies them to
+the population and the scalar forms to one `MinerAgent`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,25 @@ class PomCredit:
             )
 
 
+@dataclass(frozen=True)
+class EconomicsConfig:
+    """Entry/exit rule: a miner enters when revenue reaches `margin_on` times
+    its cost and leaves below `margin_off` times it; a flip holds the new
+    state for at least `dwell` blocks."""
+
+    margin_on: float = 1.1
+    margin_off: float = 0.9
+    dwell: int = 30
+
+    def __post_init__(self):
+        if not (self.margin_off <= 1.0 <= self.margin_on):
+            raise ParameterError(
+                f"need margin_off <= 1 <= margin_on, got {self.margin_off}, {self.margin_on}"
+            )
+        if self.dwell < 0:
+            raise ParameterError(f"dwell must be nonnegative, got {self.dwell}")
+
+
 @dataclass
 class MinerAgent:
     id: str
@@ -43,7 +64,7 @@ class MinerAgent:
     miner_class: str = "small"
     # forced (on_blocks, off_blocks) duty cycle; None means always available
     duty: Optional[tuple[int, int]] = None
-    history: deque = field(default_factory=lambda: deque(maxlen=50))
+    history: deque = field(default_factory=lambda: deque(maxlen=PomCredit.window))
 
     def __post_init__(self):
         if not (self.hashrate > 0.0):
@@ -52,6 +73,33 @@ class MinerAgent:
             raise ParameterError(f"unit_cost must be nonnegative, got {self.unit_cost}")
         if self.dwell_remaining < 0:
             raise ParameterError(f"dwell_remaining must be nonnegative, got {self.dwell_remaining}")
+
+
+def revenue_rate(hashrate, total_hash, block_reward, price, target_interval):
+    """Expected currency earned per hour at a share `hashrate / total_hash`."""
+    return (hashrate / total_hash) * block_reward * price * (3600.0 / target_interval)
+
+
+def decide_all(active, dwell, revenue, on_cost, off_cost):
+    """One entry/exit decision per miner, in place; returns the flips.
+
+    A miner with dwell left only counts down; any other turns on at revenue
+    >= `on_cost` and off at revenue < `off_cost`.  The caller re-arms dwell.
+    """
+    busy = dwell > 0
+    dwell -= busy
+    flips = np.where(active, revenue < off_cost, revenue >= on_cost)
+    flips &= ~busy
+    active ^= flips
+    return flips
+
+
+def pom_credit(active_blocks, blocks_seen: int, credit: PomCredit) -> float:
+    """Reward multiplier in [0, 1] from `active_blocks` of the trailing window;
+    full until a whole window has been seen (no penalty for pre-history)."""
+    if blocks_seen < credit.window:
+        return 1.0
+    return min(1.0, float(active_blocks) / credit.required)
 
 
 def expected_revenue_rate(
@@ -66,43 +114,35 @@ def expected_revenue_rate(
         if m.active:
             raise InternalError("active miner with zero network hashrate")
         return 0.0
-    return (m.hashrate / total_hash) * block_reward * price * (3600.0 / target_interval)
+    return revenue_rate(m.hashrate, total_hash, block_reward, price, target_interval)
 
 
 def decide(
     m: MinerAgent,
     revenue_rate: float,
-    margin_on: float = 1.1,
-    margin_off: float = 0.9,
-    dwell: int = 30,
+    margin_on: float = EconomicsConfig.margin_on,
+    margin_off: float = EconomicsConfig.margin_off,
+    dwell: int = EconomicsConfig.dwell,
 ) -> MinerAgent:
-    """One entry/exit decision; returns the updated agent.
+    """`decide_all` for one miner; returns the updated agent.
 
-    While dwell_remaining > 0 the agent only counts down.  Otherwise it
-    turns on when revenue clears margin_on times cost and off when revenue
-    drops under margin_off times cost; a flip re-arms the dwell counter.
+    A flip re-arms the dwell counter to exactly `dwell`: there is no
+    generator here, so this is the low end of the simulator's
+    `dwell + U[0, dwell)` re-arm.
     """
-    if not (margin_off <= 1.0 <= margin_on):
-        raise ParameterError(
-            f"need margin_off <= 1 <= margin_on, got {margin_off}, {margin_on}"
-        )
-    if m.dwell_remaining > 0:
-        return replace(m, dwell_remaining=m.dwell_remaining - 1)
-    cost_rate = m.unit_cost * m.hashrate
-    if not m.active and revenue_rate >= margin_on * cost_rate:
-        return replace(m, active=True, dwell_remaining=dwell)
-    if m.active and revenue_rate < margin_off * cost_rate:
-        return replace(m, active=False, dwell_remaining=dwell)
-    return m
+    EconomicsConfig(margin_on, margin_off, dwell)  # validates the arguments
+    cost = m.unit_cost * m.hashrate
+    active, left = np.array([m.active]), np.array([m.dwell_remaining])
+    if decide_all(active, left, revenue_rate, margin_on * cost, margin_off * cost)[0]:
+        left[0] = dwell
+    return replace(m, active=bool(active[0]), dwell_remaining=int(left[0]))
 
 
 def pom_multiplier(m: MinerAgent, c: PomCredit) -> float:
-    """Reward multiplier in [0, 1] from recent participation."""
-    if not m.history:
-        return 0.0
+    """`pom_credit` over the miner's history, oldest first; a history shorter
+    than the window earns full credit, as in the simulator's warm-up."""
     recent = list(m.history)[-c.window:]
-    active_blocks = sum(1 for flag in recent if flag)
-    return min(1.0, active_blocks / c.required)
+    return pom_credit(sum(map(bool, recent)), len(m.history), c)
 
 
 @dataclass(frozen=True)
@@ -145,26 +185,11 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> list[
     hl = rng.uniform(*spec.large_hash, spec.n_large)
     cs = rng.uniform(*spec.small_cost, spec.n_small)
     cl = rng.uniform(*spec.large_cost, spec.n_large)
-    agents = []
-    for i in range(spec.n_small):
-        agents.append(
-            MinerAgent(
-                id=f"s{i:03d}",
-                hashrate=float(hs[i]),
-                unit_cost=float(cs[i]),
-                miner_class="small",
-            )
-        )
-    for i in range(spec.n_large):
-        agents.append(
-            MinerAgent(
-                id=f"l{i:03d}",
-                hashrate=float(hl[i]),
-                unit_cost=float(cl[i]),
-                miner_class="large",
-            )
-        )
-    return agents
+    return [
+        MinerAgent(id=f"{cls[0]}{i:03d}", hashrate=float(h), unit_cost=float(c), miner_class=cls)
+        for cls, hashes, costs in (("small", hs, cs), ("large", hl, cl))
+        for i, (h, c) in enumerate(zip(hashes, costs))
+    ]
 
 
 def dump_population_csv(agents: list[MinerAgent], path) -> None:

@@ -14,16 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import load_config
+from .config import load_config, schedule_from_dict
 from .errors import ConfigError, PomSimError
 from .metrics import compare
-from .reward_curve import (
-    base_reward,
-    calibrate_schedule,
-    cutoff_factor,
-    reward,
-    schedule_from_dict,
-)
+from .reward_curve import base_reward, calibrate_schedule, cutoff_factor, reward
 from .simulator import read_series_csv, run, schedule_max, write_series_csv
 
 EXIT_USAGE = 2
@@ -43,16 +37,19 @@ def _emit_curve(schedule, lo, hi, step, out):
 
 
 def cmd_curve(args) -> int:
-    if args.landmarks:
-        peak_d, half_d, tenth_d = args.landmarks
-        schedule = calibrate_schedule(peak_d, half_d, tenth_d, args.r_max, b_ratio=args.b_ratio)
-    else:
-        keys = ["a", "b", "scale", "d_co", "spread"]
-        vals = args.params
-        if len(vals) not in (3, 5):
-            print("error: --params needs A B SCALE or A B SCALE D_CO SPREAD", file=sys.stderr)
-            return EXIT_USAGE
-        schedule = schedule_from_dict(dict(zip(keys, vals)))
+    if args.params and len(args.params) not in (3, 5):
+        print("error: --params needs A B SCALE or A B SCALE D_CO SPREAD", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        if args.landmarks:
+            peak_d, half_d, tenth_d = args.landmarks
+            schedule = calibrate_schedule(peak_d, half_d, tenth_d, args.r_max, b_ratio=args.b_ratio)
+        else:
+            keys = ["a", "b", "scale", "d_co", "spread"]
+            schedule = schedule_from_dict(dict(zip(keys, args.params)))
+    except PomSimError as exc:  # the arguments describe no valid schedule
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     lo, hi = args.range
     if not (lo < hi) or args.step <= 0:
@@ -98,6 +95,9 @@ def _run_one(config, seed: int, out_dir: str) -> dict:
 def cmd_run(args) -> int:
     if args.seeds < 1:
         print("error: --seeds must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.base_seed is not None and args.base_seed < 0:
+        print("error: --base-seed must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     threads = os.environ.get("POM_SIM_THREADS", "1")
     try:
@@ -173,12 +173,16 @@ def cmd_compare(args) -> int:
         return EXIT_USAGE
 
     rows = []
-    for seed in sorted(base_runs):
-        base = read_series_csv(base_runs[seed])
-        treat = read_series_csv(treat_runs[seed])
-        burn_in = args.burn_in if args.burn_in is not None else len(base) // 5
-        deltas = compare(base, treat, burn_in)
-        rows.append({"seed": seed, **deltas.to_dict()})
+    try:  # unreadable runs, mismatched horizons and a burn-in outside the series
+        for seed in sorted(base_runs):
+            base = read_series_csv(base_runs[seed])
+            treat = read_series_csv(treat_runs[seed])
+            burn_in = args.burn_in if args.burn_in is not None else len(base) // 5
+            deltas = compare(base, treat, burn_in)
+            rows.append({"seed": seed, **deltas.to_dict()})
+    except PomSimError as exc:
+        print(f"error: seed {seed}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:

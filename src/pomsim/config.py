@@ -19,8 +19,8 @@ from functools import cache
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from .agents import MinerAgent, PomCredit, PopulationSpec
-from .difficulty import DifficultyMap, RetargetState, fit_difficulty_map, rate_constant_from_map
+from .agents import EconomicsConfig, MinerAgent, PomCredit, PopulationSpec
+from .difficulty import DifficultyMap, RetargetConfig, fit_difficulty_map, rate_constant_from_map
 from .errors import ConfigError, ParameterError, PomSimError
 from .reward_curve import (
     BaseCurveParams,
@@ -29,38 +29,6 @@ from .reward_curve import (
     calibrate_schedule,
     schedule_to_dict,
 )
-
-
-@dataclass(frozen=True)
-class RetargetConfig:
-    target_interval: float = 120.0
-    smoothing: float = 0.2
-    clamp: float = 1.25
-
-    def __post_init__(self):
-        # delegate range checks to RetargetState
-        RetargetState(
-            current_difficulty=1.0,
-            ema_interval=self.target_interval,
-            target_interval=self.target_interval,
-            smoothing=self.smoothing,
-            clamp=self.clamp,
-        )
-
-
-@dataclass(frozen=True)
-class EconomicsConfig:
-    margin_on: float = 1.1
-    margin_off: float = 0.9
-    dwell: int = 30
-
-    def __post_init__(self):
-        if not (self.margin_off <= 1.0 <= self.margin_on):
-            raise ParameterError(
-                f"need margin_off <= 1 <= margin_on, got {self.margin_off}, {self.margin_on}"
-            )
-        if self.dwell < 0:
-            raise ParameterError(f"dwell must be nonnegative, got {self.dwell}")
 
 
 @dataclass(frozen=True)
@@ -274,11 +242,23 @@ def _schedule(cls, obj, path: str) -> RewardScheduleParams:
         args["r_max_target"] = args.pop("r_max")
         with _section(path):
             return calibrate_schedule(**args)
+    return schedule_from_dict(obj, path)
+
+
+def schedule_from_dict(obj, path: str = "$") -> RewardScheduleParams:
+    """The flat a/b/scale[/d_co/spread] form that `schedule_to_dict` writes."""
+    obj = _mapping(obj, path)
     cut = {f.name for f in fields(CutoffParams)}
     base = read(BaseCurveParams, {k: v for k, v in obj.items() if k not in cut}, path)
     cutoff = {k: v for k, v in obj.items() if k in cut}
     with _section(path):
-        return cls(base=base, cutoff=read(CutoffParams, cutoff, path) if cutoff else None)
+        return RewardScheduleParams(
+            base=base, cutoff=read(CutoffParams, cutoff, path) if cutoff else None
+        )
+
+
+def schedule_from_json(text: str) -> RewardScheduleParams:
+    return schedule_from_dict(json.loads(text))
 
 
 def _difficulty_map(cls, obj, path: str) -> DifficultyMap:

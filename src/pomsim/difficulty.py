@@ -66,19 +66,34 @@ def fit_difficulty_map(
 
 
 @dataclass(frozen=True)
-class RetargetState:
-    """Difficulty controller state; updated by a pure transition per block.
+class RetargetConfig:
+    """Retarget controller parameters: the EMA of block intervals tracks
+    `target_interval`, and one step moves difficulty by at most `clamp`.
 
-    Defaults (smoothing 0.2, clamp 1.25) keep the loop responsive without
-    the overshoot that a large per-block clamp produces when the reward
-    cliff makes the miner population swing hard.
+    The default smoothing and clamp keep the loop responsive without the
+    overshoot that a large per-block clamp produces when the reward cliff
+    makes the miner population swing hard.
     """
 
-    current_difficulty: float
-    ema_interval: float
     target_interval: float = 120.0
     smoothing: float = 0.2
     clamp: float = 1.25
+
+    def __post_init__(self):
+        if not (self.target_interval > 0.0):
+            raise ParameterError(f"target_interval must be positive, got {self.target_interval}")
+        if not (0.0 < self.smoothing <= 1.0):
+            raise ParameterError(f"smoothing must be in (0, 1], got {self.smoothing}")
+        if not (self.clamp > 1.0):
+            raise ParameterError(f"clamp must exceed 1, got {self.clamp}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RetargetState(RetargetConfig):
+    """Difficulty controller state; updated by a pure transition per block."""
+
+    current_difficulty: float
+    ema_interval: float
     floor: float = MIN_DIFFICULTY
 
     def __post_init__(self):
@@ -86,12 +101,7 @@ class RetargetState:
             raise ParameterError(f"difficulty must be positive, got {self.current_difficulty}")
         if not (self.ema_interval > 0.0):
             raise ParameterError(f"ema_interval must be positive, got {self.ema_interval}")
-        if not (self.target_interval > 0.0):
-            raise ParameterError(f"target_interval must be positive, got {self.target_interval}")
-        if not (0.0 < self.smoothing <= 1.0):
-            raise ParameterError(f"smoothing must be in (0, 1], got {self.smoothing}")
-        if not (self.clamp > 1.0):
-            raise ParameterError(f"clamp must exceed 1, got {self.clamp}")
+        super().__post_init__()
 
 
 def retarget(state: RetargetState, observed_interval: float) -> RetargetState:

@@ -245,17 +245,5 @@ def schedule_to_dict(s: RewardScheduleParams) -> dict:
     return d
 
 
-def schedule_from_dict(d: dict) -> RewardScheduleParams:
-    base = BaseCurveParams(a=float(d["a"]), b=float(d["b"]), scale=float(d.get("scale", 1.0)))
-    cutoff = None
-    if "d_co" in d or "spread" in d:
-        cutoff = CutoffParams(d_co=float(d["d_co"]), spread=float(d["spread"]))
-    return RewardScheduleParams(base=base, cutoff=cutoff)
-
-
 def schedule_to_json(s: RewardScheduleParams) -> str:
     return json.dumps(schedule_to_dict(s), sort_keys=True)
-
-
-def schedule_from_json(text: str) -> RewardScheduleParams:
-    return schedule_from_dict(json.loads(text))

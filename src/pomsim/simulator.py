@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .agents import generate_population
-# the config dataclasses live in `config`; EconomicsConfig, PricePath and
-# RetargetConfig are re-exported here for callers that import them from here
+from .agents import decide_all, generate_population, pom_credit, revenue_rate
+# the config dataclasses (EconomicsConfig from `agents`, RetargetConfig from
+# `difficulty`) are re-exported here for callers that import them from here
 from .config import EconomicsConfig, PricePath, RetargetConfig, SimConfig  # noqa: F401
 from .difficulty import RetargetState, hash_to_difficulty, retarget
 from .errors import ConfigError, InternalError
@@ -108,19 +108,16 @@ def _decide_all(
     price: float,
     total_hash: float,
 ) -> None:
-    """Vectorized mirror of agents.decide over the whole population.
+    """`agents.decide_all` over the whole population, then the dwell jitter.
 
     Inactive miners evaluate the revenue they would earn after joining
     (their hashrate added to the total), so an empty network can restart.
+    A flipped miner's dwell counter re-arms to `dwell + U[0, dwell)`.
     """
     h = state.hashrate
     prospective = np.where(state.active, max(total_hash, 1e-300), total_hash + h)
-    rev = (h / prospective) * block_reward * price * (3600.0 / config.retarget.target_interval)
-    busy = state.dwell > 0
-    state.dwell -= busy
-    flips = np.where(state.active, rev < state.off_cost, rev >= state.on_cost)
-    flips &= ~busy
-    state.active ^= flips
+    rev = revenue_rate(h, prospective, block_reward, price, config.retarget.target_interval)
+    flips = decide_all(state.active, state.dwell, rev, state.on_cost, state.off_cost)
     n_flips = np.count_nonzero(flips)
     base = config.economics.dwell
     if n_flips and base > 0:  # with no dwell a flipped miner's counter stays at 0
@@ -172,10 +169,7 @@ def step(
         widx = int(cum.searchsorted(cum[-1]))
 
     raw = _block_reward(config, d, state.r_max)
-    if state.blocks_seen < config.pom.window:
-        mult = 1.0  # warm-up: no penalty for pre-history
-    else:
-        mult = min(1.0, float(state.hist_count[widx]) / config.pom.required)
+    mult = pom_credit(state.hist_count[widx], state.blocks_seen, config.pom)
     credited = raw * mult
 
     large_avail = avail & state.is_large
@@ -242,11 +236,9 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     h0 = float(hashrate[active].sum())
     d0 = hash_to_difficulty(h0, config.difficulty_map) if h0 > 0 else config.difficulty_map.floor
     rt = RetargetState(
+        **vars(config.retarget),
         current_difficulty=d0,
         ema_interval=config.retarget.target_interval,
-        target_interval=config.retarget.target_interval,
-        smoothing=config.retarget.smoothing,
-        clamp=config.retarget.clamp,
         floor=config.difficulty_map.floor,
     )
     return NetworkState(
@@ -336,22 +328,25 @@ def read_series_csv(path) -> list[BlockRecord]:
     records = []
     with open(path, newline="") as f:
         rd = csv.reader(f)
-        header = next(rd)
+        header = next(rd, None)
         if header != CSV_HEADER:
             raise ConfigError(f"unexpected CSV header in {path}")
-        for row in rd:
-            records.append(
-                BlockRecord(
-                    height=int(row[0]),
-                    timestamp=float(row[1]),
-                    difficulty=float(row[2]),
-                    total_hash=float(row[3]),
-                    winner=row[4],
-                    raw_reward=float(row[5]),
-                    pom_multiplier=float(row[6]),
-                    credited_reward=float(row[7]),
-                    active_miner_count=int(row[8]),
-                    large_miner_share=float(row[9]),
+        try:
+            for row in rd:
+                records.append(
+                    BlockRecord(
+                        height=int(row[0]),
+                        timestamp=float(row[1]),
+                        difficulty=float(row[2]),
+                        total_hash=float(row[3]),
+                        winner=row[4],
+                        raw_reward=float(row[5]),
+                        pom_multiplier=float(row[6]),
+                        credited_reward=float(row[7]),
+                        active_miner_count=int(row[8]),
+                        large_miner_share=float(row[9]),
+                    )
                 )
-            )
+        except (ValueError, IndexError) as exc:  # a truncated or garbled row
+            raise ConfigError(f"{path}, line {rd.line_num}: bad row ({exc})") from exc
     return records

@@ -125,7 +125,12 @@ class TestPomMultiplier:
         assert pom_multiplier(miner(history=hist), c) == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_history(self):
-        assert pom_multiplier(miner(history=[]), PomCredit()) == 0.0
+        assert pom_multiplier(miner(history=[]), PomCredit()) == 1.0
+
+    def test_short_history_is_warm_up(self):
+        # fewer blocks than the window: full credit, as in the simulator's warm-up
+        assert pom_multiplier(miner(history=[True] * 10), PomCredit()) == 1.0
+        assert pom_multiplier(miner(history=[False] * 49), PomCredit()) == 1.0
 
     def test_monotone_in_active_blocks(self):
         c = PomCredit(window=50, required=40)

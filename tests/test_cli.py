@@ -62,9 +62,9 @@ class TestCurve:
         assert rc == EXIT_USAGE
 
     def test_invalid_params_exit_code(self, capsys):
-        # a >= b is a parameter error surfaced as the internal exit code
+        # a >= b describes no schedule: a usage error, like every bad argument
         rc = main(["curve", "--params", "2.0", "1.0", "1.0"])
-        assert rc == 3
+        assert rc == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
 
@@ -175,3 +175,37 @@ class TestCompare:
         (tmp_path / "y").mkdir()
         rc = main(["compare", str(tmp_path / "x"), str(tmp_path / "y")])
         assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{config}", "--base-seed", "-1", "--out", "{tmp}/o"],
+    ["curve", "--landmarks", "2.2", "1.75", "2.37"],
+    ["curve", "--landmarks", "1.75", "2.20", "2.37", "--r-max", "-1"],
+    ["curve", "--params", "2", "1", "1"],
+    ["compare", "{sweep}", "{sweep}", "--burn-in", "-3"],
+    ["compare", "{sweep}", "{sweep}", "--burn-in", "150"],  # the whole series
+], ids=["negative-base-seed", "unordered-landmarks", "negative-r-max", "a-above-b",
+        "negative-burn-in", "burn-in-past-series"])
+def test_bad_arguments_are_usage_errors(argv, small_config, tmp_path, capsys):
+    sweep = tmp_path / "sweep"
+    if "{sweep}" in argv:
+        assert main(["run", "--config", str(small_config), "--out", str(sweep)]) == 0
+    capsys.readouterr()
+    rc = main([a.format(config=small_config, tmp=tmp_path, sweep=sweep) for a in argv])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_compare_names_the_file_and_line_of_a_truncated_run(small_config, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
+    blocks = out / "seed_3" / "blocks.csv"
+    lines = blocks.read_text().splitlines()
+    lines[-1] = ",".join(lines[-1].split(",")[:3])  # the last row cut short
+    blocks.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(["compare", str(out), str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{blocks}, line {len(lines)}:" in err

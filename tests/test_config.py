@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pomsim.config import config_from_dict, load_config
+from pomsim.config import config_from_dict, load_config, schedule_from_dict, schedule_from_json
 from pomsim.errors import ConfigError
 from pomsim.simulator import SimConfig
 
@@ -265,3 +265,16 @@ def test_mutated_config_parses_or_names_a_field_path(data):
     else:
         assert isinstance(cfg, SimConfig)
         assert config_from_dict(cfg.to_dict()).digest() == cfg.digest()
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"a": "0.5", "b": True}, "$.a: expected a finite number, got '0.5'"),
+    ({"a": 0.5, "b": True}, "$.b: expected a finite number, got True"),
+    ({"a": 0.5, "b": 1.0, "d_co": 3}, "$: missing required key(s) ['spread']"),
+    ({"a": 0.5, "b": 1.0, "bb": 2.0}, "$: unknown key(s) ['bb']"),
+])
+def test_flat_schedule_reader_is_strict(data, message):
+    for parse in (lambda: schedule_from_dict(data), lambda: schedule_from_json(json.dumps(data))):
+        with pytest.raises(ConfigError) as info:
+            parse()
+        assert str(info.value) == message

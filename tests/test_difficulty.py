@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from pomsim.difficulty import (
     DEFAULT_ANCHORS,
     DifficultyMap,
+    RetargetConfig,
     RetargetState,
     fit_difficulty_map,
     hash_to_difficulty,
@@ -58,6 +61,20 @@ def make_state(difficulty=2.0, ema=120.0, target=120.0, smoothing=0.2, clamp=1.2
         smoothing=smoothing,
         clamp=clamp,
     )
+
+
+@pytest.mark.parametrize("field,value", [
+    ("target_interval", 0.0), ("target_interval", -1.0), ("smoothing", 0.0),
+    ("smoothing", 1.5), ("clamp", 1.0), ("clamp", 0.5), ("clamp", math.nan),
+])
+def test_config_and_state_reject_the_same_parameters(field, value):
+    # the controller parameters have one range check, shared by both classes
+    with pytest.raises(ParameterError) as from_config:
+        RetargetConfig(**{field: value})
+    with pytest.raises(ParameterError) as from_state:
+        RetargetState(current_difficulty=1.0, ema_interval=120.0, **{field: value})
+    assert str(from_config.value) == str(from_state.value)
+    assert field in str(from_state.value)
 
 
 class TestRetarget:

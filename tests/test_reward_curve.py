@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pomsim.config import schedule_from_json
 from pomsim.errors import (
     BracketingError,
     DomainError,
@@ -23,7 +24,6 @@ from pomsim.reward_curve import (
     cutoff_factor,
     find_peak,
     reward,
-    schedule_from_json,
     schedule_to_dict,
     schedule_to_json,
 )

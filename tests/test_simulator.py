@@ -4,7 +4,13 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from pomsim.agents import MinerAgent, PopulationSpec, decide, expected_revenue_rate
+from pomsim.agents import (
+    MinerAgent,
+    PopulationSpec,
+    decide,
+    expected_revenue_rate,
+    pom_multiplier,
+)
 from pomsim.config import load_config
 from pomsim import simulator
 from pomsim.difficulty import hash_to_difficulty, retarget
@@ -199,6 +205,36 @@ class TestDutyCycle:
                 assert r.active_miner_count == 1
             else:
                 assert r.active_miner_count == 2
+
+
+    def test_credit_is_the_scalar_rule_over_the_winners_availability(self):
+        # full0 costs nothing and never leaves, so the run never stalls and the
+        # availability taken before each step is the one the step records
+        cfg = dataclasses.replace(
+            load_config("configs/dynamics.json"),
+            explicit_population=[
+                explicit_miner("full0", 12.0),
+                explicit_miner("full1", 6.0, unit_cost=1.5),
+                explicit_miner("duty0", 10.0, unit_cost=0.5, duty=(5, 5)),
+                explicit_miner("duty1", 4.0, unit_cost=1.0, duty=(3, 7)),
+                explicit_miner("duty2", 20.0, unit_cost=2.0, duty=(40, 10)),
+            ],
+        )
+        window = cfg.pom.window
+        rng = np.random.default_rng(cfg.seed)
+        state = initial_state(cfg, rng)
+        seen, mults = [], []
+        for _ in range(2 * window):
+            seen.append(simulator._available(state).copy())
+            state, rec = step(state, cfg, rng)
+            w = state.ids.index(rec.winner)
+            # the blocks before this one, at most a window of them (none at genesis)
+            history = deque((avail[w] for avail in seen[:-1]), maxlen=window)
+            agent = MinerAgent(id=rec.winner, hashrate=1.0, unit_cost=0.0, history=history)
+            assert rec.pom_multiplier == pom_multiplier(agent, cfg.pom)
+            mults.append(rec.pom_multiplier)
+        assert mults[:window] == [1.0] * window
+        assert min(mults[window:]) < 1.0
 
 
 class TestStallRecovery:
