@@ -10,9 +10,9 @@ the population and the scalar forms to one `MinerAgent`.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -64,7 +64,7 @@ class MinerAgent:
     miner_class: str = "small"
     # forced (on_blocks, off_blocks) duty cycle; None means always available
     duty: Optional[tuple[int, int]] = None
-    history: deque = field(default_factory=lambda: deque(maxlen=PomCredit.window))
+    history: deque = field(default_factory=deque)
 
     def __post_init__(self):
         if not (self.hashrate > 0.0):
@@ -80,16 +80,15 @@ def revenue_rate(hashrate, total_hash, block_reward, price, target_interval):
     return (hashrate / total_hash) * block_reward * price * (3600.0 / target_interval)
 
 
-def decide_all(active, dwell, revenue, on_cost, off_cost):
+def decide_all(active, ready, revenue, on_cost, off_cost):
     """One entry/exit decision per miner, in place; returns the flips.
 
-    A miner with dwell left only counts down; any other turns on at revenue
-    >= `on_cost` and off at revenue < `off_cost`.  The caller re-arms dwell.
+    A `ready` miner turns on at revenue >= `on_cost` and off at revenue
+    < `off_cost`; a miner still in its dwell keeps its state.  The caller
+    keeps the dwell.
     """
-    busy = dwell > 0
-    dwell -= busy
     flips = np.where(active, revenue < off_cost, revenue >= on_cost)
-    flips &= ~busy
+    flips &= ready
     active ^= flips
     return flips
 
@@ -132,16 +131,18 @@ def decide(
     """
     EconomicsConfig(margin_on, margin_off, dwell)  # validates the arguments
     cost = m.unit_cost * m.hashrate
-    active, left = np.array([m.active]), np.array([m.dwell_remaining])
-    if decide_all(active, left, revenue_rate, margin_on * cost, margin_off * cost)[0]:
-        left[0] = dwell
-    return replace(m, active=bool(active[0]), dwell_remaining=int(left[0]))
+    active, left = np.array([m.active]), m.dwell_remaining
+    if decide_all(active, left == 0, revenue_rate, margin_on * cost, margin_off * cost)[0]:
+        left = dwell
+    else:
+        left = max(left - 1, 0)  # the countdown of a miner in its dwell
+    return replace(m, active=bool(active[0]), dwell_remaining=left)
 
 
 def pom_multiplier(m: MinerAgent, c: PomCredit) -> float:
     """`pom_credit` over the miner's history, oldest first; a history shorter
     than the window earns full credit, as in the simulator's warm-up."""
-    recent = list(m.history)[-c.window:]
+    recent = islice(reversed(m.history), c.window)  # the last window, not the whole history
     return pom_credit(sum(map(bool, recent)), len(m.history), c)
 
 
@@ -191,10 +192,3 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> list[
         for i, (h, c) in enumerate(zip(hashes, costs))
     ]
 
-
-def dump_population_csv(agents: list[MinerAgent], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "hashrate", "unit_cost", "class"])
-        for m in agents:
-            w.writerow([m.id, repr(m.hashrate), repr(m.unit_cost), m.miner_class])

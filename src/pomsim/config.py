@@ -258,7 +258,11 @@ def schedule_from_dict(obj, path: str = "$") -> RewardScheduleParams:
 
 
 def schedule_from_json(text: str) -> RewardScheduleParams:
-    return schedule_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"$: not valid JSON ({exc})") from exc
+    return schedule_from_dict(data)
 
 
 def _difficulty_map(cls, obj, path: str) -> DifficultyMap:

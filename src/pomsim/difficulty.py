@@ -112,14 +112,11 @@ def retarget(state: RetargetState, observed_interval: float) -> RetargetState:
     ratio = state.target_interval / ema
     ratio = min(max(ratio, 1.0 / state.clamp), state.clamp)
     new_d = max(state.current_difficulty * ratio, state.floor)
-    return RetargetState(
-        current_difficulty=new_d,
-        ema_interval=ema,
-        target_interval=state.target_interval,
-        smoothing=state.smoothing,
-        clamp=state.clamp,
-        floor=state.floor,
-    )
+    # valid by construction (new_d >= floor > 0 and ema > 0), so the field checks,
+    # which cost more than the step itself, are not run again
+    new = object.__new__(RetargetState)
+    new.__dict__.update(vars(state), current_difficulty=new_d, ema_interval=ema)
+    return new
 
 
 def rate_constant_from_map(

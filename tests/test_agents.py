@@ -10,7 +10,6 @@ from pomsim.agents import (
     PomCredit,
     PopulationSpec,
     decide,
-    dump_population_csv,
     expected_revenue_rate,
     generate_population,
     pom_multiplier,
@@ -127,6 +126,11 @@ class TestPomMultiplier:
     def test_empty_history(self):
         assert pom_multiplier(miner(history=[]), PomCredit()) == 1.0
 
+    def test_default_history_keeps_a_window_longer_than_fifty(self):
+        m = MinerAgent(id="m", hashrate=1.0, unit_cost=0.0)
+        m.history.extend([False] * 100)
+        assert pom_multiplier(m, PomCredit(window=60, required=40)) == 0.0
+
     def test_short_history_is_warm_up(self):
         # fewer blocks than the window: full credit, as in the simulator's warm-up
         assert pom_multiplier(miner(history=[True] * 10), PomCredit()) == 1.0
@@ -173,14 +177,6 @@ class TestPopulation:
         total = sum(m.hashrate for m in agents if m.active)
         shares = sum(m.hashrate / total for m in agents if m.active)
         assert shares == pytest.approx(1.0, abs=1e-12)
-
-    def test_csv_dump(self, tmp_path):
-        agents = generate_population(PopulationSpec(n_small=3, n_large=1), np.random.default_rng(0))
-        path = tmp_path / "pop.csv"
-        dump_population_csv(agents, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "id,hashrate,unit_cost,class"
-        assert len(lines) == 5
 
     def test_empty_population_rejected(self):
         with pytest.raises(ParameterError):

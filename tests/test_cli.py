@@ -209,3 +209,20 @@ def test_compare_names_the_file_and_line_of_a_truncated_run(small_config, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"{blocks}, line {len(lines)}:" in err
+
+
+def test_compare_rejects_a_run_whose_last_row_has_no_line_terminator(
+    small_config, tmp_path, capsys
+):
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
+    blocks = out / "seed_3" / "blocks.csv"
+    data = blocks.read_bytes()
+    assert data.endswith(b".0\r\n")
+    blocks.write_bytes(data[:-3])  # `...,1,1.`: still a number, but cut
+    last_line = data.count(b"\n")
+    capsys.readouterr()
+    assert main(["compare", str(out), str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{blocks}, line {last_line}: no line terminator" in err

@@ -278,3 +278,9 @@ def test_flat_schedule_reader_is_strict(data, message):
         with pytest.raises(ConfigError) as info:
             parse()
         assert str(info.value) == message
+
+
+def test_schedule_text_that_is_not_json_is_a_config_error():
+    with pytest.raises(ConfigError) as info:
+        schedule_from_json("{bad")
+    assert str(info.value).startswith("$: not valid JSON (")

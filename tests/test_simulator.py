@@ -3,13 +3,18 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pomsim.agents import (
     MinerAgent,
+    PomCredit,
     PopulationSpec,
     decide,
+    decide_all,
     expected_revenue_rate,
     pom_multiplier,
+    revenue_rate,
 )
 from pomsim.config import load_config
 from pomsim import simulator
@@ -19,7 +24,7 @@ from pomsim.simulator import (
     EconomicsConfig,
     PricePath,
     SimConfig,
-    _decide_all,
+    _decision_pass,
     initial_state,
     read_series_csv,
     run,
@@ -174,12 +179,10 @@ class TestWinnerAvailability:
         rng = np.random.default_rng(cfg.seed)
         state = initial_state(cfg, rng)
         index = {mid: i for i, mid in enumerate(state.ids)}
-        window = cfg.pom.window
         clock = 0.0
         for _ in range(cfg.horizon):
             state, rec = step(state, cfg, rng)
-            written = state.hist[(state.hist_pos - 1) % window]
-            assert written[index[rec.winner]]
+            assert state.avail[index[rec.winner]]  # the availability the block was drawn from
             assert rec.credited_reward <= rec.raw_reward
             assert 0.0 <= rec.pom_multiplier <= 1.0
             assert 0.0 <= rec.large_miner_share <= 1.0
@@ -207,11 +210,16 @@ class TestDutyCycle:
                 assert r.active_miner_count == 2
 
 
-    def test_credit_is_the_scalar_rule_over_the_winners_availability(self):
-        # full0 costs nothing and never leaves, so the run never stalls and the
-        # availability taken before each step is the one the step records
+    @pytest.mark.parametrize(
+        "credit",
+        [PomCredit(), PomCredit(60, 40), PomCredit(7, 3)],
+        ids=lambda c: f"{c.required}-of-{c.window}",
+    )
+    def test_credit_is_the_scalar_rule_over_the_winners_availability(self, credit):
+        # full0 costs nothing and never leaves, so the run never stalls
         cfg = dataclasses.replace(
             load_config("configs/dynamics.json"),
+            pom=credit,
             explicit_population=[
                 explicit_miner("full0", 12.0),
                 explicit_miner("full1", 6.0, unit_cost=1.5),
@@ -224,9 +232,9 @@ class TestDutyCycle:
         rng = np.random.default_rng(cfg.seed)
         state = initial_state(cfg, rng)
         seen, mults = [], []
-        for _ in range(2 * window):
-            seen.append(simulator._available(state).copy())
+        for _ in range(window + 100):
             state, rec = step(state, cfg, rng)
+            seen.append(state.avail)  # the availability this block was drawn from
             w = state.ids.index(rec.winner)
             # the blocks before this one, at most a window of them (none at genesis)
             history = deque((avail[w] for avail in seen[:-1]), maxlen=window)
@@ -300,8 +308,142 @@ class TestVectorizedDecisions:
                 decide(m, rev, cfg.economics.margin_on, cfg.economics.margin_off, dwell=0).active
             )
 
-        _decide_all(state, cfg, np.random.default_rng(99), block_reward, price, total)
+        _decision_pass(state, cfg, np.random.default_rng(99), block_reward, price, total)
         assert list(state.active) == expected
+
+
+class TestDecisionPass:
+    """`_decision_pass` skips a pass only when `decide_all` would flip nobody."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_decide_all_over_the_whole_population(self, data):
+        n = data.draw(st.integers(1, 12), label="miners")
+        dwell = data.draw(st.sampled_from([0, 1, 3, 30]), label="dwell")
+        miners = data.draw(
+            st.lists(
+                st.tuples(
+                    st.floats(0.1, 30.0),
+                    st.just(0.0) | st.floats(0.0, 3.0),
+                    st.booleans(),
+                    st.integers(0, 2 * dwell),
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+            label="(hashrate, unit_cost, active, dwell left)",
+        )
+        agents = [
+            MinerAgent(id=f"m{i}", hashrate=h, unit_cost=c, active=a)
+            for i, (h, c, a, _) in enumerate(miners)
+        ]
+        cfg = make_config(explicit_population=agents, economics=EconomicsConfig(dwell=dwell))
+        state = initial_state(cfg, np.random.default_rng(0))
+        left = np.array([m[3] for m in miners])
+        state.ready_at[:] = left
+        state.pending = set(left.tolist())
+        h, target = state.hashrate, cfg.retarget.target_interval
+        active = state.active.copy()
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        base_reward = data.draw(st.floats(0.0, 20.0), label="reward")
+        base_total = data.draw(st.floats(1.0, 200.0), label="total")
+        for _ in range(data.draw(st.integers(1, 40), label="passes")):
+            # mostly the same conditions pass after pass, so the skip test gets to fire
+            block_reward = base_reward * data.draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 2.0]))
+            total = base_total * data.draw(st.sampled_from([1.0, 1.0, 0.98, 1.02, 0.0]))
+            _decision_pass(state, cfg, rng, block_reward, 30.0, total)
+
+            # the dense pass: a dwell countdown on every miner, the rule on all of them
+            busy = left > 0
+            left -= busy
+            prospective = np.where(active, max(total, 1e-300), total + h)
+            rev = revenue_rate(h, prospective, block_reward, 30.0, target)
+            flips = decide_all(active, ~busy, rev, state.on_cost, state.off_cost)
+            if flips.any() and dwell > 0:
+                left[flips] = dwell + rng_ref.integers(0, dwell, np.count_nonzero(flips))
+
+            assert list(state.active) == list(active)
+            assert list(state.ready_at <= state.passes) == list(left == 0)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @staticmethod
+    def _ready_state(miners, passes):
+        """A dwell-free state at pass `passes` with every miner ready and no expiry due."""
+        cfg = make_config(explicit_population=miners, economics=EconomicsConfig(dwell=0))
+        state = initial_state(cfg, np.random.default_rng(0))
+        state.passes, state.pending = passes, set()
+        return cfg, state
+
+    @staticmethod
+    def _reward_for(state, cfg, i, revenue, prospective):
+        """The block reward at which miner `i` earns `revenue` at `prospective` total."""
+        unit = revenue_rate(state.hashrate[i], prospective, 1.0, 30.0, cfg.retarget.target_interval)
+        return revenue / unit
+
+    @pytest.mark.parametrize("active", [True, False])
+    def test_a_miner_just_past_its_threshold_is_not_skipped(self, active):
+        # a 2e5 zero-cost miner sets the total, so the inactive miner's prospective
+        # share is within 1e-5 of its share of the total: the margin must still hold
+        cfg, state = self._ready_state(
+            [MinerAgent(id="m", hashrate=2.0, unit_cost=1.0, active=active),
+             MinerAgent(id="big", hashrate=2e5, unit_cost=0.0)],
+            passes=1,
+        )
+        total = float(np.add.reduce(state.hashrate[state.active]))
+        if active:  # 1e-10 below the exit threshold
+            block_reward = self._reward_for(state, cfg, 0, state.off_cost[0] * (1 - 1e-10), total)
+        else:  # 1e-10 above the entry threshold
+            block_reward = self._reward_for(state, cfg, 0, state.on_cost[0] * (1 + 1e-10), total + 2.0)
+        _decision_pass(state, cfg, np.random.default_rng(0), block_reward, 30.0, total)
+        assert state.active[0] != active
+
+    def test_a_dwell_expiry_brings_the_miner_into_the_bounds(self):
+        cfg, state = self._ready_state(
+            [MinerAgent(id="m", hashrate=2.0, unit_cost=1.0),
+             MinerAgent(id="big", hashrate=20.0, unit_cost=0.0)],
+            passes=1,
+        )
+        state.ready_at[0] = 2  # m is still in its dwell at pass 1
+        state.pending = {2}
+        rng, total = np.random.default_rng(0), 22.0
+        stay = self._reward_for(state, cfg, 0, state.off_cost[0] * 2.0, total)
+        leave = self._reward_for(state, cfg, 0, state.off_cost[0] * 0.5, total)
+        _decision_pass(state, cfg, rng, leave, 30.0, total)  # pass 1: only big is ready
+        assert state.active[0]
+        _decision_pass(state, cfg, rng, stay, 30.0, total)  # pass 2: m is ready and stays
+        assert state.active[0]
+        _decision_pass(state, cfg, rng, leave, 30.0, total)  # pass 3: m leaves
+        assert not state.active[0]
+
+    def test_with_no_dwell_a_flipped_miner_is_judged_in_its_new_state(self):
+        cfg, state = self._ready_state(
+            [MinerAgent(id="m", hashrate=2.0, unit_cost=1.0),
+             MinerAgent(id="big", hashrate=20.0, unit_cost=0.0)],
+            passes=1,
+        )
+        rng = np.random.default_rng(0)
+        leave = self._reward_for(state, cfg, 0, state.off_cost[0] * 0.5, 22.0)
+        enter = self._reward_for(state, cfg, 0, state.on_cost[0] * 2.0, 22.0)
+        _decision_pass(state, cfg, rng, leave, 30.0, 22.0)  # m leaves
+        assert not state.active[0]
+        _decision_pass(state, cfg, rng, leave, 30.0, 20.0)  # the pass after a flip
+        assert not state.active[0]
+        _decision_pass(state, cfg, rng, enter, 30.0, 20.0)  # m is ready at once and enters
+        assert state.active[0]
+
+    def test_quiet_network_skips_its_passes(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return revenue_rate(*args)
+
+        monkeypatch.setattr(simulator, "revenue_rate", counted)
+        cfg = make_config(horizon=300, constant_reward=True)
+        run(cfg)
+        # constant reward: after the start-up dwells run out, nobody flips
+        assert 0 < len(calls) < cfg.horizon // 3
 
 
 class TestConfigDigest:
