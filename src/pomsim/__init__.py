@@ -20,7 +20,7 @@ from .difficulty import (
     rate_constant_from_map,
     retarget,
 )
-from .metrics import compare, equilibrium_summary, large_miner_share
+from .metrics import compare, equilibrium_summary
 from .reward_curve import (
     BaseCurveParams,
     CutoffParams,
@@ -31,8 +31,6 @@ from .reward_curve import (
     cutoff_factor,
     find_peak,
     reward,
-    schedule_to_dict,
-    schedule_to_json,
 )
 from .simulator import (
     BlockRecord,
@@ -48,6 +46,13 @@ from .simulator import (
     step,
     write_series_csv,
 )
-from .config import config_from_dict, load_config, schedule_from_dict, schedule_from_json
+from .config import (
+    config_from_dict,
+    load_config,
+    schedule_from_dict,
+    schedule_from_json,
+    schedule_to_dict,
+    schedule_to_json,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -61,7 +61,6 @@ class MinerAgent:
     unit_cost: float
     active: bool = True
     dwell_remaining: int = 0
-    miner_class: str = "small"
     # forced (on_blocks, off_blocks) duty cycle; None means always available
     duty: Optional[tuple[int, int]] = None
     history: deque = field(default_factory=deque)
@@ -187,8 +186,8 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> list[
     cs = rng.uniform(*spec.small_cost, spec.n_small)
     cl = rng.uniform(*spec.large_cost, spec.n_large)
     return [
-        MinerAgent(id=f"{cls[0]}{i:03d}", hashrate=float(h), unit_cost=float(c), miner_class=cls)
-        for cls, hashes, costs in (("small", hs, cs), ("large", hl, cl))
+        MinerAgent(id=f"{prefix}{i:03d}", hashrate=float(h), unit_cost=float(c))
+        for prefix, hashes, costs in (("s", hs, cs), ("l", hl, cl))
         for i, (h, c) in enumerate(zip(hashes, costs))
     ]
 

@@ -85,7 +85,7 @@ def _run_one(config, seed: int, out_dir: str) -> dict:
     run_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(series, run_dir / "blocks.csv")
     summary = {"seed": seed, "config_digest": series.config_digest}
-    summary.update(series.summary.to_dict())
+    summary.update(dataclasses.asdict(series.summary))
     with open(run_dir / "summary.json", "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -120,7 +120,7 @@ def cmd_run(args) -> int:
 
     try:
         if workers > 1 and len(seeds) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
                 summaries = list(pool.map(_run_one, [config] * len(seeds), seeds, [args.out] * len(seeds)))
         else:
             summaries = [_run_one(config, s, args.out) for s in seeds]
@@ -179,7 +179,7 @@ def cmd_compare(args) -> int:
             treat = read_series_csv(treat_runs[seed])
             burn_in = args.burn_in if args.burn_in is not None else len(base) // 5
             deltas = compare(base, treat, burn_in)
-            rows.append({"seed": seed, **deltas.to_dict()})
+            rows.append({"seed": seed, **dataclasses.asdict(deltas)})
     except PomSimError as exc:
         print(f"error: seed {seed}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,7 +27,6 @@ from .reward_curve import (
     CutoffParams,
     RewardScheduleParams,
     calibrate_schedule,
-    schedule_to_dict,
 )
 
 
@@ -122,8 +121,6 @@ class SimConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-# field name -> JSON key, where the two differ
-_KEY = {"miner_class": "class"}
 # fields that JSON does not carry: the explicit population is a variant of
 # `population`, and a miner's run state is not configuration
 _HIDDEN = {
@@ -135,11 +132,10 @@ _EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number",
 
 @cache
 def _schema(cls) -> tuple:
-    """(JSON key, field name, type, has a default) for each field JSON carries."""
+    """(field name, type, has a default) for each field JSON carries."""
     types = get_type_hints(cls)
     return tuple(
-        (_KEY.get(f.name, f.name), f.name, types[f.name],
-         f.default is not MISSING or f.default_factory is not MISSING)
+        (f.name, types[f.name], f.default is not MISSING or f.default_factory is not MISSING)
         for f in fields(cls)
         if f.name not in _HIDDEN.get(cls, ())
     )
@@ -202,20 +198,19 @@ def read(cls, obj, path: str, **given):
     fields that have none on the dataclass; a JSON key overrides them.
     """
     obj = _mapping(obj, path)
-    schema = {key: (name, tp) for key, name, tp, _ in _schema(cls)}
-    required = [key for key, name, _, opt in _schema(cls) if not opt and name not in given]
+    schema = {name: tp for name, tp, _ in _schema(cls)}
+    required = [name for name, _, opt in _schema(cls) if not opt and name not in given]
     _check_keys(obj, path, schema, required)
     kwargs = dict(given)
-    for key, v in obj.items():
-        name, tp = schema[key]
-        kwargs[name] = _value(tp, v, f"{path}.{key}")
+    for name, v in obj.items():
+        kwargs[name] = _value(schema[name], v, f"{path}.{name}")
     with _section(path):
         return cls(**kwargs)
 
 
 def dump(obj) -> dict:
     """The JSON form of a section, one key per field: the inverse of `read`."""
-    return {key: _plain(getattr(obj, name)) for key, name, _, _ in _schema(type(obj))}
+    return {name: _plain(getattr(obj, name)) for name, _, _ in _schema(type(obj))}
 
 
 def _plain(v):
@@ -255,6 +250,15 @@ def schedule_from_dict(obj, path: str = "$") -> RewardScheduleParams:
         return RewardScheduleParams(
             base=base, cutoff=read(CutoffParams, cutoff, path) if cutoff else None
         )
+
+
+def schedule_to_dict(s: RewardScheduleParams) -> dict:
+    """The flat form that `schedule_from_dict` reads: a/b/scale, and d_co/spread with a cutoff."""
+    return {**dump(s.base), **(dump(s.cutoff) if s.cutoff else {})}
+
+
+def schedule_to_json(s: RewardScheduleParams) -> str:
+    return json.dumps(schedule_to_dict(s), sort_keys=True)
 
 
 def schedule_from_json(text: str) -> RewardScheduleParams:

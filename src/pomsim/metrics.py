@@ -1,28 +1,13 @@
-"""Observables over a finished run: concentration, equilibrium means, deltas."""
+"""Observables over a finished run's block records: equilibrium means, deltas."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-
-
-def large_miner_share(hashrates: Iterable[float], threshold: float = 5.0) -> float:
-    """Fraction of total hashrate held by miners above the threshold.
-
-    `hashrates` are the hashrates of the currently active miners; returns 0
-    when nobody is active.
-    """
-    if not (threshold > 0.0):
-        raise ParameterError(f"threshold must be positive, got {threshold}")
-    hs = np.asarray(list(hashrates), dtype=float)
-    total = hs.sum()
-    if total <= 0.0:
-        return 0.0
-    return float(hs[hs > threshold].sum() / total)
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -34,18 +19,9 @@ class EquilibriumSummary:
     mean_share: float
     std_share: float
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
-
-def _records(series) -> list:
-    """The block records of a `RunSeries`, or of any iterable of them."""
-    return list(getattr(series, "records", series))
-
-
-def equilibrium_summary(series, burn_in: int) -> EquilibriumSummary:
+def equilibrium_summary(records: Sequence, burn_in: int) -> EquilibriumSummary:
     """Post-burn-in time averages (and stddevs) of hashrate, interval, share."""
-    records = _records(series)
     if burn_in >= len(records):
         raise DomainError(f"burn_in {burn_in} must be below series length {len(records)}")
     if burn_in < 0:
@@ -76,19 +52,14 @@ class ComparisonDeltas:
     hashrate_ratio: float
     share_ratio: float
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
-
-def compare(baseline, treatment, burn_in: int) -> ComparisonDeltas:
-    base_records = _records(baseline)
-    treat_records = _records(treatment)
-    if len(base_records) != len(treat_records):
+def compare(baseline: Sequence, treatment: Sequence, burn_in: int) -> ComparisonDeltas:
+    if len(baseline) != len(treatment):
         raise DomainError(
-            f"horizon mismatch: baseline {len(base_records)} vs treatment {len(treat_records)}"
+            f"horizon mismatch: baseline {len(baseline)} vs treatment {len(treatment)}"
         )
-    b = equilibrium_summary(base_records, burn_in)
-    t = equilibrium_summary(treat_records, burn_in)
+    b = equilibrium_summary(baseline, burn_in)
+    t = equilibrium_summary(treatment, burn_in)
     return ComparisonDeltas(
         delta_hashrate=t.mean_hashrate - b.mean_hashrate,
         delta_share=t.mean_share - b.mean_share,

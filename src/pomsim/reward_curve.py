@@ -11,7 +11,6 @@ everything is safe to share between threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -235,15 +234,3 @@ def calibrate_schedule(
         )
     return schedule
 
-
-def schedule_to_dict(s: RewardScheduleParams) -> dict:
-    """JSON-ready dict with keys a/b/scale and optional d_co/spread."""
-    d = {"a": s.base.a, "b": s.base.b, "scale": s.base.scale}
-    if s.cutoff is not None:
-        d["d_co"] = s.cutoff.d_co
-        d["spread"] = s.cutoff.spread
-    return d
-
-
-def schedule_to_json(s: RewardScheduleParams) -> str:
-    return json.dumps(schedule_to_dict(s), sort_keys=True)

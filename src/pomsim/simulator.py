@@ -18,8 +18,8 @@ import csv
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -35,8 +35,9 @@ from .reward_curve import RewardScheduleParams, find_peak, reward
 _MAX_STALL_QUANTA = 100_000
 
 
-@dataclass
-class BlockRecord:
+class BlockRecord(NamedTuple):
+    """One block; its fields, in order, are the `blocks.csv` columns."""
+
     height: int
     timestamp: float
     difficulty: float
@@ -61,9 +62,6 @@ class RunSummary:
     std_interval: Optional[float] = None
     mean_share: Optional[float] = None
     std_share: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -409,7 +407,7 @@ def run(config: SimConfig) -> RunSeries:
         records.append(rec)
 
     burn_in = config.horizon // 5
-    stats = equilibrium_summary(records, burn_in).to_dict() if records else {}
+    stats = asdict(equilibrium_summary(records, burn_in)) if records else {}
     summary = RunSummary(
         initial_hashrate=h0,
         initial_large_share=share0,
@@ -420,65 +418,24 @@ def run(config: SimConfig) -> RunSeries:
     return RunSeries(config_digest=config.digest(), records=records, summary=summary)
 
 
-CSV_HEADER = [
-    "height",
-    "timestamp",
-    "difficulty",
-    "total_hash",
-    "winner",
-    "raw_reward",
-    "pom_multiplier",
-    "credited_reward",
-    "active_miner_count",
-    "large_miner_share",
-]
-
-
 def write_series_csv(series: RunSeries, path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(CSV_HEADER)
-        for r in series.records:
-            w.writerow(
-                [
-                    r.height,
-                    repr(r.timestamp),
-                    repr(r.difficulty),
-                    repr(r.total_hash),
-                    r.winner,
-                    repr(r.raw_reward),
-                    repr(r.pom_multiplier),
-                    repr(r.credited_reward),
-                    r.active_miner_count,
-                    repr(r.large_miner_share),
-                ]
-            )
+        w.writerow(BlockRecord._fields)
+        w.writerows(series.records)  # a float is written as its repr
 
 
 def read_series_csv(path) -> list[BlockRecord]:
-    records = []
+    types = get_type_hints(BlockRecord).values()
     with open(path, newline="") as f:
         rd = csv.reader(f)
-        header = next(rd, None)
-        if header != CSV_HEADER:
+        if next(rd, None) != list(BlockRecord._fields):
             raise ConfigError(f"unexpected CSV header in {path}")
         try:
-            for row in rd:
-                records.append(
-                    BlockRecord(
-                        height=int(row[0]),
-                        timestamp=float(row[1]),
-                        difficulty=float(row[2]),
-                        total_hash=float(row[3]),
-                        winner=row[4],
-                        raw_reward=float(row[5]),
-                        pom_multiplier=float(row[6]),
-                        credited_reward=float(row[7]),
-                        active_miner_count=int(row[8]),
-                        large_miner_share=float(row[9]),
-                    )
-                )
-        except (ValueError, IndexError) as exc:  # a truncated or garbled row
+            records = [
+                BlockRecord._make(t(v) for t, v in zip(types, row, strict=True)) for row in rd
+            ]
+        except ValueError as exc:  # a short, long or garbled row
             raise ConfigError(f"{path}, line {rd.line_num}: bad row ({exc})") from exc
     with open(path, "rb") as f:  # the writer ends every row with a line terminator
         f.seek(-1, os.SEEK_END)

@@ -157,8 +157,8 @@ class TestPopulation:
         spec = PopulationSpec()
         agents = generate_population(spec, np.random.default_rng(0))
         assert len(agents) == spec.n_small + spec.n_large
-        small = [m for m in agents if m.miner_class == "small"]
-        large = [m for m in agents if m.miner_class == "large"]
+        small = [m for m in agents if m.id.startswith("s")]
+        large = [m for m in agents if m.id.startswith("l")]
         assert len(small) == spec.n_small and len(large) == spec.n_large
         assert all(spec.small_hash[0] <= m.hashrate <= spec.small_hash[1] for m in small)
         assert all(spec.large_hash[0] <= m.hashrate <= spec.large_hash[1] for m in large)

@@ -1,19 +1,33 @@
-"""The benchmark's span tracer hooks pomsim by (owner, attribute) name.
+"""The benchmark reaches into pomsim by name.
 
-A hook whose attribute is gone is skipped at run time and its per-layer
-metrics read "absent", so a refactor that drops a binding would go unseen.
-This test makes it fail instead.
+Its span tracer hooks (owner, attribute) pairs: a hook whose attribute is
+gone is skipped at run time and its per-layer metrics read "absent".  Its
+output check reads `RunSummary` fields by name: a field that is gone fails
+every run and lowers `pass_share`.  A refactor that drops either would go
+unseen; these tests make it fail instead.
 """
 
+import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-_spec = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+from pomsim.simulator import RunSummary
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("tracing")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize(
@@ -21,3 +35,8 @@ _spec.loader.exec_module(tracing)
 )
 def test_every_trace_target_resolves(owner, attr):
     assert callable(getattr(tracing._owner(owner), attr, None))
+
+
+def test_run_summary_has_every_field_the_output_check_reads():
+    names = {f.name for f in dataclasses.fields(RunSummary)}
+    assert {*workloads.SUMMARY_FIELDS, "burn_in"} <= names

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pomsim import cli
 from pomsim.cli import EXIT_USAGE, main
 
 
@@ -17,7 +18,7 @@ def small_config(tmp_path):
         "population": {
             "explicit": [
                 {"id": "a", "hashrate": 10.0, "unit_cost": 0.0},
-                {"id": "b", "hashrate": 30.0, "unit_cost": 0.0, "class": "large"},
+                {"id": "b", "hashrate": 30.0, "unit_cost": 0.0},
             ]
         },
     }
@@ -128,6 +129,29 @@ class TestRun:
         assert "POM_SIM_THREADS" in err and f"'{threads}'" in err
         assert not out.exists()
 
+    def test_worker_pool_never_exceeds_the_seeds(self, small_config, tmp_path, monkeypatch):
+        pools = []
+
+        class SerialPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("POM_SIM_THREADS", "5000")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(small_config), "--seeds", "2", "--out", str(out)]) == 0
+        assert pools == [2]
+        assert (out / "seed_4" / "blocks.csv").is_file()
+
     def test_unknown_key_names_field_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -202,13 +226,15 @@ def test_compare_names_the_file_and_line_of_a_truncated_run(small_config, tmp_pa
     assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
     blocks = out / "seed_3" / "blocks.csv"
     lines = blocks.read_text().splitlines()
-    lines[-1] = ",".join(lines[-1].split(",")[:3])  # the last row cut short
-    blocks.write_text("\n".join(lines))
-    capsys.readouterr()
-    assert main(["compare", str(out), str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert f"{blocks}, line {len(lines)}:" in err
+    short = lines[:-1] + [",".join(lines[-1].split(",")[:3])]  # the last row cut short
+    long = lines[:5] + [lines[5] + ",9.99"] + lines[6:]  # one row with an 11th field
+    for bad, line in ((short, len(lines)), (long, 6)):
+        blocks.write_text("\n".join(bad))
+        capsys.readouterr()
+        assert main(["compare", str(out), str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{blocks}, line {line}:" in err
 
 
 def test_compare_rejects_a_run_whose_last_row_has_no_line_terminator(

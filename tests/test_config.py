@@ -70,13 +70,13 @@ class TestSections:
                 population={
                     "explicit": [
                         {"hashrate": 10.0, "unit_cost": 0.0},
-                        {"id": "big", "hashrate": 20.0, "unit_cost": 1.0, "class": "large"},
+                        {"id": "big", "hashrate": 20.0, "unit_cost": 1.0},
                     ]
                 }
             )
         )
         assert [m.id for m in cfg.explicit_population] == ["m000", "big"]
-        assert cfg.explicit_population[1].miner_class == "large"
+        assert cfg.explicit_population[1].hashrate == 20.0
 
     def test_duty_pair_parsed(self):
         cfg = config_from_dict(
@@ -179,6 +179,7 @@ HARDENING = [
      _example(price={"series": [1.0, 2.0], "at_block": 3}), "$.price"),
     ("empty-series", _example(price={"series": []}), "$.price"),
     ("negative-seed", _example(seed=-1), "$.seed"),
+    ("miner-class", _example(**_miner(**{"class": "large"})), "$.population.explicit[0]"),
     ("landmark-reward-underflow",  # the composed peak search finds only zero reward
      _example(schedule={"landmarks": {**LANDMARKS, "tenth_d": 1e6}}), "$.schedule"),
 ]
@@ -196,7 +197,7 @@ def test_bad_input_is_a_config_error_naming_the_field_path(data, path):
 BASES = [
     _example(),
     json.loads((ROOT / "configs" / "price_step.json").read_text(encoding="utf-8")),
-    _example(**_miner(id="a", duty=[5, 5], **{"class": "large"}), rate_constant=0.0004),
+    _example(**_miner(id="a", duty=[5, 5]), rate_constant=0.0004),
     _example(schedule={"a": 0.58, "b": 2.32, "scale": 9.0, "d_co": 2.2, "spread": 0.077},
              difficulty_map={"slope": 0.04, "intercept": 0.1}, price={"series": [1.0, 2.0]}),
 ]

@@ -37,7 +37,7 @@ def cases():
     explicit["population"] = {
         "explicit": [
             {"hashrate": 10.0, "unit_cost": 0.5},
-            {"id": "big", "hashrate": 20.0, "unit_cost": 1.0, "class": "large"},
+            {"id": "big", "hashrate": 20.0, "unit_cost": 1.0},
             {"id": "part", "hashrate": 4.0, "unit_cost": 0.2, "duty": [25, 25]},
         ]
     }
@@ -55,7 +55,7 @@ GOLDEN = {
     "example": "6ca48d9bcdc8488dbcf1e0510375e85bd2750ee54d54d6e8ca63873377815149",
     "price_step": "1fd718b58cf4f9c203fd8af7f690e21c48610782241fa80b8e7a0b9bf93b0122",
     "price-series": "09916e0babc98236709eb6a5a8faba52079163424c1d5fefae1b7547b9b6f516",
-    "explicit-population": "66575c37b72e84d83529dc27f6c8064de2340b028ffcb0e762648d4b02d4c6b6",
+    "explicit-population": "8c8bd11ea831192201af826cdfa84fe96c40e43f63b0e0de000d86ec865457f2",
     "explicit-schedule": "6a8c6a11260d7248966f0df6b2756d4f7b566146129e00a213a8e31cb647185d",
 }
 

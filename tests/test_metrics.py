@@ -2,15 +2,9 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from pomsim.errors import DomainError, ParameterError
-from pomsim.metrics import (
-    compare,
-    equilibrium_summary,
-    large_miner_share,
-)
+from pomsim.errors import DomainError
+from pomsim.metrics import compare, equilibrium_summary
 from pomsim.simulator import BlockRecord, read_series_csv
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_run.csv"
@@ -33,37 +27,6 @@ def record(height, timestamp, total_hash=10.0, share=0.0):
         winner="m", raw_reward=1.0, pom_multiplier=1.0, credited_reward=1.0,
         active_miner_count=1, large_miner_share=share,
     )
-
-
-class TestLargeMinerShare:
-    def test_all_small(self):
-        assert large_miner_share([1.0, 2.0, 4.9]) == 0.0
-
-    def test_all_large(self):
-        assert large_miner_share([6.0, 20.0]) == 1.0
-
-    def test_mixed(self):
-        assert large_miner_share([2.0, 2.0, 6.0]) == pytest.approx(0.6)
-
-    def test_empty(self):
-        assert large_miner_share([]) == 0.0
-
-    def test_threshold_is_exclusive(self):
-        assert large_miner_share([5.0, 5.0]) == 0.0
-
-    def test_bad_threshold(self):
-        with pytest.raises(ParameterError):
-            large_miner_share([1.0], threshold=0.0)
-
-    @given(
-        st.lists(st.floats(0.1, 100.0), min_size=1, max_size=30),
-        st.floats(0.5, 50.0),
-    )
-    def test_scale_invariant_and_bounded(self, hs, k):
-        s = large_miner_share(hs)
-        assert 0.0 <= s <= 1.0
-        # jointly rescaling hashrates and the threshold preserves the share
-        assert large_miner_share([h * k for h in hs], threshold=5.0 * k) == pytest.approx(s)
 
 
 class TestEquilibriumSummary:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pomsim.config import schedule_from_json
+from pomsim.config import schedule_from_json, schedule_to_dict, schedule_to_json
 from pomsim.errors import (
     BracketingError,
     DomainError,
@@ -24,8 +24,6 @@ from pomsim.reward_curve import (
     cutoff_factor,
     find_peak,
     reward,
-    schedule_to_dict,
-    schedule_to_json,
 )
 
 # frozen oracles (50-digit arbitrary precision / 1e-6 grid scan, see comments)

@@ -19,7 +19,7 @@ from pomsim.agents import (
 from pomsim.config import load_config
 from pomsim import simulator
 from pomsim.difficulty import hash_to_difficulty, retarget
-from pomsim.errors import InternalError
+from pomsim.errors import ConfigError, InternalError
 from pomsim.simulator import (
     EconomicsConfig,
     PricePath,
@@ -444,6 +444,54 @@ class TestDecisionPass:
         run(cfg)
         # constant reward: after the start-up dwells run out, nobody flips
         assert 0 < len(calls) < cfg.horizon // 3
+
+
+class TestLargeMinerRule:
+    """A miner is large when its hashrate is above `SimConfig.large_threshold`."""
+
+    @staticmethod
+    def shares(hashrates, threshold=5.0):
+        """(initial_large_share, the first record's large_miner_share) of an always-on network."""
+        miners = [explicit_miner(f"m{i}", h) for i, h in enumerate(hashrates)]
+        cfg = make_config(explicit_population=miners, horizon=1, large_threshold=threshold)
+        series = run(cfg)
+        return series.summary.initial_large_share, series.records[0].large_miner_share
+
+    def test_all_small(self):
+        assert self.shares([1.0, 2.0, 4.9]) == (0.0, 0.0)
+
+    def test_all_large(self):
+        assert self.shares([6.0, 20.0]) == (1.0, 1.0)
+
+    def test_mixed(self):
+        assert self.shares([2.0, 2.0, 6.0]) == pytest.approx((0.6, 0.6))
+
+    def test_no_active_miner(self):
+        miners = [explicit_miner("a", 1.0), explicit_miner("b", 6.0)]
+        for m in miners:
+            m.active = False
+        series = run(make_config(explicit_population=miners, horizon=0))
+        assert series.summary.initial_large_share == 0.0
+
+    def test_threshold_is_exclusive(self):
+        # the default threshold is 5.0: a miner of exactly 5.0 is small
+        assert make_config().large_threshold == 5.0
+        assert self.shares([5.0, 6.0]) == (6 / 11, 6 / 11)
+
+    def test_bad_threshold(self):
+        with pytest.raises(ConfigError, match=r"large_threshold"):
+            make_config(large_threshold=0.0)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.floats(0.1, 100.0), min_size=1, max_size=30),
+        st.floats(0.5, 50.0),
+    )
+    def test_scale_invariant_and_bounded(self, hs, k):
+        s = self.shares(hs)
+        assert all(0.0 <= x <= 1.0 for x in s)
+        # jointly rescaling hashrates and the threshold preserves the share
+        assert self.shares([h * k for h in hs], threshold=5.0 * k) == pytest.approx(s)
 
 
 class TestConfigDigest:
