@@ -54,6 +54,9 @@ class EconomicsConfig:
             raise ParameterError(f"dwell must be nonnegative, got {self.dwell}")
 
 
+_CSV_UNSAFE = frozenset(',"\r\n')
+
+
 @dataclass
 class MinerAgent:
     id: str
@@ -66,6 +69,9 @@ class MinerAgent:
     history: deque = field(default_factory=deque)
 
     def __post_init__(self):
+        # `blocks.csv` writes ids unquoted
+        if not isinstance(self.id, str) or not _CSV_UNSAFE.isdisjoint(self.id):
+            raise ParameterError(f"id must be a string without , \" CR or LF, got {self.id!r}")
         if not (self.hashrate > 0.0):
             raise ParameterError(f"hashrate must be positive, got {self.hashrate}")
         if self.unit_cost < 0.0:

@@ -93,6 +93,13 @@ class SimConfig:
             raise ConfigError("$.large_threshold: must be positive")
         if self.rate_constant is not None and not (self.rate_constant > 0.0):
             raise ConfigError("$.rate_constant: must be positive when given")
+        first: dict[str, int] = {}  # the `winner` column must tell the miners apart
+        for j, m in enumerate(self.explicit_population or ()):
+            i = first.setdefault(m.id, j)
+            if i != j:
+                raise ConfigError(
+                    f"$.population.explicit[{j}].id: duplicate id {m.id!r} (also explicit[{i}])"
+                )
 
     def resolved_rate_constant(self) -> float:
         if self.rate_constant is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
@@ -418,23 +419,31 @@ def run(config: SimConfig) -> RunSeries:
     return RunSeries(config_digest=config.digest(), records=records, summary=summary)
 
 
+# one `blocks.csv` row: `str()` of each field, as `csv.writer` writes it (a
+# float is its repr), unquoted, since no field can need quoting (numbers never
+# do, and `MinerAgent` rejects an id that would)
+_ROW = ",".join(["%s"] * len(BlockRecord._fields)) + "\r\n"
+
+
 def write_series_csv(series: RunSeries, path) -> None:
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(BlockRecord._fields)
-        w.writerows(series.records)  # a float is written as its repr
+        f.write(",".join(BlockRecord._fields) + "\r\n")
+        f.writelines(map(_ROW.__mod__, series.records))
 
 
 def read_series_csv(path) -> list[BlockRecord]:
     types = get_type_hints(BlockRecord).values()
+    n = len(types)
     with open(path, newline="") as f:
         rd = csv.reader(f)
         if next(rd, None) != list(BlockRecord._fields):
             raise ConfigError(f"unexpected CSV header in {path}")
+        records = []
         try:
-            records = [
-                BlockRecord._make(t(v) for t, v in zip(types, row, strict=True)) for row in rd
-            ]
+            for row in rd:
+                if len(row) != n:
+                    raise ValueError(f"{len(row)} fields, expected {n}")
+                records.append(BlockRecord._make(map(operator.call, types, row)))
         except ValueError as exc:  # a short, long or garbled row
             raise ConfigError(f"{path}, line {rd.line_num}: bad row ({exc})") from exc
     with open(path, "rb") as f:  # the writer ends every row with a line terminator

@@ -228,7 +228,9 @@ def test_compare_names_the_file_and_line_of_a_truncated_run(small_config, tmp_pa
     lines = blocks.read_text().splitlines()
     short = lines[:-1] + [",".join(lines[-1].split(",")[:3])]  # the last row cut short
     long = lines[:5] + [lines[5] + ",9.99"] + lines[6:]  # one row with an 11th field
-    for bad, line in ((short, len(lines)), (long, 6)):
+    fields = lines[6].split(",")
+    garbled = lines[:6] + [",".join([fields[0], "abc", *fields[2:]])] + lines[7:]  # timestamp abc
+    for bad, line in ((short, len(lines)), (long, 6), (garbled, 7)):
         blocks.write_text("\n".join(bad))
         capsys.readouterr()
         assert main(["compare", str(out), str(out)]) == EXIT_USAGE

@@ -180,6 +180,15 @@ HARDENING = [
     ("empty-series", _example(price={"series": []}), "$.price"),
     ("negative-seed", _example(seed=-1), "$.seed"),
     ("miner-class", _example(**_miner(**{"class": "large"})), "$.population.explicit[0]"),
+    ("id-equal-to-a-default-id",  # the first miner's default id is m000
+     _example(population={"explicit": [{"hashrate": 1, "unit_cost": 0},
+                                       {"id": "m000", "hashrate": 2, "unit_cost": 0}]}),
+     "$.population.explicit[1].id"),
+    ("duplicate-ids",
+     _example(population={"explicit": [{"id": "a", "hashrate": 1.0, "unit_cost": 0.0},
+                                       {"id": "b", "hashrate": 1.0, "unit_cost": 0.0},
+                                       {"id": "a", "hashrate": 2.0, "unit_cost": 0.0}]}),
+     "$.population.explicit[2].id"),
     ("landmark-reward-underflow",  # the composed peak search finds only zero reward
      _example(schedule={"landmarks": {**LANDMARKS, "tenth_d": 1e6}}), "$.schedule"),
 ]

@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import json
+import math
 from collections import Counter, deque
 
 import numpy as np
@@ -16,11 +19,12 @@ from pomsim.agents import (
     pom_multiplier,
     revenue_rate,
 )
-from pomsim.config import load_config
+from pomsim.config import config_from_dict, load_config
 from pomsim import simulator
 from pomsim.difficulty import hash_to_difficulty, retarget
-from pomsim.errors import ConfigError, InternalError
+from pomsim.errors import ConfigError, InternalError, ParameterError
 from pomsim.simulator import (
+    BlockRecord,
     EconomicsConfig,
     PricePath,
     SimConfig,
@@ -70,6 +74,64 @@ class TestDeterminism:
         write_series_csv(series, path)
         back = read_series_csv(path)
         assert back == series.records
+
+
+# floats whose repr is a corner case: signed zero, the smallest subnormal, the
+# switches to exponent form at 1e-5 and 1e16, `1e+22`, the infinities
+EDGE_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, 1e22, math.inf, -math.inf]
+csv_floats = st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
+csv_ints = st.integers(min_value=-(2**63), max_value=2**63)
+csv_safe_ids = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=',"'))
+block_records = st.builds(
+    BlockRecord,
+    height=csv_ints,
+    timestamp=csv_floats,
+    difficulty=csv_floats,
+    total_hash=csv_floats,
+    winner=csv_safe_ids,
+    raw_reward=csv_floats,
+    pom_multiplier=csv_floats,
+    credited_reward=csv_floats,
+    active_miner_count=csv_ints,
+    large_miner_share=csv_floats,
+)
+CSV_UNSAFE_IDS = ["a,b", 'a"b', "a\nb", "a\rb"]
+
+
+class TestBlocksCsv:
+    """`write_series_csv` formats rows itself; the csv module is the reference."""
+
+    @staticmethod
+    def csv_module_bytes(records, path):
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(BlockRecord._fields)
+            w.writerows(records)
+        return path.read_bytes()
+
+    @given(records=st.lists(block_records, max_size=8))
+    @settings(max_examples=300)
+    def test_same_bytes_as_the_csv_module_and_read_back(self, tmp_path_factory, records):
+        tmp = tmp_path_factory.mktemp("csv")
+        ours = tmp / "blocks.csv"
+        write_series_csv(simulator.RunSeries("", records, None), ours)
+        assert ours.read_bytes() == self.csv_module_bytes(records, tmp / "ref.csv")
+        assert read_series_csv(ours) == records
+
+    @pytest.mark.parametrize("mid", CSV_UNSAFE_IDS)
+    def test_an_id_that_needs_quoting_is_rejected(self, mid):
+        with pytest.raises(ParameterError, match="id must be a string without"):
+            MinerAgent(id=mid, hashrate=1.0, unit_cost=0.0)
+        with open(CONFIG_PATH, encoding="utf-8") as f:
+            data = json.load(f)
+        data["population"] = {"explicit": [{"id": mid, "hashrate": 1.0, "unit_cost": 0.0}]}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert str(info.value).startswith("$.population.explicit[0]: ")
+
+    def test_an_id_that_is_not_a_string_is_rejected(self):
+        with pytest.raises(ParameterError, match="id must be a string without"):
+            MinerAgent(id=7, hashrate=1.0, unit_cost=0.0)
 
 
 class TestDegenerateRuns:
