@@ -3,13 +3,14 @@
 Agents switch between active and inactive by comparing expected revenue to
 operating cost through a hysteresis band, with a dwell time so a single
 noisy block cannot flap them.  The proof-of-mining credit scales a winner's
-reward by its recent participation.  Each rule is written once, over arrays
-(`revenue_rate`, `decide_all`, `pom_credit`); the simulator applies them to
-the population and the scalar forms to one `MinerAgent`.
+reward by its recent participation.  Each rule is written once
+(`revenue_rate`, `flips`, `pom_credit`); the simulator applies them to the
+population and the scalar forms to one `MinerAgent`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -72,10 +73,11 @@ class MinerAgent:
         # `blocks.csv` writes ids unquoted
         if not isinstance(self.id, str) or not _CSV_UNSAFE.isdisjoint(self.id):
             raise ParameterError(f"id must be a string without , \" CR or LF, got {self.id!r}")
-        if not (self.hashrate > 0.0):
-            raise ParameterError(f"hashrate must be positive, got {self.hashrate}")
-        if self.unit_cost < 0.0:
-            raise ParameterError(f"unit_cost must be nonnegative, got {self.unit_cost}")
+        # finite, so each miner's cost / hashrate keeps its place in the kernel's sorted lists
+        if not (0.0 < self.hashrate < math.inf):
+            raise ParameterError(f"hashrate must be positive and finite, got {self.hashrate}")
+        if not (0.0 <= self.unit_cost < math.inf):
+            raise ParameterError(f"unit_cost must be nonnegative and finite, got {self.unit_cost}")
         if self.dwell_remaining < 0:
             raise ParameterError(f"dwell_remaining must be nonnegative, got {self.dwell_remaining}")
 
@@ -85,17 +87,11 @@ def revenue_rate(hashrate, total_hash, block_reward, price, target_interval):
     return (hashrate / total_hash) * block_reward * price * (3600.0 / target_interval)
 
 
-def decide_all(active, ready, revenue, on_cost, off_cost):
-    """One entry/exit decision per miner, in place; returns the flips.
-
-    A `ready` miner turns on at revenue >= `on_cost` and off at revenue
-    < `off_cost`; a miner still in its dwell keeps its state.  The caller
-    keeps the dwell.
-    """
-    flips = np.where(active, revenue < off_cost, revenue >= on_cost)
-    flips &= ready
-    active ^= flips
-    return flips
+def flips(active: bool, revenue: float, on_cost: float, off_cost: float) -> bool:
+    """The entry/exit rule for a miner out of its dwell: an active miner turns
+    off at revenue < `off_cost`, an inactive one on at revenue >= `on_cost`.
+    The caller keeps the dwell."""
+    return revenue < off_cost if active else revenue >= on_cost
 
 
 def pom_credit(active_blocks, blocks_seen: int, credit: PomCredit) -> float:
@@ -128,7 +124,7 @@ def decide(
     margin_off: float = EconomicsConfig.margin_off,
     dwell: int = EconomicsConfig.dwell,
 ) -> MinerAgent:
-    """`decide_all` for one miner; returns the updated agent.
+    """`flips` for one miner, with its dwell countdown; returns the updated agent.
 
     A flip re-arms the dwell counter to exactly `dwell`: there is no
     generator here, so this is the low end of the simulator's
@@ -136,12 +132,10 @@ def decide(
     """
     EconomicsConfig(margin_on, margin_off, dwell)  # validates the arguments
     cost = m.unit_cost * m.hashrate
-    active, left = np.array([m.active]), m.dwell_remaining
-    if decide_all(active, left == 0, revenue_rate, margin_on * cost, margin_off * cost)[0]:
-        left = dwell
-    else:
-        left = max(left - 1, 0)  # the countdown of a miner in its dwell
-    return replace(m, active=bool(active[0]), dwell_remaining=left)
+    left = m.dwell_remaining
+    if left == 0 and flips(m.active, revenue_rate, margin_on * cost, margin_off * cost):
+        return replace(m, active=not m.active, dwell_remaining=dwell)
+    return replace(m, dwell_remaining=max(left - 1, 0))  # the countdown of a miner in its dwell
 
 
 def pom_multiplier(m: MinerAgent, c: PomCredit) -> float:

@@ -18,13 +18,14 @@ import csv
 import math
 import operator
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
-from .agents import decide_all, generate_population, pom_credit, revenue_rate
+from .agents import flips, generate_population, pom_credit, revenue_rate
 # the config dataclasses (EconomicsConfig from `agents`, RetargetConfig from
 # `difficulty`) are re-exported here for callers that import them from here
 from .config import EconomicsConfig, PricePath, RetargetConfig, SimConfig  # noqa: F401
@@ -79,9 +80,13 @@ class NetworkState:
 
     Availability (`avail`) and the aggregates taken over it are kept until an
     event changes them: a flip (`stale`) or a duty-phase edge (`next_edge`).
-    A miner's dwell is the decision pass from which it may flip again
-    (`ready_at`); `pending` holds those passes still to come, so a pass at
-    which some dwell expires is found in O(1).
+    A miner's dwell is the decision pass from which it may flip again; `due`
+    maps each such pass still to come to its miners.  The miners out of their
+    dwell sit in two lists ordered by their fixed keys: `ready_active` by
+    off_cost / hashrate, `ready_inactive` by on_cost / hashrate.  A miner is
+    in those lists, and in `due`, by its entry
+    `(key, index, hashrate, on_cost, off_cost, active)`: `active_entry[i]`
+    while it is active, `inactive_entry[i]` while it is not.
     """
 
     height: int
@@ -90,17 +95,15 @@ class NetworkState:
     r_max: float
     ids: list[str]
     hashrate: np.ndarray
-    on_cost: np.ndarray  # margin_on * unit_cost * hashrate, hourly
-    off_cost: np.ndarray  # margin_off * unit_cost * hashrate, hourly
-    on_key: np.ndarray  # on_cost / hashrate
-    off_key: np.ndarray  # off_cost / hashrate
     is_large: np.ndarray
     active: np.ndarray
-    ready_at: np.ndarray  # first decision pass at which each miner may flip
-    pending: set[int]  # the ready_at passes not yet reached
+    active_entry: list[tuple]  # each miner's place in `ready_active`
+    inactive_entry: list[tuple]  # each miner's place in `ready_inactive`
+    ready_active: list[tuple]
+    ready_inactive: list[tuple]
+    due: defaultdict[int, list[tuple]]  # decision pass -> the miners whose dwell ends at it
+    exact_totals: tuple[float, float]  # the totals at which the candidate test is exact
     passes: int  # decision passes run so far, stall quanta included
-    flipped: bool  # the last decision pass flipped someone
-    bounds: Optional[tuple[float, float]]  # skip window for x; None when stale
     duty_on: np.ndarray
     duty_off: np.ndarray
     next_edge: float  # next height at which a duty phase turns; inf without duty
@@ -181,15 +184,13 @@ def _window_count(state: NetworkState, i: int, window: int) -> int:
     )
 
 
-_MARGIN = 1e-9  # relative slack of the skip test, far above revenue_rate's rounding
-
-
-def _bounds(state: NetworkState, p: int) -> tuple[float, float]:
-    """The window of x in which no ready miner flips at pass `p`."""
-    ready = state.ready_at <= p
-    lo = state.off_key[ready & state.active].max(initial=-np.inf)
-    hi = state.on_key[ready & ~state.active].min(initial=np.inf)
-    return float(lo) * (1.0 + _MARGIN), float(hi) * (1.0 - _MARGIN)
+_MARGIN = 1e-9  # relative slack of the candidate test, far above revenue_rate's rounding
+# with every share and 1 / total within 2**±200 (`NetworkState.exact_totals`), the
+# reward, reward * price and reward * price * 3600 / T within these keep each
+# product in a revenue and in x within 2**±1000, in the normal range
+_RATE_MIN, _RATE_MAX = 2.0**-800, 2.0**800
+_INDEX = operator.itemgetter(1)  # a ready-list entry's miner
+_ON_COST = operator.itemgetter(3)  # and its on_cost
 
 
 def _decision_pass(
@@ -200,7 +201,7 @@ def _decision_pass(
     price: float,
     total_hash: float,
 ) -> None:
-    """One entry/exit pass: `agents.decide_all` over the ready miners, then the dwell jitter.
+    """One entry/exit pass: `agents.flips` over the ready miners, then the dwell jitter.
 
     Inactive miners evaluate the revenue they would earn after joining
     (their hashrate added to the total), so an empty network can restart.
@@ -208,39 +209,77 @@ def _decision_pass(
     p + 1 + dwell + U[0, dwell).
 
     With x = block_reward * price * 3600 / (T * total), an active miner earns
-    hashrate * x and an inactive one at most that, up to rounding.  So while
-    x lies inside `_bounds`, nobody flips and the pass is skipped.  The bounds
-    hold until a dwell expires or someone flips: a pass with an expiry, the
-    pass after a flip and every stall quantum run in full.
+    hashrate * x and an inactive one at most that, up to rounding.  So only an
+    active miner with off_cost / hashrate >= x * (1 - margin) or an inactive
+    one with on_cost / hashrate <= x * (1 + margin) can flip: the top of
+    `ready_active` and the bottom of `ready_inactive`, found by bisection.
+    Only those are judged.
+
+    The margin covers the rounding only while no product in a revenue or in
+    x leaves the normal range, so the test runs only at the totals in
+    `state.exact_totals` and while the reward is 0 or the reward,
+    reward * price and reward * price * 3600 / T lie within 2**-800..2**800
+    (see `_RATE_MIN`).  Otherwise, and in a stall quantum, every ready active
+    miner is judged, and the ready inactive ones unless even the lowest
+    on_cost among them is above revenue_rate(1, 1, ...): a share is at most
+    1, so no inactive miner earns more (in a stall, with the total at 0,
+    each earns exactly that).
     """
     p = state.passes
     state.passes = p + 1
-    if p in state.pending:
-        state.pending.discard(p)
-        state.bounds = None
-    elif total_hash > 0.0 and not state.flipped:
-        if state.bounds is None:
-            state.bounds = _bounds(state, p)
-        lo, hi = state.bounds
-        t = config.retarget.target_interval
-        if lo < block_reward * price * (3600.0 / t) / total_hash < hi:
+    on, off = state.ready_active, state.ready_inactive
+    for e in state.due.pop(p, ()):  # the miners whose dwell ends here
+        insort(on if e[5] else off, e)
+    t = config.retarget.target_interval
+    lo_total, hi_total = state.exact_totals
+    rp = block_reward * price
+    rate = rp * (3600.0 / t)
+    exact = block_reward == 0.0 or (  # a zero reward makes every revenue and x exactly 0
+        _RATE_MIN <= block_reward <= _RATE_MAX
+        and _RATE_MIN <= rp <= _RATE_MAX
+        and _RATE_MIN <= rate <= _RATE_MAX
+    )
+    if exact and lo_total <= total_hash <= hi_total:
+        x = rate / total_hash
+        lo, hi = x * (1.0 - _MARGIN), x * (1.0 + _MARGIN)
+        if (not on or on[-1][0] < lo) and (not off or off[0][0] > hi):
             return
-    h = state.hashrate
-    prospective = h + total_hash
-    prospective[state.active] = max(total_hash, 1e-300)
-    rev = revenue_rate(h, prospective, block_reward, price, config.retarget.target_interval)
-    flips = decide_all(state.active, state.ready_at <= p, rev, state.on_cost, state.off_cost)
-    n_flips = np.count_nonzero(flips)
-    state.flipped = n_flips > 0
-    if not n_flips:
+        j = bisect_left(on, (lo,))
+        k = bisect_right(off, (hi, math.inf))
+    else:  # a stall, or magnitudes at which rounding may leave the margin
+        j = 0
+        # an inactive miner's share h / (h + total) is at most 1
+        top = revenue_rate(1.0, 1.0, block_reward, price, t)
+        k = len(off) if off and min(map(_ON_COST, off)) <= top else 0
+    total = max(total_hash, 1e-300)
+    leave, stay = [], []
+    for e in on[j:]:
+        rev = revenue_rate(e[2], total, block_reward, price, t)
+        (leave if flips(True, rev, e[3], e[4]) else stay).append(e)
+    enter, wait = [], []
+    for e in off[:k]:
+        rev = revenue_rate(e[2], e[2] + total_hash, block_reward, price, t)
+        (enter if flips(False, rev, e[3], e[4]) else wait).append(e)
+    if not leave and not enter:
         return
+    on[j:], off[:k] = stay, wait
     state.stale = True
-    state.bounds = None
+    # each flipped miner's entry in the list it goes back to, in index order
+    inactive, active = state.inactive_entry, state.active_entry
+    back = [inactive[e[1]] for e in leave]
+    back += [active[e[1]] for e in enter]
+    back.sort(key=_INDEX)
+    act = state.active
+    for e in back:
+        act[e[1]] = e[5]
     base = config.economics.dwell
-    if base > 0:  # with no dwell a flipped miner stays ready
-        ready = p + 1 + base + rng.integers(0, base, n_flips)
-        state.ready_at[flips] = ready
-        state.pending.update(ready.tolist())
+    if base > 0:
+        due, q = state.due, p + 1 + base
+        for e, jitter in zip(back, rng.integers(0, base, len(back)).tolist()):
+            due[q + jitter].append(e)
+    else:  # with no dwell a flipped miner stays ready, in its new state
+        for e in back:
+            insort(on if e[5] else off, e)
 
 
 def step(
@@ -341,10 +380,10 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     duty_on = np.array([m.duty[0] if m.duty else 0 for m in agents], dtype=int)
     duty_off = np.array([m.duty[1] if m.duty else 0 for m in agents], dtype=int)
     base_dwell = config.economics.dwell
-    if base_dwell > 0:
-        ready_at = np.asarray(rng.integers(0, base_dwell, n), dtype=int)  # staggered start
+    if base_dwell > 0:  # staggered start
+        ready_at = rng.integers(0, base_dwell, n).tolist()
     else:
-        ready_at = np.zeros(n, dtype=int)
+        ready_at = [0] * n
     _, r_max = schedule_max(config.schedule)
     h0 = float(hashrate[active].sum())
     d0 = hash_to_difficulty(h0, config.difficulty_map) if h0 > 0 else config.difficulty_map.floor
@@ -354,8 +393,18 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         ema_interval=config.retarget.target_interval,
         floor=config.difficulty_map.floor,
     )
-    on_cost = config.economics.margin_on * (unit_cost * hashrate)
-    off_cost = config.economics.margin_off * (unit_cost * hashrate)
+    on_cost = (config.economics.margin_on * (unit_cost * hashrate)).tolist()
+    off_cost = (config.economics.margin_off * (unit_cost * hashrate)).tolist()
+    miners = list(zip(range(n), hashrate.tolist(), on_cost, off_cost))
+    active_entry = [(c_off / h, i, h, c_on, c_off, True) for i, h, c_on, c_off in miners]
+    inactive_entry = [(c_on / h, i, h, c_on, c_off, False) for i, h, c_on, c_off in miners]
+    due = defaultdict(list)
+    for i, q in enumerate(ready_at):
+        due[q].append(active_entry[i] if active[i] else inactive_entry[i])
+    # a total within this keeps each share h / total and h / (h + total), and
+    # 1 / total, within 2**±200 (see `_decision_pass`)
+    h_lo, h_hi = float(hashrate.min()), float(hashrate.max())
+    exact_totals = (max(1.0, h_hi) * 2.0**-200, min(2.0**200, h_lo * 2.0**199))
     state = NetworkState(
         height=0,
         clock=0.0,
@@ -363,17 +412,15 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         r_max=r_max,
         ids=[m.id for m in agents],
         hashrate=hashrate,
-        on_cost=on_cost,
-        off_cost=off_cost,
-        on_key=on_cost / hashrate,
-        off_key=off_cost / hashrate,
         is_large=hashrate > config.large_threshold,
         active=active,
-        ready_at=ready_at,
-        pending=set(ready_at.tolist()),
+        active_entry=active_entry,
+        inactive_entry=inactive_entry,
+        ready_active=[],
+        ready_inactive=[],
+        due=due,
+        exact_totals=exact_totals,
         passes=0,
-        flipped=False,
-        bounds=None,
         duty_on=duty_on,
         duty_off=duty_off,
         next_edge=math.inf,
@@ -426,7 +473,7 @@ _ROW = ",".join(["%s"] * len(BlockRecord._fields)) + "\r\n"
 
 
 def write_series_csv(series: RunSeries, path) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(BlockRecord._fields) + "\r\n")
         f.writelines(map(_ROW.__mod__, series.records))
 
@@ -434,7 +481,8 @@ def write_series_csv(series: RunSeries, path) -> None:
 def read_series_csv(path) -> list[BlockRecord]:
     types = get_type_hints(BlockRecord).values()
     n = len(types)
-    with open(path, newline="") as f:
+    floats = operator.itemgetter(*[i for i, t in enumerate(types) if t is float])
+    with open(path, newline="", encoding="utf-8") as f:
         rd = csv.reader(f)
         if next(rd, None) != list(BlockRecord._fields):
             raise ConfigError(f"unexpected CSV header in {path}")
@@ -443,8 +491,14 @@ def read_series_csv(path) -> list[BlockRecord]:
             for row in rd:
                 if len(row) != n:
                     raise ValueError(f"{len(row)} fields, expected {n}")
-                records.append(BlockRecord._make(map(operator.call, types, row)))
-        except ValueError as exc:  # a short, long or garbled row
+                rec = BlockRecord._make(map(operator.call, types, row))
+                # the sum is NaN if a field is, or if +inf and -inf meet
+                if math.isnan(sum(floats(rec))):
+                    nan = [k for k, v in zip(BlockRecord._fields, rec) if v != v]
+                    if nan:
+                        raise ValueError(f"{nan[0]} is nan")
+                records.append(rec)
+        except ValueError as exc:  # a short, long, garbled or NaN row
             raise ConfigError(f"{path}, line {rd.line_num}: bad row ({exc})") from exc
     with open(path, "rb") as f:  # the writer ends every row with a line terminator
         f.seek(-1, os.SEEK_END)

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 
 import numpy as np
@@ -45,6 +46,13 @@ class TestRevenueRate:
 
     def test_zero_total_inactive_is_zero(self):
         assert expected_revenue_rate(miner(active=False), 0.0, 1.0, 1.0, 120.0) == 0.0
+
+
+@pytest.mark.parametrize("field", ["hashrate", "unit_cost"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_a_non_finite_hashrate_or_cost_is_rejected(field, value):
+    with pytest.raises(ParameterError):
+        miner(**{field: value})
 
 
 class TestDecide:

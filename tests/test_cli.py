@@ -1,8 +1,13 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pomsim
 from pomsim import cli
 from pomsim.cli import EXIT_USAGE, main
 
@@ -230,13 +235,37 @@ def test_compare_names_the_file_and_line_of_a_truncated_run(small_config, tmp_pa
     long = lines[:5] + [lines[5] + ",9.99"] + lines[6:]  # one row with an 11th field
     fields = lines[6].split(",")
     garbled = lines[:6] + [",".join([fields[0], "abc", *fields[2:]])] + lines[7:]  # timestamp abc
-    for bad, line in ((short, len(lines)), (long, 6), (garbled, 7)):
+    fields = lines[8].split(",")
+    nan = lines[:8] + [",".join([*fields[:3], "nan", *fields[4:]])] + lines[9:]  # total_hash nan
+    for bad, line in ((short, len(lines)), (long, 6), (garbled, 7), (nan, 9)):
         blocks.write_text("\n".join(bad))
         capsys.readouterr()
         assert main(["compare", str(out), str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"{blocks}, line {line}:" in err
+
+
+def test_run_and_compare_write_and_read_utf8_under_an_ascii_locale(small_config, tmp_path):
+    cfg = json.loads(small_config.read_text())
+    cfg["population"]["explicit"][0]["id"] = "mineur-\u00e9"
+    small_config.write_text(json.dumps(cfg))
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": str(Path(pomsim.__file__).parent.parent),
+    }
+    out = tmp_path / "sweep"
+    for args in (["run", "--config", str(small_config), "--out", str(out)],
+                 ["compare", str(out), str(out)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "pomsim.cli", *args],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+    assert ",mineur-\u00e9,".encode() in (out / "seed_3" / "blocks.csv").read_bytes()
 
 
 def test_compare_rejects_a_run_whose_last_row_has_no_line_terminator(

@@ -14,7 +14,6 @@ from pomsim.agents import (
     PomCredit,
     PopulationSpec,
     decide,
-    decide_all,
     expected_revenue_rate,
     pom_multiplier,
     revenue_rate,
@@ -374,8 +373,77 @@ class TestVectorizedDecisions:
         assert list(state.active) == expected
 
 
+def decide_all(active, ready, revenue, on_cost, off_cost):
+    """The dense entry/exit rule over the whole population, in place; returns the flips."""
+    flips = np.where(active, revenue < off_cost, revenue >= on_cost)
+    flips &= ready
+    active ^= flips
+    return flips
+
+
+def set_dwell(state, left):
+    """Make miner i ready from `left[i]` decision passes on: now when 0."""
+    state.ready_active.clear()
+    state.ready_inactive.clear()
+    state.due.clear()
+    for i, wait in enumerate(left):
+        entry = state.active_entry[i] if state.active[i] else state.inactive_entry[i]
+        if wait:
+            state.due[state.passes + int(wait)].append(entry)
+        else:
+            (state.ready_active if state.active[i] else state.ready_inactive).append(entry)
+    state.ready_active.sort()
+    state.ready_inactive.sort()
+
+
+def ready_miners(state):
+    """The miners that may flip at the next decision pass, after checking the lists."""
+    on, off = state.ready_active, state.ready_inactive
+    assert on == sorted(on) and off == sorted(off)
+    assert on == [state.active_entry[e[1]] for e in on] and all(state.active[e[1]] for e in on)
+    assert off == [state.inactive_entry[e[1]] for e in off] and not any(state.active[e[1]] for e in off)
+    return sorted(e[1] for e in on + off + state.due.get(state.passes, []))
+
+
+def costs(state):
+    """The (on_cost, off_cost) arrays of the population."""
+    return np.array([e[3] for e in state.active_entry]), np.array([e[4] for e in state.active_entry])
+
+
+def check_against_decide_all(cfg, state, left, seed, conditions):
+    """Run `_decision_pass` under each (block_reward, total) and the dense rule beside it.
+
+    Returns, per pass, the number of flips and of miners whose dwell ran out.
+    """
+    h, target, dwell = state.hashrate, cfg.retarget.target_interval, cfg.economics.dwell
+    on_cost, off_cost = costs(state)
+    left = np.array(left)
+    set_dwell(state, left)
+    active = state.active.copy()
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    seen = []
+    for block_reward, total in conditions:
+        _decision_pass(state, cfg, rng, block_reward, 30.0, total)
+
+        # the dense pass: a dwell countdown on every miner, the rule on all of them
+        busy = left > 0
+        left -= busy
+        expired = int(np.count_nonzero(busy & (left == 0)))
+        prospective = np.where(active, max(total, 1e-300), total + h)
+        rev = revenue_rate(h, prospective, block_reward, 30.0, target)
+        flips = decide_all(active, ~busy, rev, on_cost, off_cost)
+        if flips.any() and dwell > 0:
+            left[flips] = dwell + rng_ref.integers(0, dwell, np.count_nonzero(flips))
+
+        assert list(state.active) == list(active)
+        assert ready_miners(state) == list(np.flatnonzero(left == 0))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        seen.append((int(np.count_nonzero(flips)), expired))
+    return seen
+
+
 class TestDecisionPass:
-    """`_decision_pass` skips a pass only when `decide_all` would flip nobody."""
+    """`_decision_pass` judges only candidates, and flips what `decide_all` would."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -401,40 +469,61 @@ class TestDecisionPass:
         ]
         cfg = make_config(explicit_population=agents, economics=EconomicsConfig(dwell=dwell))
         state = initial_state(cfg, np.random.default_rng(0))
-        left = np.array([m[3] for m in miners])
-        state.ready_at[:] = left
-        state.pending = set(left.tolist())
-        h, target = state.hashrate, cfg.retarget.target_interval
-        active = state.active.copy()
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         base_reward = data.draw(st.floats(0.0, 20.0), label="reward")
         base_total = data.draw(st.floats(1.0, 200.0), label="total")
-        for _ in range(data.draw(st.integers(1, 40), label="passes")):
-            # mostly the same conditions pass after pass, so the skip test gets to fire
-            block_reward = base_reward * data.draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 2.0]))
-            total = base_total * data.draw(st.sampled_from([1.0, 1.0, 0.98, 1.02, 0.0]))
-            _decision_pass(state, cfg, rng, block_reward, 30.0, total)
+        conditions = [
+            # mostly the same conditions pass after pass, so most passes judge nobody
+            (base_reward * data.draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 2.0])),
+             base_total * data.draw(st.sampled_from([1.0, 1.0, 0.98, 1.02, 0.0])))
+            for _ in range(data.draw(st.integers(1, 40), label="passes"))
+        ]
+        check_against_decide_all(cfg, state, [m[3] for m in miners], seed, conditions)
 
-            # the dense pass: a dwell countdown on every miner, the rule on all of them
-            busy = left > 0
-            left -= busy
-            prospective = np.where(active, max(total, 1e-300), total + h)
-            rev = revenue_rate(h, prospective, block_reward, 30.0, target)
-            flips = decide_all(active, ~busy, rev, state.on_cost, state.off_cost)
-            if flips.any() and dwell > 0:
-                left[flips] = dwell + rng_ref.integers(0, dwell, np.count_nonzero(flips))
+    @pytest.mark.parametrize("dwell", [0, 3])
+    def test_many_flips_and_expiries_in_one_pass(self, dwell):
+        # 300 miners whose keys spread around x: each swing of the reward flips
+        # dozens, and with a dwell of 3 dozens come out of it at the same pass
+        rng = np.random.default_rng(11)
+        agents = [
+            MinerAgent(id=f"m{i}", hashrate=float(h), unit_cost=float(c), active=bool(a))
+            for i, (h, c, a) in enumerate(
+                zip(rng.uniform(0.5, 5.0, 300), rng.uniform(0.5, 1.5, 300), rng.random(300) < 0.5)
+            )
+        ]
+        cfg = make_config(explicit_population=agents, economics=EconomicsConfig(dwell=dwell))
+        state = initial_state(cfg, np.random.default_rng(0))
+        total = 400.0
+        unit = revenue_rate(1.0, total, 1.0, 30.0, cfg.retarget.target_interval)  # x at reward 1
+        conditions = [(x / unit, total) for x in [0.6, 1.4, 0.9, 1.1, 0.7, 1.3] * 4]
+        seen = check_against_decide_all(
+            cfg, state, rng.integers(0, 2 * dwell + 1, 300), 5, conditions
+        )
+        assert max(f for f, _ in seen) >= 50
+        if dwell:
+            assert max(e for _, e in seen) >= 30
 
-            assert list(state.active) == list(active)
-            assert list(state.ready_at <= state.passes) == list(left == 0)
-            assert rng.bit_generator.state == rng_ref.bit_generator.state
+    @pytest.mark.parametrize(
+        "hashrate,unit_cost,reward,total",
+        [(1.0, 5e-324, 5e-324, 2.0), (5e-324, 1.0, 1.0, 2.0), (1.0, 1.5e308, 1e307, 100.0)],
+        ids=["subnormal-reward", "subnormal-hashrate", "overflowing-x"],
+    )
+    def test_products_outside_the_normal_range_are_judged_in_full(
+        self, hashrate, unit_cost, reward, total
+    ):
+        # rounding there leaves any relative margin: the dense rule flips this miner
+        agents = [MinerAgent(id="m", hashrate=hashrate, unit_cost=unit_cost)]
+        cfg = make_config(explicit_population=agents, economics=EconomicsConfig(dwell=0))
+        state = initial_state(cfg, np.random.default_rng(0))
+        assert check_against_decide_all(cfg, state, [0], 0, [(reward, total)]) == [(1, 0)]
 
     @staticmethod
-    def _ready_state(miners, passes):
-        """A dwell-free state at pass `passes` with every miner ready and no expiry due."""
+    def _ready_state(miners, passes, left=None):
+        """A dwell-free state at pass `passes`: miner i ready from `left[i]` passes on (0: now)."""
         cfg = make_config(explicit_population=miners, economics=EconomicsConfig(dwell=0))
         state = initial_state(cfg, np.random.default_rng(0))
-        state.passes, state.pending = passes, set()
+        state.passes = passes
+        set_dwell(state, left or [0] * len(miners))
         return cfg, state
 
     @staticmethod
@@ -452,11 +541,12 @@ class TestDecisionPass:
              MinerAgent(id="big", hashrate=2e5, unit_cost=0.0)],
             passes=1,
         )
+        on_cost, off_cost = costs(state)
         total = float(np.add.reduce(state.hashrate[state.active]))
         if active:  # 1e-10 below the exit threshold
-            block_reward = self._reward_for(state, cfg, 0, state.off_cost[0] * (1 - 1e-10), total)
+            block_reward = self._reward_for(state, cfg, 0, off_cost[0] * (1 - 1e-10), total)
         else:  # 1e-10 above the entry threshold
-            block_reward = self._reward_for(state, cfg, 0, state.on_cost[0] * (1 + 1e-10), total + 2.0)
+            block_reward = self._reward_for(state, cfg, 0, on_cost[0] * (1 + 1e-10), total + 2.0)
         _decision_pass(state, cfg, np.random.default_rng(0), block_reward, 30.0, total)
         assert state.active[0] != active
 
@@ -465,12 +555,11 @@ class TestDecisionPass:
             [MinerAgent(id="m", hashrate=2.0, unit_cost=1.0),
              MinerAgent(id="big", hashrate=20.0, unit_cost=0.0)],
             passes=1,
+            left=[1, 0],  # m is still in its dwell at pass 1
         )
-        state.ready_at[0] = 2  # m is still in its dwell at pass 1
-        state.pending = {2}
-        rng, total = np.random.default_rng(0), 22.0
-        stay = self._reward_for(state, cfg, 0, state.off_cost[0] * 2.0, total)
-        leave = self._reward_for(state, cfg, 0, state.off_cost[0] * 0.5, total)
+        rng, total, off_cost = np.random.default_rng(0), 22.0, costs(state)[1]
+        stay = self._reward_for(state, cfg, 0, off_cost[0] * 2.0, total)
+        leave = self._reward_for(state, cfg, 0, off_cost[0] * 0.5, total)
         _decision_pass(state, cfg, rng, leave, 30.0, total)  # pass 1: only big is ready
         assert state.active[0]
         _decision_pass(state, cfg, rng, stay, 30.0, total)  # pass 2: m is ready and stays
@@ -484,9 +573,9 @@ class TestDecisionPass:
              MinerAgent(id="big", hashrate=20.0, unit_cost=0.0)],
             passes=1,
         )
-        rng = np.random.default_rng(0)
-        leave = self._reward_for(state, cfg, 0, state.off_cost[0] * 0.5, 22.0)
-        enter = self._reward_for(state, cfg, 0, state.on_cost[0] * 2.0, 22.0)
+        rng, (on_cost, off_cost) = np.random.default_rng(0), costs(state)
+        leave = self._reward_for(state, cfg, 0, off_cost[0] * 0.5, 22.0)
+        enter = self._reward_for(state, cfg, 0, on_cost[0] * 2.0, 22.0)
         _decision_pass(state, cfg, rng, leave, 30.0, 22.0)  # m leaves
         assert not state.active[0]
         _decision_pass(state, cfg, rng, leave, 30.0, 20.0)  # the pass after a flip
@@ -501,11 +590,16 @@ class TestDecisionPass:
             calls.append(1)
             return revenue_rate(*args)
 
+        def judged(constant_reward):
+            calls.clear()
+            run(make_config(horizon=300, constant_reward=constant_reward))
+            return len(calls)
+
         monkeypatch.setattr(simulator, "revenue_rate", counted)
-        cfg = make_config(horizon=300, constant_reward=True)
-        run(cfg)
-        # constant reward: after the start-up dwells run out, nobody flips
-        assert 0 < len(calls) < cfg.horizon // 3
+        # constant reward: nobody's threshold is near x, so no miner is judged;
+        # at the cutoff miners flip, and so are judged
+        assert judged(True) < 300 // 3
+        assert judged(False) > 0
 
 
 class TestLargeMinerRule:
