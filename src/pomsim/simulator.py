@@ -273,13 +273,10 @@ def _decision_pass(
     for e in back:
         act[e[1]] = e[5]
     base = config.economics.dwell
-    if base > 0:
-        due, q = state.due, p + 1 + base
-        for e, jitter in zip(back, rng.integers(0, base, len(back)).tolist()):
-            due[q + jitter].append(e)
-    else:  # with no dwell a flipped miner stays ready, in its new state
-        for e in back:
-            insort(on if e[5] else off, e)
+    jitters = rng.integers(0, base, len(back)).tolist() if base > 0 else [0] * len(back)
+    due, q = state.due, p + 1 + base
+    for e, jitter in zip(back, jitters):
+        due[q + jitter].append(e)
 
 
 def step(
@@ -318,7 +315,7 @@ def step(
             _refresh(state)
     total = state.total
 
-    d = max(state.retarget_state.current_difficulty, config.difficulty_map.floor)
+    d = state.retarget_state.current_difficulty
     interval = float(rng.exponential(d / (state.kappa * total)))
     state.clock += interval
 
