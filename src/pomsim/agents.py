@@ -80,6 +80,8 @@ class MinerAgent:
             raise ParameterError(f"unit_cost must be nonnegative and finite, got {self.unit_cost}")
         if self.dwell_remaining < 0:
             raise ParameterError(f"dwell_remaining must be nonnegative, got {self.dwell_remaining}")
+        if self.duty is not None and not (self.duty[0] >= 1 and self.duty[1] >= 0):
+            raise ParameterError(f"duty needs on >= 1 and off >= 0 blocks, got {list(self.duty)}")
 
 
 def revenue_rate(hashrate, total_hash, block_reward, price, target_interval):

@@ -252,6 +252,9 @@ def main(argv=None) -> int:
     except PomSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except OSError as exc:  # an --out that cannot be written; the message names the path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

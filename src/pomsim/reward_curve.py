@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.optimize import brentq
-
 from .errors import (
     BracketingError,
     CalibrationError,
@@ -83,7 +81,7 @@ class RewardScheduleParams:
 
     def __post_init__(self):
         if self.cutoff is not None:
-            peak = _base_peak_location(self.base)
+            peak, _ = find_peak(RewardScheduleParams(self.base))
             if not (self.cutoff.d_co > peak):
                 raise ParameterError(
                     f"cutoff midpoint d_co={self.cutoff.d_co} must exceed the "
@@ -120,13 +118,20 @@ def reward(d: float, s: RewardScheduleParams) -> float:
 
 
 def find_peak(
-    s: RewardScheduleParams, lo: float, hi: float, tol: float = 1e-9
+    s: RewardScheduleParams, lo: float = 1e-12, hi: Optional[float] = None, tol: float = 1e-9
 ) -> tuple[float, float]:
     """Maximize the schedule on [lo, hi] by golden-section search.
 
-    The caller must supply a bracket on which the schedule is unimodal.
+    A caller's bracket must hold a single maximum.  The default is the
+    schedule's peak bracket: from 1e-12 to 20 / a, where exp(-a d) is
+    exp(-20), or to d_co + 20 * spread, where the cutoff factor is below
+    exp(-20), whichever comes first.
     Returns (d_star, r_max) with d_star located to absolute tolerance `tol`.
     """
+    if hi is None:
+        hi = 20.0 / s.base.a
+        if s.cutoff is not None:
+            hi = min(hi, s.cutoff.d_co + 20.0 * s.cutoff.spread)
     return _golden_max(lambda d: reward(d, s), lo, hi, tol)
 
 
@@ -153,12 +158,6 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _base_peak_location(p: BaseCurveParams) -> float:
-    """Location of the single interior maximum of the base bell."""
-    x, _ = _golden_max(lambda d: base_reward(d, p), 1e-12, 20.0 / p.a, 1e-10)
-    return x
-
-
 def calibrate_cutoff(half_d: float, tenth_d: float) -> CutoffParams:
     """Closed-form cutoff from the half-max and tenth-max difficulties.
 
@@ -179,9 +178,12 @@ def calibrate_schedule(
 ) -> RewardScheduleParams:
     """Fit a full schedule to the three landmark difficulties.
 
-    Stage 1 fixes the cutoff in closed form.  Stage 2 root-finds the base
-    shape parameter a (with b = b_ratio * a) so the composed peak lands at
-    peak_d.  Stage 3 rescales so the composed maximum equals r_max_target.
+    Stage 1 fixes the cutoff in closed form.  Stage 2 finds the base shape
+    parameter a (with b = b_ratio * a) at which the composed peak lands at
+    peak_d: the peak falls as a rises, so |peak - peak_d| has one minimum on
+    the bracket.  Stage 3 rescales so the composed maximum equals r_max_target.
+    Every search is `find_peak` over the schedule's peak bracket, or
+    `_golden_max` over a.
     """
     if not (0.0 < peak_d < half_d < tenth_d):
         raise OrderingError(
@@ -193,37 +195,30 @@ def calibrate_schedule(
         raise ParameterError(f"b_ratio must exceed 1, got {b_ratio}")
 
     cutoff = calibrate_cutoff(half_d, tenth_d)
-    unit_peak = _base_peak_location(BaseCurveParams(a=1.0, b=b_ratio))
+    unit_peak, _ = find_peak(RewardScheduleParams(BaseCurveParams(a=1.0, b=b_ratio)))
 
-    def composed_peak(a: float) -> float:
-        base = BaseCurveParams(a=a, b=b_ratio * a)
-        f = lambda d: base_reward(d, base) * cutoff_factor(d, cutoff)
-        x, _ = _golden_max(f, 1e-12, min(unit_peak / a * 3.0, tenth_d * 4.0), 1e-10)
-        return x
+    def shape(a: float, scale: float = 1.0) -> RewardScheduleParams:
+        return RewardScheduleParams(BaseCurveParams(a=a, b=b_ratio * a, scale=scale), cutoff)
+
+    def residual(a: float) -> float:
+        return find_peak(shape(a))[0] - peak_d
 
     # a_hi puts the base peak exactly at peak_d (composed peak slightly left);
     # a_lo puts it just under the cutoff midpoint (composed peak to the right).
     a_hi = unit_peak / peak_d
     a_lo = unit_peak / half_d * (1.0 + 1e-9)
-    r_lo = composed_peak(a_lo) - peak_d
-    r_hi = composed_peak(a_hi) - peak_d
+    r_lo, r_hi = residual(a_lo), residual(a_hi)
     if not (r_lo > 0.0 > r_hi):
         raise CalibrationError(
             f"peak residuals do not bracket a root: f({a_lo:.6g})={r_lo:.3g}, "
             f"f({a_hi:.6g})={r_hi:.3g}"
         )
-    a_star = brentq(lambda a: composed_peak(a) - peak_d, a_lo, a_hi, xtol=1e-12)
+    a_star, _ = _golden_max(lambda a: -abs(residual(a)), a_lo, a_hi, 1e-12)
 
-    unscaled = RewardScheduleParams(
-        base=BaseCurveParams(a=a_star, b=b_ratio * a_star), cutoff=cutoff
-    )
-    d_star, r_unscaled = find_peak(unscaled, 1e-12, tenth_d * 2.0)
+    _, r_unscaled = find_peak(shape(a_star))
     if not (r_unscaled > 0.0):
-        raise CalibrationError(f"composed peak found no positive reward below d={tenth_d * 2.0:g}")
-    scale = r_max_target / r_unscaled
-    schedule = RewardScheduleParams(
-        base=BaseCurveParams(a=a_star, b=b_ratio * a_star, scale=scale), cutoff=cutoff
-    )
+        raise CalibrationError(f"composed peak found no positive reward at a={a_star:.6g}")
+    schedule = shape(a_star, r_max_target / r_unscaled)
 
     half_ratio = reward(half_d, schedule) / r_max_target
     tenth_ratio = reward(tenth_d, schedule) / r_max_target

@@ -356,11 +356,8 @@ def _block_reward(config: SimConfig, d: float, r_max: float) -> float:
 
 
 def schedule_max(schedule: RewardScheduleParams) -> tuple[float, float]:
-    """Peak (d_star, r_max) of a schedule over its natural range."""
-    hi = 20.0 / schedule.base.a
-    if schedule.cutoff is not None:
-        hi = min(hi, schedule.cutoff.d_co + 20.0 * schedule.cutoff.spread)
-    return find_peak(schedule, 1e-12, hi)
+    """Peak (d_star, r_max) of a schedule over its peak bracket (`find_peak`)."""
+    return find_peak(schedule)
 
 
 def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:

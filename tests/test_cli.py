@@ -226,6 +226,23 @@ def test_bad_arguments_are_usage_errors(argv, small_config, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "--params", "1.0", "2.0", "1.0", "--out", "{tmp}/nodir/x.csv"],
+    ["run", "--config", "{config}", "--out", "{config}"],  # an existing file
+    ["compare", "{sweep}", "{sweep}", "--out", "{tmp}/nodir/x.csv"],
+], ids=["curve", "run", "compare"])
+def test_an_unwritable_out_is_a_usage_error(argv, small_config, tmp_path, capsys):
+    sweep = tmp_path / "sweep"
+    if "{sweep}" in argv:
+        assert main(["run", "--config", str(small_config), "--out", str(sweep)]) == 0
+    capsys.readouterr()
+    argv = [a.format(config=small_config, tmp=tmp_path, sweep=sweep) for a in argv]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert argv[-1] in err
+
+
 def test_compare_names_the_file_and_line_of_a_truncated_run(small_config, tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0

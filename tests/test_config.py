@@ -164,6 +164,9 @@ HARDENING = [
      _example(population={**EXAMPLE_POPULATION, "small_hash": ["x", 2]}),
      "$.population.small_hash[0]"),
     ("non-numeric-duty", _example(**_miner(duty=["a", 2])), "$.population.explicit[0].duty[0]"),
+    ("negative-duty-off", _example(**_miner(duty=[5, -5])), "$.population.explicit[0]"),
+    ("zero-duty-on", _example(**_miner(duty=[0, 5])), "$.population.explicit[0]"),
+    ("negative-duty-on", _example(**_miner(duty=[-1, 3])), "$.population.explicit[0]"),
     ("string-bool", _example(constant_reward="no"), "$.constant_reward"),
     ("negative-at-block",
      _example(price={"initial": 1.0, "factor": 2.0, "at_block": -5}), "$.price"),

@@ -51,11 +51,11 @@ def cases():
 
 
 GOLDEN = {
-    "dynamics": "b36ce6b0f9106a37ee4994d983f6cd4d0be80093f746936ae6c5f33168f53167",
-    "example": "6ca48d9bcdc8488dbcf1e0510375e85bd2750ee54d54d6e8ca63873377815149",
-    "price_step": "1fd718b58cf4f9c203fd8af7f690e21c48610782241fa80b8e7a0b9bf93b0122",
-    "price-series": "09916e0babc98236709eb6a5a8faba52079163424c1d5fefae1b7547b9b6f516",
-    "explicit-population": "8c8bd11ea831192201af826cdfa84fe96c40e43f63b0e0de000d86ec865457f2",
+    "dynamics": "2db294f0642830199f91e9990cee3a5109813133a058bb5be6e5bf8309ef1cf1",
+    "example": "8e79f6926b3b5a02f4908626e0652c26db8729d797e9ddcc58f0a428a305b21c",
+    "price_step": "8ed3bdbe3340ac7d72de4bcd9c03015455f73a7f6eb45dbb44980807c77da2ee",
+    "price-series": "ba8c921d68ce0a2e9d533cb5aa70136f34908d3ed007243095d14d808e8b3b12",
+    "explicit-population": "2662fcbf19b7be2444d41a28d20d1a4b02eb3bcd15bdec670bdf2d11dd924ca4",
     "explicit-schedule": "6a8c6a11260d7248966f0df6b2756d4f7b566146129e00a213a8e31cb647185d",
 }
 

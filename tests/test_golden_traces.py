@@ -77,30 +77,30 @@ def trace_digest(config, directory: Path) -> str:
 
 
 GOLDEN = {
-    "dynamics-s0-cutoff": "547af357717ae97f39670cc13590783e1940a8588395dba19e43871be05eed1e",
+    "dynamics-s0-cutoff": "8af3a3737e5c55ff59e4e592572abe6d4a58842f619aa13e5d2332065cb2ce01",
     "dynamics-s0-constant": "6e5c841e1e0971b83b607e6619a3f56dbe554eee74e747d9384ab48f49286e53",
-    "dynamics-s1-cutoff": "8a0f8e49089514f7b3c36ea4b5f4e5fc1822ffef0aec7cf1327e71efeaaf676e",
+    "dynamics-s1-cutoff": "38cd26457a892904d4e9e751dbd4bf4780b5ff590d981a74ccee025c5a5c3ca0",
     "dynamics-s1-constant": "3916b0c916bfc2b3e553000af285cce428cf9cf861c5e13a085632fde208ae3c",
-    "dynamics-s2-cutoff": "f34c11fcd15739c91d00029f690b4607bb049f864def9fbc1847b7de3bd41ba7",
+    "dynamics-s2-cutoff": "8bbc5c4a2e526d5b7bc96cb873b917c24bd8854f0d3fd2b0d4c228bb3a7e53a4",
     "dynamics-s2-constant": "5d59b06fab5780204703915956e3b87cd7e9f6d84525f4ccf3958d5b49182283",
-    "example-s0-cutoff": "547af357717ae97f39670cc13590783e1940a8588395dba19e43871be05eed1e",
+    "example-s0-cutoff": "8af3a3737e5c55ff59e4e592572abe6d4a58842f619aa13e5d2332065cb2ce01",
     "example-s0-constant": "6e5c841e1e0971b83b607e6619a3f56dbe554eee74e747d9384ab48f49286e53",
-    "example-s1-cutoff": "8a0f8e49089514f7b3c36ea4b5f4e5fc1822ffef0aec7cf1327e71efeaaf676e",
+    "example-s1-cutoff": "38cd26457a892904d4e9e751dbd4bf4780b5ff590d981a74ccee025c5a5c3ca0",
     "example-s1-constant": "3916b0c916bfc2b3e553000af285cce428cf9cf861c5e13a085632fde208ae3c",
-    "example-s2-cutoff": "f34c11fcd15739c91d00029f690b4607bb049f864def9fbc1847b7de3bd41ba7",
+    "example-s2-cutoff": "8bbc5c4a2e526d5b7bc96cb873b917c24bd8854f0d3fd2b0d4c228bb3a7e53a4",
     "example-s2-constant": "5d59b06fab5780204703915956e3b87cd7e9f6d84525f4ccf3958d5b49182283",
-    "price_step-s0-cutoff": "02a3fa1d85e6d0cc5083f942d8b401a59ab8e0fe89e78dfd11853bdf24dc9e49",
+    "price_step-s0-cutoff": "350c242b0e631404e3f7101951299bd14ad2d47db7320aea62b43979845d8289",
     "price_step-s0-constant": "e4dc53416fd40c3a75643b735a085d7825d05d985ab5f45e6ad620effe742ecf",
-    "price_step-s1-cutoff": "ea703bd0673410186a29f15473d4d940e807465e91b250a56b259ebed2bc95e8",
+    "price_step-s1-cutoff": "2fff7e971e43003e27936a7b63c8fcf2452abf07e9fbd855cf30846ba929a5e8",
     "price_step-s1-constant": "47a4992a6842c9583368855685b9158e87e994be6d3c52adfecfad6a9526b46d",
-    "price_step-s2-cutoff": "88d3b7417cdee81f4b9ee28ca269e82fb4b7ea367532e4ab4e0cc6e387ea1482",
+    "price_step-s2-cutoff": "e30ad8b0d25435fea808ae4349aacbc950bb7730fb3d40fc7ec2cf8a808ab314",
     "price_step-s2-constant": "614e7ea412331802534a38307115baa9c0773f75b0d2035a8af79bdf05b94487",
-    "cliff-s0": "e943e08a4218b956470f3255540e1c22ef56dacb104a8118b6e3ca4900b8d481",
-    "cliff-s1": "632d66814d11032a14ab8c9b7cb31c2426138897b80817a0e2f43570eb538fa2",
-    "cliff-s2": "fcb98c8b7a097d72e6c621767d7cd4a6d75464b73b22db54fdf9f7cd295a4a49",
-    "duty-s0": "be2eae233c1e792deedd67e5cfd8182bbf18f3e3a3f3db0a8d6c42dee30ac921",
-    "duty-s1": "f88c8bcf4f3dc6ed5ceb7a667f0c8f39657409cd2c46f8ddbd6551e919104970",
-    "duty-s2": "4714e625796ce35335acff547afc7fd6890e6bd8d89eba1cc8567d611135bc6d",
+    "cliff-s0": "0cae83d3b787eac3d6edbfd9aa5aeb62acfd40591dfd0d7970a4f2870ae79352",
+    "cliff-s1": "ee1b8f77d09966faa7446d0f5fc261a75a618eaabc5249f26f3aebe1a5770763",
+    "cliff-s2": "f9fcd43b621d2c99660a87218230366faad0e954276f91be1391907aa0c8d089",
+    "duty-s0": "d453c60d35b851087aa1066c4f0d408d1f14460995cfed8f87b9b6f5768c531a",
+    "duty-s1": "1972a93d6c36986d0a67cde4f6df533598288b0677b2f5e7bb52e7dafde4c87c",
+    "duty-s2": "b22292a675272a44468fce0deb34129caa885a9dea3adea8b5c26b3a2853da35",
 }
 
 

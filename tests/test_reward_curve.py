@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +176,12 @@ class TestFindPeak:
         d_star, _ = find_peak(s, 0.0, 10.0 / k)
         assert d_star == pytest.approx(PEAK_D_12 / k, abs=1e-6)
 
+    def test_default_bracket_is_the_peak_bracket(self):
+        s = RewardScheduleParams(base=BaseCurveParams(1.0, 2.0))
+        d_star, r_max = find_peak(s)
+        assert d_star == pytest.approx(PEAK_D_12, abs=1e-6)
+        assert r_max == pytest.approx(PEAK_R_12, rel=1e-9)
+
     def test_bad_bracket(self):
         s = RewardScheduleParams(base=BaseCurveParams(1.0, 2.0))
         with pytest.raises(DomainError):
@@ -262,3 +270,11 @@ class TestSerialization:
         assert set(d) == {"a", "b", "scale", "d_co", "spread"}
         # repr-based JSON round-trips floats exactly
         assert json.loads(schedule_to_json(s)) == d
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency: every search is `_golden_max`
+    code = "import sys, pomsim; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
