@@ -252,7 +252,8 @@ def main(argv=None) -> int:
     except PomSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OSError as exc:  # an --out that cannot be written; the message names the path
+    except (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError,
+            PermissionError) as exc:  # an --out that cannot be written; the message names it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

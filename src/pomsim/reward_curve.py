@@ -145,7 +145,9 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
         raise BracketingError(
             f"interior samples below both ends on [{lo}, {hi}]; function not unimodal"
         )
-    while hi - lo > tol:
+    # Stop also once the interior points stop moving: a tol below one ulp of
+    # the bracket ends would otherwise never be met.
+    while hi - lo > tol and lo < c < d < hi:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)

@@ -227,14 +227,16 @@ class TestCalibrateSchedule:
 
     def test_dimensional_scaling(self):
         s1 = calibrate_schedule(1.75, 2.20, 2.37, 1.0)
-        k = 2.0
-        s2 = calibrate_schedule(1.75 * k, 2.20 * k, 2.37 * k, 1.0)
-        assert s2.base.a == pytest.approx(s1.base.a / k, rel=1e-6)
-        assert s2.base.b == pytest.approx(s1.base.b / k, rel=1e-6)
-        assert s2.cutoff.d_co == pytest.approx(s1.cutoff.d_co * k, rel=1e-12)
-        assert s2.cutoff.spread == pytest.approx(s1.cutoff.spread * k, rel=1e-12)
-        for d in (1.0, 1.75, 2.3):
-            assert reward(d * k, s2) == pytest.approx(reward(d, s1), rel=1e-6)
+        # At k = 1e-4 / 1.75, a lands near 1e4, where one ulp of a is wider
+        # than the search's 1e-12 tolerance.
+        for k in (2.0, 1e-4 / 1.75):
+            s2 = calibrate_schedule(1.75 * k, 2.20 * k, 2.37 * k, 1.0)
+            assert s2.base.a == pytest.approx(s1.base.a / k, rel=1e-6)
+            assert s2.base.b == pytest.approx(s1.base.b / k, rel=1e-6)
+            assert s2.cutoff.d_co == pytest.approx(s1.cutoff.d_co * k, rel=1e-12)
+            assert s2.cutoff.spread == pytest.approx(s1.cutoff.spread * k, rel=1e-12)
+            for d in (1.0, 1.75, 2.3):
+                assert reward(d * k, s2) == pytest.approx(reward(d, s1), rel=1e-6)
 
     def test_r_max_linearity(self):
         s1 = calibrate_schedule(1.75, 2.20, 2.37, 1.0)
