@@ -27,13 +27,12 @@ EXIT_INTERNAL = 3
 def _emit_curve(schedule, lo, hi, step, out):
     w = csv.writer(out)
     w.writerow(["d", "base", "cutoff_factor", "reward"])
-    d = lo
-    while d <= hi + 1e-12:
+    for i in range(int((hi - lo) / step * (1.0 + 1e-9)) + 1):
+        d = lo + i * step
         cf = cutoff_factor(d, schedule.cutoff) if schedule.cutoff else 1.0
         w.writerow(
             [repr(d), repr(base_reward(d, schedule.base)), repr(cf), repr(reward(d, schedule))]
         )
-        d += step
 
 
 def cmd_curve(args) -> int:
@@ -66,7 +65,7 @@ def cmd_curve(args) -> int:
         peak_d, half_d, tenth_d = args.landmarks
         d_star, r_max = schedule_max(schedule)
         print(f"# landmark verification (r_max={r_max:.6g} at d={d_star:.6g})", file=sys.stderr)
-        print(f"#   I    peak     d={peak_d:<6g} found d_star={d_star:.4f}", file=sys.stderr)
+        print(f"#   I    peak     d={peak_d:<6g} found d_star={d_star:g}", file=sys.stderr)
         print(
             f"#   II   half-max d={half_d:<6g} reward/max={reward(half_d, schedule) / r_max:.4f}",
             file=sys.stderr,

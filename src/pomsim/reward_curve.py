@@ -11,6 +11,7 @@ everything is safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -81,7 +82,7 @@ class RewardScheduleParams:
 
     def __post_init__(self):
         if self.cutoff is not None:
-            peak, _ = find_peak(RewardScheduleParams(self.base))
+            peak = _unit_peak(self.base.b / self.base.a) / self.base.a
             if not (self.cutoff.d_co > peak):
                 raise ParameterError(
                     f"cutoff midpoint d_co={self.cutoff.d_co} must exceed the "
@@ -118,7 +119,7 @@ def reward(d: float, s: RewardScheduleParams) -> float:
 
 
 def find_peak(
-    s: RewardScheduleParams, lo: float = 1e-12, hi: Optional[float] = None, tol: float = 1e-9
+    s: RewardScheduleParams, lo: float = 1e-12, hi: Optional[float] = None
 ) -> tuple[float, float]:
     """Maximize the schedule on [lo, hi] by golden-section search.
 
@@ -126,16 +127,22 @@ def find_peak(
     schedule's peak bracket: from 1e-12 to 20 / a, where exp(-a d) is
     exp(-20), or to d_co + 20 * spread, where the cutoff factor is below
     exp(-20), whichever comes first.
-    Returns (d_star, r_max) with d_star located to absolute tolerance `tol`.
+    Returns (d_star, r_max), d_star located to 1e-9 · min(1, hi).
     """
     if hi is None:
         hi = 20.0 / s.base.a
         if s.cutoff is not None:
             hi = min(hi, s.cutoff.d_co + 20.0 * s.cutoff.spread)
-    return _golden_max(lambda d: reward(d, s), lo, hi, tol)
+    return _golden_max(lambda d: reward(d, s), lo, hi, 1e-9)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+@functools.cache
+def _unit_peak(ratio: float) -> float:
+    """Peak of the bell with a = 1, b = ratio; the bell (a, b) peaks at _unit_peak(b / a) / a."""
+    return find_peak(RewardScheduleParams(BaseCurveParams(a=1.0, b=ratio)))[0]
+
+
+def _golden_max(f, lo: float, hi: float, rtol: float) -> tuple[float, float]:
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got lo={lo} hi={hi}")
     c = hi - _GOLDEN * (hi - lo)
@@ -145,6 +152,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
         raise BracketingError(
             f"interior samples below both ends on [{lo}, {hi}]; function not unimodal"
         )
+    tol = rtol * min(1.0, hi)
     # Stop also once the interior points stop moving: a tol below one ulp of
     # the bracket ends would otherwise never be met.
     while hi - lo > tol and lo < c < d < hi:
@@ -197,7 +205,6 @@ def calibrate_schedule(
         raise ParameterError(f"b_ratio must exceed 1, got {b_ratio}")
 
     cutoff = calibrate_cutoff(half_d, tenth_d)
-    unit_peak, _ = find_peak(RewardScheduleParams(BaseCurveParams(a=1.0, b=b_ratio)))
 
     def shape(a: float, scale: float = 1.0) -> RewardScheduleParams:
         return RewardScheduleParams(BaseCurveParams(a=a, b=b_ratio * a, scale=scale), cutoff)
@@ -206,9 +213,10 @@ def calibrate_schedule(
         return find_peak(shape(a))[0] - peak_d
 
     # a_hi puts the base peak exactly at peak_d (composed peak slightly left);
-    # a_lo puts it just under the cutoff midpoint (composed peak to the right).
-    a_hi = unit_peak / peak_d
-    a_lo = unit_peak / half_d * (1.0 + 1e-9)
+    # a_lo puts it just under the cutoff midpoint (composed peak to the right),
+    # by a margin far above the peak's search tolerance.
+    a_hi = _unit_peak(b_ratio) / peak_d
+    a_lo = _unit_peak(b_ratio) / half_d * (1.0 + 1e-6)
     r_lo, r_hi = residual(a_lo), residual(a_hi)
     if not (r_lo > 0.0 > r_hi):
         raise CalibrationError(

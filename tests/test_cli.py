@@ -43,7 +43,24 @@ class TestCurve:
         assert len(lines) == 14  # header + 13 grid points
         # verification table goes to stderr and reports the landmark ratios
         assert "landmark verification" in err
-        assert "d_star=1.7500" in err
+        assert "found d_star=1.75\n" in err
+
+    def test_landmark_table_at_another_scale(self, capsys):
+        rc = main(["curve", "--landmarks", "1750", "2200", "2370",
+                   "--range", "0", "3000", "--step", "250"])
+        assert rc == 0
+        assert "found d_star=1750\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hi,step,rows,last", [
+        ("1000", "0.1", 10_001, "1000.0"),
+        ("3", "0.01", 301, "3.0"),
+    ])
+    def test_grid_ends_at_the_range_end(self, hi, step, rows, last, capsys):
+        rc = main(["curve", "--params", "1", "2", "1", "--range", "0", hi, "--step", step])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + rows
+        assert lines[-1].split(",")[0] == last
 
     def test_single_row_when_step_exceeds_range(self, capsys):
         rc = main(["curve", "--params", "1.0", "2.0", "1.0",

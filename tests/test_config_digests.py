@@ -51,11 +51,11 @@ def cases():
 
 
 GOLDEN = {
-    "dynamics": "2db294f0642830199f91e9990cee3a5109813133a058bb5be6e5bf8309ef1cf1",
-    "example": "8e79f6926b3b5a02f4908626e0652c26db8729d797e9ddcc58f0a428a305b21c",
-    "price_step": "8ed3bdbe3340ac7d72de4bcd9c03015455f73a7f6eb45dbb44980807c77da2ee",
-    "price-series": "ba8c921d68ce0a2e9d533cb5aa70136f34908d3ed007243095d14d808e8b3b12",
-    "explicit-population": "2662fcbf19b7be2444d41a28d20d1a4b02eb3bcd15bdec670bdf2d11dd924ca4",
+    "dynamics": "7ac64b21efa54baabe676cf9d0642bafbd33bc80e2daf9126107940ebe232e43",
+    "example": "193ccc4e7de2194cdaddf823f4c313051c0334fc19caae8dd2233112285edaeb",
+    "price_step": "036338281e852895af62207ee95067e31d7284ad9d1851c175c00fb347a4737a",
+    "price-series": "bf282355c0ed7f31fd9df9d8aec5d37300d8004fbbedff97784b940638930903",
+    "explicit-population": "cd820590922df32dddb49171570206727472ccbfdc707f905c370d79b4f1bd3d",
     "explicit-schedule": "6a8c6a11260d7248966f0df6b2756d4f7b566146129e00a213a8e31cb647185d",
 }
 

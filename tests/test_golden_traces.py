@@ -77,30 +77,30 @@ def trace_digest(config, directory: Path) -> str:
 
 
 GOLDEN = {
-    "dynamics-s0-cutoff": "8af3a3737e5c55ff59e4e592572abe6d4a58842f619aa13e5d2332065cb2ce01",
+    "dynamics-s0-cutoff": "9e97a3fe00891d491d22061f49a65a5a916889e9aaec5e147213132e2f3c54dc",
     "dynamics-s0-constant": "6e5c841e1e0971b83b607e6619a3f56dbe554eee74e747d9384ab48f49286e53",
-    "dynamics-s1-cutoff": "38cd26457a892904d4e9e751dbd4bf4780b5ff590d981a74ccee025c5a5c3ca0",
+    "dynamics-s1-cutoff": "8efcd541a21517f8e5ebbecf69f16a8517a70c33b6fd5039b226ed09357b3c5d",
     "dynamics-s1-constant": "3916b0c916bfc2b3e553000af285cce428cf9cf861c5e13a085632fde208ae3c",
-    "dynamics-s2-cutoff": "8bbc5c4a2e526d5b7bc96cb873b917c24bd8854f0d3fd2b0d4c228bb3a7e53a4",
+    "dynamics-s2-cutoff": "187e4d34d6c2f829cf3d4896892f03c5136ffa925dd01e6f013717f956a9d7a0",
     "dynamics-s2-constant": "5d59b06fab5780204703915956e3b87cd7e9f6d84525f4ccf3958d5b49182283",
-    "example-s0-cutoff": "8af3a3737e5c55ff59e4e592572abe6d4a58842f619aa13e5d2332065cb2ce01",
+    "example-s0-cutoff": "9e97a3fe00891d491d22061f49a65a5a916889e9aaec5e147213132e2f3c54dc",
     "example-s0-constant": "6e5c841e1e0971b83b607e6619a3f56dbe554eee74e747d9384ab48f49286e53",
-    "example-s1-cutoff": "38cd26457a892904d4e9e751dbd4bf4780b5ff590d981a74ccee025c5a5c3ca0",
+    "example-s1-cutoff": "8efcd541a21517f8e5ebbecf69f16a8517a70c33b6fd5039b226ed09357b3c5d",
     "example-s1-constant": "3916b0c916bfc2b3e553000af285cce428cf9cf861c5e13a085632fde208ae3c",
-    "example-s2-cutoff": "8bbc5c4a2e526d5b7bc96cb873b917c24bd8854f0d3fd2b0d4c228bb3a7e53a4",
+    "example-s2-cutoff": "187e4d34d6c2f829cf3d4896892f03c5136ffa925dd01e6f013717f956a9d7a0",
     "example-s2-constant": "5d59b06fab5780204703915956e3b87cd7e9f6d84525f4ccf3958d5b49182283",
-    "price_step-s0-cutoff": "350c242b0e631404e3f7101951299bd14ad2d47db7320aea62b43979845d8289",
+    "price_step-s0-cutoff": "47b7b10749812c1a449fb45e3e53ea59ffe06ed7cea5b082c909de3642340b31",
     "price_step-s0-constant": "e4dc53416fd40c3a75643b735a085d7825d05d985ab5f45e6ad620effe742ecf",
-    "price_step-s1-cutoff": "2fff7e971e43003e27936a7b63c8fcf2452abf07e9fbd855cf30846ba929a5e8",
+    "price_step-s1-cutoff": "f48ced94fc1135655f1d62901bc20d797c0315dca1bccc3fb68aefad40f1228b",
     "price_step-s1-constant": "47a4992a6842c9583368855685b9158e87e994be6d3c52adfecfad6a9526b46d",
-    "price_step-s2-cutoff": "e30ad8b0d25435fea808ae4349aacbc950bb7730fb3d40fc7ec2cf8a808ab314",
+    "price_step-s2-cutoff": "f547a4cbd5f7ded6169fb4404aed6581a206d5757b1efb772448b5a7a26e6f53",
     "price_step-s2-constant": "614e7ea412331802534a38307115baa9c0773f75b0d2035a8af79bdf05b94487",
-    "cliff-s0": "0cae83d3b787eac3d6edbfd9aa5aeb62acfd40591dfd0d7970a4f2870ae79352",
-    "cliff-s1": "ee1b8f77d09966faa7446d0f5fc261a75a618eaabc5249f26f3aebe1a5770763",
-    "cliff-s2": "f9fcd43b621d2c99660a87218230366faad0e954276f91be1391907aa0c8d089",
-    "duty-s0": "d453c60d35b851087aa1066c4f0d408d1f14460995cfed8f87b9b6f5768c531a",
-    "duty-s1": "1972a93d6c36986d0a67cde4f6df533598288b0677b2f5e7bb52e7dafde4c87c",
-    "duty-s2": "b22292a675272a44468fce0deb34129caa885a9dea3adea8b5c26b3a2853da35",
+    "cliff-s0": "e59d925ae6579f9d7e257437a4266ec5f8b20c733146cb1d124f88827b5ed4b3",
+    "cliff-s1": "63102d668589af55f1609ba88696d71d2ce32f264184322f616338948d5ea8e2",
+    "cliff-s2": "dd9129c88c68dc330a68bde9f64522b3649664bc972983c59d8baacb160a2fc3",
+    "duty-s0": "dd7d4e18770b4c7c27e88f8bc6b71515c98cfba06bd3880ed35e6eca4802acb9",
+    "duty-s1": "becf1f59d47e1b76a1296b0bc672e0e6065b5ae1e1dcfaae75d57031819fc34e",
+    "duty-s2": "9903397c17c1b0d0fadc2a519fa81c23923c50d10a6f3ef6c94ce874e85cc308",
 }
 
 

@@ -20,6 +20,7 @@ from pomsim.reward_curve import (
     CutoffParams,
     RewardScheduleParams,
     _golden_max,
+    _unit_peak,
     base_reward,
     calibrate_cutoff,
     calibrate_schedule,
@@ -228,8 +229,10 @@ class TestCalibrateSchedule:
     def test_dimensional_scaling(self):
         s1 = calibrate_schedule(1.75, 2.20, 2.37, 1.0)
         # At k = 1e-4 / 1.75, a lands near 1e4, where one ulp of a is wider
-        # than the search's 1e-12 tolerance.
-        for k in (2.0, 1e-4 / 1.75):
+        # than a 1e-12 tolerance. The other new k need search tolerances
+        # relative to the bracket, and a_lo's margin under the cutoff midpoint
+        # wider than the peak search's resolution.
+        for k in (2.0, 1e-4 / 1.75, 5.7e-7, 1e-5, 1e3, 1e7):
             s2 = calibrate_schedule(1.75 * k, 2.20 * k, 2.37 * k, 1.0)
             assert s2.base.a == pytest.approx(s1.base.a / k, rel=1e-6)
             assert s2.base.b == pytest.approx(s1.base.b / k, rel=1e-6)
@@ -237,6 +240,23 @@ class TestCalibrateSchedule:
             assert s2.cutoff.spread == pytest.approx(s1.cutoff.spread * k, rel=1e-12)
             for d in (1.0, 1.75, 2.3):
                 assert reward(d * k, s2) == pytest.approx(reward(d, s1), rel=1e-6)
+
+    @pytest.mark.parametrize("b_ratio", [1.5, 2.0, 2.5, 3.0, 3.3, 4.0, 5.0, 6.0, 7.0, 10.0])
+    def test_every_scale_calibrates(self, b_ratio):
+        # landmarks scaled by k = 10^(e/4); e steps by 2, or by 1 at the default ratio
+        for e in range(-28, 29, 1 if b_ratio == 4.0 else 2):
+            k = 10.0 ** (e / 4)
+            s = calibrate_schedule(1.75 * k, 2.20 * k, 2.37 * k, 1.0, b_ratio=b_ratio)
+            d_star, r_max = find_peak(s)
+            assert d_star == pytest.approx(1.75 * k, rel=1e-4)
+            assert r_max == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("ratio", [1.5, 4.0, 10.0])
+    def test_unit_peak_scales_to_the_base_peak(self, ratio):
+        for e in range(-7, 8):
+            a = 10.0 ** e
+            base = RewardScheduleParams(BaseCurveParams(a=a, b=ratio * a))
+            assert _unit_peak(ratio * a / a) / a == pytest.approx(find_peak(base)[0], rel=1e-7)
 
     def test_r_max_linearity(self):
         s1 = calibrate_schedule(1.75, 2.20, 2.37, 1.0)
