@@ -111,12 +111,13 @@ def expected_revenue_rate(
     price: float,
     target_interval: float,
 ) -> float:
-    """Expected currency earned per hour at the miner's share of the network."""
-    if total_hash <= 0.0:
-        if m.active:
-            raise InternalError("active miner with zero network hashrate")
-        return 0.0
-    return revenue_rate(m.hashrate, total_hash, block_reward, price, target_interval)
+    """Expected currency earned per hour at the miner's share of the network:
+    for an inactive miner, the share it would hold after joining, as the
+    simulator judges it, so on an empty network that share is 1."""
+    if m.active and total_hash <= 0.0:
+        raise InternalError("active miner with zero network hashrate")
+    joined = total_hash if m.active else m.hashrate + total_hash
+    return revenue_rate(m.hashrate, joined, block_reward, price, target_interval)
 
 
 def decide(

@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -15,10 +16,10 @@ import numpy as np
 
 from . import __version__
 from .config import load_config, schedule_from_dict
-from .errors import ConfigError, PomSimError
+from .errors import ConfigError, InternalError, PomSimError
 from .metrics import compare
 from .reward_curve import base_reward, calibrate_schedule, cutoff_factor, reward
-from .simulator import read_series_csv, run, schedule_max, write_series_csv
+from .simulator import RunSummary, read_series_csv, run, schedule_max, write_series_csv
 
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
@@ -77,6 +78,16 @@ def cmd_curve(args) -> int:
     return 0
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    """Write `obj` as sorted, indented JSON; a non-finite number is an `InternalError`."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # JSON has no Infinity or NaN
+        keys = [k for k, v in obj.items() if isinstance(v, float) and not math.isfinite(v)]
+        raise InternalError(f"{path}: {', '.join(keys) or exc} not finite") from exc
+    path.write_text(text + "\n", encoding="utf-8")
+
+
 def _run_one(config, seed: int, out_dir: str) -> dict:
     cfg = dataclasses.replace(config, seed=seed)
     series = run(cfg)
@@ -85,9 +96,7 @@ def _run_one(config, seed: int, out_dir: str) -> dict:
     write_series_csv(series, run_dir / "blocks.csv")
     summary = {"seed": seed, "config_digest": series.config_digest}
     summary.update(dataclasses.asdict(series.summary))
-    with open(run_dir / "summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(run_dir / "summary.json", summary)
     return summary
 
 
@@ -128,22 +137,16 @@ def cmd_run(args) -> int:
         return EXIT_INTERNAL
 
     def med(key):
-        vals = [s[key] for s in summaries if s.get(key) is not None]
+        vals = [s[key] for s in summaries if s[key] is not None]
         return float(np.median(vals)) if vals else None
 
     aggregate = {
         "config_digest": summaries[0]["config_digest"],
         "seeds": seeds,
-        "median_mean_hashrate": med("mean_hashrate"),
-        "median_mean_interval": med("mean_interval"),
-        "median_mean_share": med("mean_share"),
-        "median_initial_hashrate": med("initial_hashrate"),
-        "median_initial_share": med("initial_large_share"),
+        **{f"median_{f.name}": med(f.name) for f in dataclasses.fields(RunSummary)},
         "runs": summaries,
     }
-    with open(Path(args.out) / "aggregate.json", "w", encoding="utf-8") as f:
-        json.dump(aggregate, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(Path(args.out) / "aggregate.json", aggregate)
     return 0
 
 
@@ -176,8 +179,7 @@ def cmd_compare(args) -> int:
         for seed in sorted(base_runs):
             base = read_series_csv(base_runs[seed])
             treat = read_series_csv(treat_runs[seed])
-            burn_in = args.burn_in if args.burn_in is not None else len(base) // 5
-            deltas = compare(base, treat, burn_in)
+            deltas = compare(base, treat, args.burn_in)
             rows.append({"seed": seed, **dataclasses.asdict(deltas)})
     except PomSimError as exc:
         print(f"error: seed {seed}: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -12,16 +12,22 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class EquilibriumSummary:
-    mean_hashrate: float
-    std_hashrate: float
-    mean_interval: float
-    std_interval: float
-    mean_share: float
-    std_share: float
+    """Post-burn-in means and stddevs; a run with no blocks has none (`None`)."""
+
+    burn_in: int
+    mean_hashrate: Optional[float] = None
+    std_hashrate: Optional[float] = None
+    mean_interval: Optional[float] = None
+    std_interval: Optional[float] = None
+    mean_share: Optional[float] = None
+    std_share: Optional[float] = None
 
 
-def equilibrium_summary(records: Sequence, burn_in: int) -> EquilibriumSummary:
-    """Post-burn-in time averages (and stddevs) of hashrate, interval, share."""
+def equilibrium_summary(records: Sequence, burn_in: Optional[int] = None) -> EquilibriumSummary:
+    """Post-burn-in time averages (and stddevs) of hashrate, interval, share;
+    the burn-in defaults to the first fifth of the series."""
+    if burn_in is None:
+        burn_in = len(records) // 5
     if burn_in >= len(records):
         raise DomainError(f"burn_in {burn_in} must be below series length {len(records)}")
     if burn_in < 0:
@@ -33,6 +39,7 @@ def equilibrium_summary(records: Sequence, burn_in: int) -> EquilibriumSummary:
     shares = np.array([r.large_miner_share for r in tail])
     iv = intervals[burn_in:]
     return EquilibriumSummary(
+        burn_in=burn_in,
         mean_hashrate=float(hs.mean()),
         std_hashrate=float(hs.std()),
         mean_interval=float(iv.mean()),
@@ -53,7 +60,9 @@ class ComparisonDeltas:
     share_ratio: float
 
 
-def compare(baseline: Sequence, treatment: Sequence, burn_in: int) -> ComparisonDeltas:
+def compare(
+    baseline: Sequence, treatment: Sequence, burn_in: Optional[int] = None
+) -> ComparisonDeltas:
     if len(baseline) != len(treatment):
         raise DomainError(
             f"horizon mismatch: baseline {len(baseline)} vs treatment {len(treatment)}"

@@ -119,20 +119,22 @@ def reward(d: float, s: RewardScheduleParams) -> float:
 
 
 def find_peak(
-    s: RewardScheduleParams, lo: float = 1e-12, hi: Optional[float] = None
+    s: RewardScheduleParams, lo: Optional[float] = None, hi: Optional[float] = None
 ) -> tuple[float, float]:
     """Maximize the schedule on [lo, hi] by golden-section search.
 
     A caller's bracket must hold a single maximum.  The default is the
-    schedule's peak bracket: from 1e-12 to 20 / a, where exp(-a d) is
-    exp(-20), or to d_co + 20 * spread, where the cutoff factor is below
-    exp(-20), whichever comes first.
+    schedule's peak bracket: from 1e-12 · min(1, hi) to 20 / a, where
+    exp(-a d) is exp(-20), or to d_co + 20 * spread, where the cutoff factor
+    is below exp(-20), whichever comes first.
     Returns (d_star, r_max), d_star located to 1e-9 · min(1, hi).
     """
     if hi is None:
         hi = 20.0 / s.base.a
         if s.cutoff is not None:
             hi = min(hi, s.cutoff.d_co + 20.0 * s.cutoff.spread)
+    if lo is None:  # relative to the bracket, as the tolerance is
+        lo = 1e-12 * min(1.0, hi)
     return _golden_max(lambda d: reward(d, s), lo, hi, 1e-9)
 
 

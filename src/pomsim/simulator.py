@@ -20,7 +20,7 @@ import operator
 import os
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
@@ -31,7 +31,7 @@ from .agents import flips, generate_population, pom_credit, revenue_rate
 from .config import EconomicsConfig, PricePath, RetargetConfig, SimConfig  # noqa: F401
 from .difficulty import RetargetState, hash_to_difficulty, retarget
 from .errors import ConfigError, InternalError
-from .metrics import equilibrium_summary
+from .metrics import EquilibriumSummary, equilibrium_summary
 from .reward_curve import RewardScheduleParams, find_peak, reward
 
 _MAX_STALL_QUANTA = 100_000
@@ -52,18 +52,13 @@ class BlockRecord(NamedTuple):
     large_miner_share: float
 
 
-@dataclass
-class RunSummary:
+@dataclass(frozen=True, kw_only=True)
+class RunSummary(EquilibriumSummary):
+    """A run's equilibrium summary plus its genesis figures and peak reward."""
+
     initial_hashrate: float
     initial_large_share: float
     r_max: float
-    burn_in: int
-    mean_hashrate: Optional[float] = None
-    std_hashrate: Optional[float] = None
-    mean_interval: Optional[float] = None
-    std_interval: Optional[float] = None
-    mean_share: Optional[float] = None
-    std_share: Optional[float] = None
 
 
 @dataclass
@@ -317,6 +312,11 @@ def step(
 
     d = state.retarget_state.current_difficulty
     interval = float(rng.exponential(d / (state.kappa * total)))
+    if not state.clock + interval > state.clock:
+        raise InternalError(
+            f"block interval {interval!r} s does not advance the clock {state.clock!r} s "
+            f"at height {state.height}"
+        )
     state.clock += interval
 
     # winner proportional to available hashrate
@@ -439,23 +439,20 @@ def run(config: SimConfig) -> RunSeries:
     """Execute the configured horizon from genesis; deterministic per seed."""
     rng = np.random.default_rng(config.seed)
     state = initial_state(config, rng)
-    h0 = float(state.hashrate[state.active].sum())
-    large0 = float(state.hashrate[state.active & state.is_large].sum())
-    share0 = large0 / h0 if h0 > 0 else 0.0
+    h0 = state.total  # at height 0 no duty phase is off, so this is the active total
+    large0 = float(state.hashrate[state.avail & state.is_large].sum())
 
     records: list[BlockRecord] = []
     for _ in range(config.horizon):
         state, rec = step(state, config, rng)
         records.append(rec)
 
-    burn_in = config.horizon // 5
-    stats = asdict(equilibrium_summary(records, burn_in)) if records else {}
+    eq = equilibrium_summary(records) if records else EquilibriumSummary(burn_in=0)
     summary = RunSummary(
+        **vars(eq),
         initial_hashrate=h0,
-        initial_large_share=share0,
+        initial_large_share=large0 / h0 if h0 > 0 else 0.0,
         r_max=state.r_max,
-        burn_in=burn_in,
-        **stats,
     )
     return RunSeries(config_digest=config.digest(), records=records, summary=summary)
 

@@ -14,6 +14,7 @@ from pomsim.agents import (
     expected_revenue_rate,
     generate_population,
     pom_multiplier,
+    revenue_rate,
 )
 from pomsim.errors import InternalError, ParameterError
 
@@ -44,8 +45,16 @@ class TestRevenueRate:
         with pytest.raises(InternalError):
             expected_revenue_rate(miner(active=True), 0.0, 1.0, 1.0, 120.0)
 
-    def test_zero_total_inactive_is_zero(self):
-        assert expected_revenue_rate(miner(active=False), 0.0, 1.0, 1.0, 120.0) == 0.0
+    def test_zero_total_inactive_earns_the_whole_reward(self):
+        # on an empty network a miner that joins holds all of it: this lets the network restart
+        assert expected_revenue_rate(miner(active=False), 0.0, 1.0, 1.0, 120.0) == 30.0
+
+    @pytest.mark.parametrize("h,total", [(10.0, 10.0), (1.0, 0.0), (0.3, 115.0), (24.0, 1e-9)])
+    def test_inactive_miner_is_judged_by_its_share_after_joining(self, h, total):
+        # the value `simulator._decision_pass` judges an inactive miner by
+        m = miner(hashrate=h, active=False)
+        want = revenue_rate(h, h + total, 9.0, 30.0, 120.0)
+        assert expected_revenue_rate(m, total, 9.0, 30.0, 120.0) == want
 
 
 @pytest.mark.parametrize("field", ["hashrate", "unit_cost"])

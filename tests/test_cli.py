@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -9,7 +10,8 @@ import pytest
 
 import pomsim
 from pomsim import cli
-from pomsim.cli import EXIT_USAGE, main
+from pomsim.cli import EXIT_INTERNAL, EXIT_USAGE, main
+from pomsim.simulator import RunSummary
 
 
 @pytest.fixture
@@ -50,6 +52,13 @@ class TestCurve:
                    "--range", "0", "3000", "--step", "250"])
         assert rc == 0
         assert "found d_star=1750\n" in capsys.readouterr().err
+
+    def test_landmark_table_below_the_old_bracket_end(self, capsys):
+        # the peak bracket ends below 1e-12; its lower end scales with it
+        rc = main(["curve", "--landmarks", "1.75e-13", "2.2e-13", "2.37e-13",
+                   "--range", "0", "3e-13", "--step", "1e-14"])
+        assert rc == 0
+        assert "found d_star=1.75e-13\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("hi,step,rows,last", [
         ("1000", "0.1", 10_001, "1000.0"),
@@ -104,6 +113,17 @@ class TestRun:
             summary = json.loads((out / f"seed_{seed}" / "summary.json").read_text())
             assert summary["seed"] == seed
             assert summary["config_digest"] == agg["config_digest"]
+
+    def test_result_files_hold_one_key_per_summary_field(self, small_config, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["run", "--config", str(small_config), "--seeds", "2", "--out", str(out)]) == 0
+        fields = {f.name for f in dataclasses.fields(RunSummary)}
+        summary = json.loads((out / "seed_3" / "summary.json").read_text())
+        assert set(summary) == fields | {"seed", "config_digest"}
+        agg = json.loads((out / "aggregate.json").read_text())
+        assert {k for k in agg if k.startswith("median_")} == {f"median_{f}" for f in fields}
+        assert set(agg) - {f"median_{f}" for f in fields} == {"config_digest", "seeds", "runs"}
+        assert agg["median_burn_in"] == 30.0
 
     def test_deterministic_across_invocations(self, small_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -173,6 +193,29 @@ class TestRun:
         assert main(["run", "--config", str(small_config), "--seeds", "2", "--out", str(out)]) == 0
         assert pools == [2]
         assert (out / "seed_4" / "blocks.csv").is_file()
+
+    @staticmethod
+    def dynamics_config(tmp_path, **overrides):
+        cfg = {**json.loads(Path("configs/dynamics.json").read_text()), "horizon": 300}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**cfg, **overrides}))
+        return path
+
+    def test_a_block_that_does_not_advance_the_clock_is_an_internal_error(self, tmp_path, capsys):
+        cfg = self.dynamics_config(tmp_path, rate_constant=1e300)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INTERNAL
+        assert "does not advance the clock 7050.0 s at height 29" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_non_finite_summary_is_an_internal_error(self, tmp_path, capsys):
+        # intervals near 1e297 s: their stddev overflows, and JSON has no Infinity
+        miner = {"hashrate": 1e-300, "unit_cost": 0.5}
+        cfg = self.dynamics_config(tmp_path, population={"explicit": [miner]})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert f"{out / 'seed_0' / 'summary.json'}: std_interval not finite" in err
+        assert not (out / "seed_0" / "summary.json").exists()
 
     def test_unknown_key_names_field_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -30,6 +30,13 @@ def record(height, timestamp, total_hash=10.0, share=0.0):
 
 
 class TestEquilibriumSummary:
+    def test_burn_in_defaults_to_a_fifth_of_the_series(self):
+        recs = [record(i, 120.0 * (i + 1) + i % 3, share=0.1 * (i % 4)) for i in range(53)]
+        s = equilibrium_summary(recs)
+        assert s.burn_in == 10
+        assert s == equilibrium_summary(recs, burn_in=10)
+        assert compare(recs, recs) == compare(recs, recs, burn_in=10)
+
     def test_constant_series(self):
         recs = [record(i, 120.0 * (i + 1), total_hash=40.0, share=0.25) for i in range(10)]
         s = equilibrium_summary(recs, burn_in=2)

@@ -231,8 +231,10 @@ class TestCalibrateSchedule:
         # At k = 1e-4 / 1.75, a lands near 1e4, where one ulp of a is wider
         # than a 1e-12 tolerance. The other new k need search tolerances
         # relative to the bracket, and a_lo's margin under the cutoff midpoint
-        # wider than the peak search's resolution.
-        for k in (2.0, 1e-4 / 1.75, 5.7e-7, 1e-5, 1e3, 1e7):
+        # wider than the peak search's resolution. From 1e-13 down, the peak
+        # bracket ends below 1e-12, so its lower end must be relative too.
+        for k in (2.0, 1e-4 / 1.75, 5.7e-7, 1e-5, 1e3, 1e7,
+                  1e-13, 1e-20, 1e-50, 1e-100, 1e-200, 1e-290, 1e-300):
             s2 = calibrate_schedule(1.75 * k, 2.20 * k, 2.37 * k, 1.0)
             assert s2.base.a == pytest.approx(s1.base.a / k, rel=1e-6)
             assert s2.base.b == pytest.approx(s1.base.b / k, rel=1e-6)

@@ -22,10 +22,12 @@ from pomsim.config import config_from_dict, load_config
 from pomsim import simulator
 from pomsim.difficulty import hash_to_difficulty, retarget
 from pomsim.errors import ConfigError, InternalError, ParameterError
+from pomsim.metrics import EquilibriumSummary, equilibrium_summary
 from pomsim.simulator import (
     BlockRecord,
     EconomicsConfig,
     PricePath,
+    RunSummary,
     SimConfig,
     _decision_pass,
     initial_state,
@@ -139,6 +141,15 @@ class TestDegenerateRuns:
         assert series.records == []
         assert series.summary.mean_hashrate is None
         assert series.summary.initial_hashrate > 0.0
+
+    def test_summary_is_the_equilibrium_summary_plus_the_genesis_figures(self):
+        own = set(RunSummary.__annotations__)  # the fields RunSummary declares itself
+        assert own == {"initial_hashrate", "initial_large_share", "r_max"}
+        assert not own & {f.name for f in dataclasses.fields(EquilibriumSummary)}
+        series = run(make_config(horizon=120))
+        eq = equilibrium_summary(series.records)
+        assert {k: getattr(series.summary, k) for k in vars(eq)} == vars(eq)
+        assert series.summary.burn_in == 24
 
     def test_single_miner_wins_everything(self):
         cfg = make_config(
@@ -321,6 +332,15 @@ class TestStallRecovery:
         assert all(r.active_miner_count == 1 for r in series.records)
 
 
+    def test_a_block_that_does_not_advance_the_clock_is_an_error(self):
+        # intervals near 1e-300 s are lost in a clock of thousands of seconds
+        cfg = dataclasses.replace(
+            load_config("configs/dynamics.json"), horizon=300, rate_constant=1e300
+        )
+        with pytest.raises(InternalError, match=r"^block interval .* s does not advance the "
+                           r"clock 7050\.0 s at height 29$"):
+            run(cfg)
+
     def test_stall_error_carries_the_state(self, monkeypatch):
         # two costly full-time miners leave, and the duty miners that stay active are
         # in their off phase: the stall loop does not advance the height, so the
@@ -362,9 +382,8 @@ class TestVectorizedDecisions:
         block_reward, price = 4.2, 30.0
 
         expected = []
-        for m in agents:
-            prospective = total if m.active else total + m.hashrate
-            rev = expected_revenue_rate(m, prospective, block_reward, price, 120.0)
+        for m in agents:  # an inactive miner is judged by its share after joining
+            rev = expected_revenue_rate(m, total, block_reward, price, 120.0)
             expected.append(
                 decide(m, rev, cfg.economics.margin_on, cfg.economics.margin_off, dwell=0).active
             )
