@@ -78,26 +78,33 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    """Write `obj` as sorted, indented JSON; a non-finite number is an `InternalError`."""
+def _json_text(path: Path, obj: dict) -> str:
+    """`obj` as sorted, indented JSON for `path`; a non-finite number is an `InternalError`."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # JSON has no Infinity or NaN
         keys = [k for k, v in obj.items() if isinstance(v, float) and not math.isfinite(v)]
         raise InternalError(f"{path}: {', '.join(keys) or exc} not finite") from exc
-    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _run_one(config, seed: int, out_dir: str) -> dict:
     cfg = dataclasses.replace(config, seed=seed)
     series = run(cfg)
     run_dir = Path(out_dir) / f"seed_{seed}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_series_csv(series, run_dir / "blocks.csv")
     summary = {"seed": seed, "config_digest": series.config_digest}
     summary.update(dataclasses.asdict(series.summary))
-    _write_json(run_dir / "summary.json", summary)
+    # checked before either file is written, so a failed seed leaves no partial run
+    text = _json_text(run_dir / "summary.json", summary)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_series_csv(series, run_dir / "blocks.csv")
+    (run_dir / "summary.json").write_text(text, encoding="utf-8")
     return summary
+
+
+def _median(rows: list[dict], key: str) -> float | None:
+    """The median of `key` over the rows where it is not None; None if there are none."""
+    vals = [r[key] for r in rows if r[key] is not None]
+    return float(np.median(vals)) if vals else None
 
 
 def cmd_run(args) -> int:
@@ -136,17 +143,14 @@ def cmd_run(args) -> int:
         print(f"error: simulation failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    def med(key):
-        vals = [s[key] for s in summaries if s[key] is not None]
-        return float(np.median(vals)) if vals else None
-
     aggregate = {
         "config_digest": summaries[0]["config_digest"],
         "seeds": seeds,
-        **{f"median_{f.name}": med(f.name) for f in dataclasses.fields(RunSummary)},
+        **{f"median_{f.name}": _median(summaries, f.name) for f in dataclasses.fields(RunSummary)},
         "runs": summaries,
     }
-    _write_json(Path(args.out) / "aggregate.json", aggregate)
+    path = Path(args.out) / "aggregate.json"
+    path.write_text(_json_text(path, aggregate), encoding="utf-8")
     return 0
 
 
@@ -192,10 +196,8 @@ def cmd_compare(args) -> int:
         w.writeheader()
         for row in rows:
             w.writerow({k: (v if k == "seed" else repr(v)) for k, v in row.items()})
-        medians = {
-            k: float(np.median([r[k] for r in rows])) for k in fields if k != "seed"
-        }
-        w.writerow({"seed": "median", **{k: repr(v) for k, v in medians.items()}})
+        medians = {k: repr(_median(rows, k)) for k in fields if k != "seed"}
+        w.writerow({"seed": "median", **medians})
     finally:
         if args.out:
             out.close()

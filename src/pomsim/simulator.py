@@ -21,7 +21,7 @@ import os
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -75,6 +75,8 @@ class NetworkState:
 
     Availability (`avail`) and the aggregates taken over it are kept until an
     event changes them: a flip (`stale`) or a duty-phase edge (`next_edge`).
+    Then `_refresh` takes them all anew in one step, with the next edge, and
+    opens an epoch in the availability log.
     A miner's dwell is the decision pass from which it may flip again; `due`
     maps each such pass still to come to its miners.  The miners out of their
     dwell sit in two lists ordered by their fixed keys: `ready_active` by
@@ -107,54 +109,42 @@ class NetworkState:
     avail: np.ndarray  # availability at `height`; a new array on each refresh
     stale: bool  # a flip happened since `avail` was taken
     total: float  # pairwise sum of the available hashrates
-    cum: Optional[np.ndarray]  # cumsum for the winner draw; None until taken for `avail`
+    cum: np.ndarray  # cumsum over `avail` for the winner draw
     count: int  # available miners
     large_share: float  # share of `total` held by large miners
-    # availability log, one epoch per refresh that reached a block: the height
-    # it starts at, its availability, and each miner's available blocks before it
+    # availability log, one epoch per refresh: the height it starts at, its
+    # availability, and each miner's available blocks before it.  A refresh in a
+    # stall quantum opens an epoch at the height of the one before it; that
+    # epoch has zero length and adds nothing to any count
     epoch_start: list[int]
     epoch_avail: list[np.ndarray]
     epoch_count: list[np.ndarray]
 
 
-def _available(state: NetworkState) -> np.ndarray:
-    """Miners able to mine at `state.height`, as a new array."""
-    if not state.has_duty:
-        return state.active.copy()
-    duty = state.duty_on > 0
-    period = state.duty_on + state.duty_off
-    phase = state.height % np.maximum(period, 1)
-    return state.active & ~(duty & (phase >= state.duty_on))
+def _refresh(state: NetworkState, window: int) -> None:
+    """Take availability at `state.height` anew, with its aggregates and next duty edge.
 
-
-def _next_edge(state: NetworkState) -> float:
-    """The first height after `state.height` at which some duty phase turns."""
-    if not state.has_duty:
-        return math.inf
-    duty = state.duty_on > 0
-    on = state.duty_on[duty]
-    period = on + state.duty_off[duty]
-    phase = state.height % period
-    return state.height + int(np.where(phase < on, on - phase, period - phase).min())
-
-
-def _refresh(state: NetworkState) -> None:
-    """Take availability anew, with the network total over it."""
-    state.avail = _available(state)
-    state.total = float(np.add.reduce(state.hashrate[state.avail]))
-    state.cum = None
-    state.stale = False
-
-
-def _aggregate(state: NetworkState, window: int) -> None:
-    """The block aggregates of a new availability, which opens a log epoch.
-
-    Epochs that ended before the last `window` blocks are dropped.
+    The new availability opens a log epoch at this height; epochs that ended
+    before the last `window` blocks are dropped.
     """
-    avail, h, b = state.avail, state.hashrate, state.height
+    h, b = state.hashrate, state.height
+    if state.has_duty:
+        on, duty = state.duty_on, state.duty_on > 0
+        period = on + state.duty_off
+        phase = b % np.maximum(period, 1)
+        avail = state.active & ~(duty & (phase >= on))
+        to_edge = np.where(phase < on, on - phase, period - phase)
+        state.next_edge = b + int(to_edge[duty].min())
+    else:
+        avail = state.active.copy()
+    total = float(np.add.reduce(h[avail]))
+    large = float(np.add.reduce(h[avail & state.is_large]))
+    state.avail = avail
+    state.stale = False
+    state.total = total
     state.cum = (h * avail).cumsum()
     state.count = int(np.count_nonzero(avail))
-    state.large_share = float(np.add.reduce(h[avail & state.is_large])) / state.total
+    state.large_share = large / total if total > 0.0 else 0.0
     starts, avails, counts = state.epoch_start, state.epoch_avail, state.epoch_count
     counts.append(counts[-1] + avails[-1] * (b - starts[-1]))
     old = bisect_right(starts, b - window) - 1
@@ -283,10 +273,9 @@ def step(
     decaying difficulty and re-running decisions until someone re-enters.
     """
     price = config.price.at(state.height)
+    window = config.pom.window
     if state.stale or state.height >= state.next_edge:
-        _refresh(state)
-        if state.height >= state.next_edge:
-            state.next_edge = _next_edge(state)
+        _refresh(state, window)
 
     stalls = 0
     while state.total <= 0.0:
@@ -307,7 +296,7 @@ def step(
         r = _block_reward(config, d, state.r_max)
         _decision_pass(state, config, rng, r, price, 0.0)
         if state.stale:
-            _refresh(state)
+            _refresh(state, window)
     total = state.total
 
     d = state.retarget_state.current_difficulty
@@ -321,15 +310,13 @@ def step(
 
     # winner proportional to available hashrate
     u = rng.random() * total
-    if state.cum is None:
-        _aggregate(state, config.pom.window)
     cum = state.cum
     widx = int(cum.searchsorted(u, "right"))
     if widx == len(cum):  # u is past cum[-1] by rounding: take the last available miner
         widx = int(cum.searchsorted(cum[-1]))
 
     raw = _block_reward(config, d, state.r_max)
-    mult = pom_credit(_window_count(state, widx, config.pom.window), state.height, config.pom)
+    mult = pom_credit(_window_count(state, widx, window), state.height, config.pom)
     record = BlockRecord(
         height=state.height,
         timestamp=state.clock,
@@ -423,15 +410,14 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         avail=active,
         stale=True,
         total=0.0,
-        cum=None,
+        cum=np.zeros(0),
         count=0,
         large_share=0.0,
         epoch_start=[0],  # an empty epoch before the first block's
         epoch_avail=[np.zeros(n, dtype=bool)],
         epoch_count=[np.zeros(n, dtype=int)],
     )
-    _refresh(state)
-    state.next_edge = _next_edge(state)
+    _refresh(state, config.pom.window)
     return state
 
 
@@ -439,8 +425,7 @@ def run(config: SimConfig) -> RunSeries:
     """Execute the configured horizon from genesis; deterministic per seed."""
     rng = np.random.default_rng(config.seed)
     state = initial_state(config, rng)
-    h0 = state.total  # at height 0 no duty phase is off, so this is the active total
-    large0 = float(state.hashrate[state.avail & state.is_large].sum())
+    h0, large0 = state.total, state.large_share  # the genesis refresh's
 
     records: list[BlockRecord] = []
     for _ in range(config.horizon):
@@ -451,7 +436,7 @@ def run(config: SimConfig) -> RunSeries:
     summary = RunSummary(
         **vars(eq),
         initial_hashrate=h0,
-        initial_large_share=large0 / h0 if h0 > 0 else 0.0,
+        initial_large_share=large0,
         r_max=state.r_max,
     )
     return RunSeries(config_digest=config.digest(), records=records, summary=summary)

@@ -194,6 +194,22 @@ class TestRun:
         assert pools == [2]
         assert (out / "seed_4" / "blocks.csv").is_file()
 
+    def test_worker_pool_writes_the_serial_tree(self, small_config, tmp_path, monkeypatch):
+        # two real worker processes for three seeds
+        trees = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("POM_SIM_THREADS", threads)
+            out = tmp_path / f"threads_{threads}"
+            argv = ["run", "--config", str(small_config), "--seeds", "3", "--out", str(out)]
+            assert main(argv) == 0
+            trees[threads] = {
+                str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+            }
+        assert set(trees["2"]) == {"aggregate.json"} | {
+            f"seed_{s}/{name}" for s in (3, 4, 5) for name in ("blocks.csv", "summary.json")
+        }
+        assert trees["2"] == trees["1"]
+
     @staticmethod
     def dynamics_config(tmp_path, **overrides):
         cfg = {**json.loads(Path("configs/dynamics.json").read_text()), "horizon": 300}
@@ -216,6 +232,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"{out / 'seed_0' / 'summary.json'}: std_interval not finite" in err
         assert not (out / "seed_0" / "summary.json").exists()
+        assert not (out / "seed_0" / "blocks.csv").exists()
 
     def test_unknown_key_names_field_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 from collections import Counter, deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -315,6 +316,63 @@ class TestDutyCycle:
             mults.append(rec.pom_multiplier)
         assert mults[:window] == [1.0] * window
         assert min(mults[window:]) < 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        miners=st.lists(
+            st.tuples(
+                st.floats(0.5, 20.0),
+                st.floats(0.0, 2.0),
+                st.none() | st.tuples(st.integers(1, 60), st.integers(0, 60)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        horizon=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_aggregates_are_a_dense_recount_of_availability(self, miners, horizon, seed):
+        cfg = dataclasses.replace(
+            load_config("configs/dynamics.json"),
+            horizon=horizon,
+            seed=seed,
+            explicit_population=[
+                explicit_miner(f"m{i}", h, unit_cost=c, duty=duty)
+                for i, (h, c, duty) in enumerate(miners)
+            ],
+        )
+        hashrate = np.array([h for h, _, _ in miners])
+        is_large = hashrate > cfg.large_threshold
+        passes = []  # each decision pass's state.active, taken as it starts
+
+        def recorded(state, *args):
+            passes.append(state.active.copy())
+            return decision_pass(state, *args)
+
+        decision_pass = simulator._decision_pass
+        rng = np.random.default_rng(seed)
+        state = initial_state(cfg, rng)
+        with (
+            mock.patch.object(simulator, "_decision_pass", recorded),
+            mock.patch.object(simulator, "_MAX_STALL_QUANTA", 1000),
+        ):
+            for _ in range(horizon):
+                try:
+                    state, rec = step(state, cfg, rng)
+                except InternalError as exc:  # a stall that does not end soon
+                    assert "network stalled" in str(exc)
+                    break
+                # the block's pass is the step's last, and no flip came between it and the draw
+                active = passes[-1]
+                avail = np.array([
+                    bool(active[i]) and (duty is None or rec.height % sum(duty) < duty[0])
+                    for i, (_, _, duty) in enumerate(miners)
+                ])
+                total = float(np.add.reduce(hashrate[avail]))
+                assert rec.active_miner_count == np.count_nonzero(avail)
+                assert rec.total_hash == total
+                assert rec.large_miner_share == np.add.reduce(hashrate[avail & is_large]) / total
+                assert avail[state.ids.index(rec.winner)]
 
 
 class TestStallRecovery:
