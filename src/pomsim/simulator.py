@@ -76,7 +76,10 @@ class NetworkState:
     Availability (`avail`) and the aggregates taken over it are kept until an
     event changes them: a flip (`stale`) or a duty-phase edge (`next_edge`).
     Then `_refresh` takes them all anew in one step, with the next edge, and
-    opens an epoch in the availability log.
+    opens an epoch in the availability log.  The aggregates are taken over
+    the available miners only (`idx`): `cum[k]`, the sequential sum of the
+    first k + 1 of their hashrates, is the dense `(hashrate * avail).cumsum()`
+    at `idx[k]`, bit for bit, since adding a zero changes no sum.
     A miner's dwell is the decision pass from which it may flip again; `due`
     maps each such pass still to come to its miners.  The miners out of their
     dwell sit in two lists ordered by their fixed keys: `ready_active` by
@@ -109,8 +112,8 @@ class NetworkState:
     avail: np.ndarray  # availability at `height`; a new array on each refresh
     stale: bool  # a flip happened since `avail` was taken
     total: float  # pairwise sum of the available hashrates
-    cum: np.ndarray  # cumsum over `avail` for the winner draw
-    count: int  # available miners
+    idx: np.ndarray  # the available miners, ascending; their count is its length
+    cum: np.ndarray  # cumsum of their hashrates, for the winner draw
     large_share: float  # share of `total` held by large miners
     # availability log, one epoch per refresh: the height it starts at, its
     # availability, and each miner's available blocks before it.  A refresh in a
@@ -137,13 +140,15 @@ def _refresh(state: NetworkState, window: int) -> None:
         state.next_edge = b + int(to_edge[duty].min())
     else:
         avail = state.active.copy()
-    total = float(np.add.reduce(h[avail]))
-    large = float(np.add.reduce(h[avail & state.is_large]))
+    idx = avail.nonzero()[0]
+    ha = h[idx]
+    total = float(np.add.reduce(ha))
+    large = float(np.add.reduce(ha[state.is_large[idx]]))
     state.avail = avail
     state.stale = False
     state.total = total
-    state.cum = (h * avail).cumsum()
-    state.count = int(np.count_nonzero(avail))
+    state.idx = idx
+    state.cum = ha.cumsum()
     state.large_share = large / total if total > 0.0 else 0.0
     starts, avails, counts = state.epoch_start, state.epoch_avail, state.epoch_count
     counts.append(counts[-1] + avails[-1] * (b - starts[-1]))
@@ -198,7 +203,12 @@ def _decision_pass(
     active miner with off_cost / hashrate >= x * (1 - margin) or an inactive
     one with on_cost / hashrate <= x * (1 + margin) can flip: the top of
     `ready_active` and the bottom of `ready_inactive`, found by bisection.
-    Only those are judged.
+    By the same margin an active miner with off_cost / hashrate above
+    x * (1 + margin) earns less than its off_cost and leaves for certain, so
+    a third bisection takes those as one slice, unjudged.  Only the active
+    miners with keys within x * (1 ± margin) and the inactive ones up to
+    x * (1 + margin) are judged.  (No entry is certain: an inactive miner's
+    share after joining is below hashrate / total.)
 
     The margin covers the rounding only while no product in a revenue or in
     x leaves the normal range, so the test runs only at the totals in
@@ -230,15 +240,16 @@ def _decision_pass(
         if (not on or on[-1][0] < lo) and (not off or off[0][0] > hi):
             return
         j = bisect_left(on, (lo,))
+        m = bisect_right(on, (hi, math.inf))
         k = bisect_right(off, (hi, math.inf))
     else:  # a stall, or magnitudes at which rounding may leave the margin
-        j = 0
+        j, m = 0, len(on)
         # an inactive miner's share h / (h + total) is at most 1
         top = revenue_rate(1.0, 1.0, block_reward, price, t)
         k = len(off) if off and min(map(_ON_COST, off)) <= top else 0
     total = max(total_hash, 1e-300)
-    leave, stay = [], []
-    for e in on[j:]:
+    leave, stay = on[m:], []  # above x * (1 + margin) an active miner leaves for certain
+    for e in on[j:m]:
         rev = revenue_rate(e[2], total, block_reward, price, t)
         (leave if flips(True, rev, e[3], e[4]) else stay).append(e)
     enter, wait = [], []
@@ -257,8 +268,11 @@ def _decision_pass(
     act = state.active
     for e in back:
         act[e[1]] = e[5]
-    base = config.economics.dwell
-    jitters = rng.integers(0, base, len(back)).tolist() if base > 0 else [0] * len(back)
+    base, n = config.economics.dwell, len(back)
+    if base > 0 and n <= 2:  # n scalar draws: the values and generator state of one of size n, sooner
+        jitters = [int(rng.integers(base)) for _ in range(n)]
+    else:
+        jitters = rng.integers(0, base, n).tolist() if base > 0 else [0] * n
     due, q = state.due, p + 1 + base
     for e, jitter in zip(back, jitters):
         due[q + jitter].append(e)
@@ -311,9 +325,10 @@ def step(
     # winner proportional to available hashrate
     u = rng.random() * total
     cum = state.cum
-    widx = int(cum.searchsorted(u, "right"))
-    if widx == len(cum):  # u is past cum[-1] by rounding: take the last available miner
-        widx = int(cum.searchsorted(cum[-1]))
+    k = cum.searchsorted(u, "right")
+    if k == len(cum):  # u is past cum[-1] by rounding: take the last available miner
+        k = cum.searchsorted(cum[-1])
+    widx = int(state.idx[k])
 
     raw = _block_reward(config, d, state.r_max)
     mult = pom_credit(_window_count(state, widx, window), state.height, config.pom)
@@ -326,7 +341,7 @@ def step(
         raw_reward=raw,
         pom_multiplier=mult,
         credited_reward=raw * mult,
-        active_miner_count=state.count,
+        active_miner_count=len(state.idx),
         large_miner_share=state.large_share,
     )
 
@@ -410,8 +425,8 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         avail=active,
         stale=True,
         total=0.0,
+        idx=np.zeros(0, dtype=int),
         cum=np.zeros(0),
-        count=0,
         large_share=0.0,
         epoch_start=[0],  # an empty epoch before the first block's
         epoch_avail=[np.zeros(n, dtype=bool)],

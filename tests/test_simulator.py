@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -210,14 +211,15 @@ class TestInvariants:
         assert cutoff_run.summary.mean_hashrate < const_run.summary.mean_hashrate
 
 
-class _TopDraw:
-    """A generator whose uniform draw is always 1.0, the top of the range."""
+class _FixedDraw:
+    """A generator whose uniform draw is always `u`: by default 1.0, the top of the range."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, u=1.0):
         self._rng = np.random.default_rng(seed)
+        self._u = u
 
     def random(self):
-        return 1.0
+        return self._u
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -232,8 +234,38 @@ class TestWinnerAvailability:
             constant_reward=True,
         )
         state = initial_state(cfg, np.random.default_rng(cfg.seed))
-        _, rec = step(state, cfg, _TopDraw(cfg.seed))
+        _, rec = step(state, cfg, _FixedDraw(cfg.seed))
         assert rec.winner == "b"
+
+    @pytest.mark.parametrize("duty", [None, (2, 1)], ids=["no-duty", "duty"])
+    def test_winner_is_the_dense_draws_at_every_boundary(self, duty):
+        # unavailable miners first, in the middle and last; with a duty cycle,
+        # "d" also sits out every third block.  Nobody flips: the active miners
+        # cost nothing, the inactive ones far more than the constant reward
+        spec = [("a", 0.1, False), ("b", 0.2, True), ("c", 0.3, False),
+                ("d", 0.7, True), ("e", 0.3, True), ("f", 0.4, False)]
+        miners = [
+            MinerAgent(id=mid, hashrate=h, unit_cost=0.0 if on else 1e9, active=on,
+                       duty=duty if mid == "d" else None)
+            for mid, h, on in spec
+        ]
+        cfg = make_config(explicit_population=miners, constant_reward=True)
+        rng = np.random.default_rng(cfg.seed)
+        state = initial_state(cfg, rng)
+        for _ in range(4):
+            probe = copy.deepcopy(state)  # the availability this block draws over
+            step(probe, cfg, np.random.default_rng(0))
+            cum = (probe.hashrate * probe.avail).cumsum()
+            bounds = cum[probe.avail] / probe.total
+            for u in [0.0, math.nextafter(1.0, 0.0), 1.0, *bounds.tolist()]:
+                _, rec = step(copy.deepcopy(state), cfg, _FixedDraw(0, u))
+                w = int(cum.searchsorted(u * rec.total_hash, "right"))
+                if w == len(cum):
+                    w = int(cum.searchsorted(cum[-1]))
+                assert rec.winner == state.ids[w]
+                assert type(rec.active_miner_count) is int
+                assert rec.active_miner_count == np.count_nonzero(probe.avail)
+            state, _ = step(state, cfg, rng)
 
     def test_stall_heavy_run_keeps_invariants(self, monkeypatch):
         # 2,000 miners overshoot the cutoff: mass exits, stall quanta, re-entry
@@ -519,6 +551,18 @@ def check_against_decide_all(cfg, state, left, seed, conditions):
     return seen
 
 
+def test_scalar_jitter_draws_are_one_draw_of_size_n():
+    # `_decision_pass` draws the jitter for 1 or 2 flips one by one: that must give
+    # the values and the generator state of one draw of size n, whatever the state
+    # the generator's buffered half-word is in (hence one generator across all n)
+    for base in [1, 2, 30, 1000, 2**31 + 5]:
+        for seed in range(20):
+            each, one = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in range(1, 8):
+                assert [int(each.integers(base)) for _ in range(n)] == one.integers(0, base, n).tolist()
+                assert each.bit_generator.state == one.bit_generator.state
+
+
 class TestDecisionPass:
     """`_decision_pass` judges only candidates, and flips what `decide_all` would."""
 
@@ -626,6 +670,67 @@ class TestDecisionPass:
             block_reward = self._reward_for(state, cfg, 0, on_cost[0] * (1 + 1e-10), total + 2.0)
         _decision_pass(state, cfg, np.random.default_rng(0), block_reward, 30.0, total)
         assert state.active[0] != active
+
+    @staticmethod
+    def _conditions_with_bound_at(cfg, key):
+        """A (block_reward, total) at which the pass's x * (1 + margin) is exactly `key`."""
+        t = cfg.retarget.target_interval
+        for total in np.linspace(10.0, 12.0, 9).tolist():
+            reward = key / (1.0 + simulator._MARGIN) * total / (30.0 * (3600.0 / t))
+            for _ in range(8):  # step the reward by ulps onto the bound
+                hi = reward * 30.0 * (3600.0 / t) / total * (1.0 + simulator._MARGIN)
+                if hi == key:
+                    return reward, total
+                reward = math.nextafter(reward, math.inf if hi < key else -math.inf)
+        raise AssertionError(f"no reward puts the bound at {key!r}")
+
+    @staticmethod
+    def _count_judged(monkeypatch):
+        """Collect the kernel's `flips` calls: one per judged miner."""
+        calls, flips = [], simulator.flips
+
+        def counted(*args):
+            calls.append(args)
+            return flips(*args)
+
+        monkeypatch.setattr(simulator, "flips", counted)
+        return calls
+
+    @pytest.mark.parametrize("above", [False, True], ids=["at-the-bound", "one-ulp-above"])
+    def test_only_keys_past_the_upper_bound_leave_unjudged(self, above, monkeypatch):
+        # m's key is x * (1 + margin), or one ulp above it; far's key is 50 times
+        # that, low's a tenth: m is judged only at the bound, far never, low never
+        cfg, state = self._ready_state(
+            [MinerAgent(id="low", hashrate=2.0, unit_cost=0.1),
+             MinerAgent(id="m", hashrate=2.0, unit_cost=1.0),
+             MinerAgent(id="far", hashrate=3.0, unit_cost=50.0)],
+            passes=1,
+        )
+        key = state.active_entry[1][0]
+        reward, total = self._conditions_with_bound_at(
+            cfg, math.nextafter(key, -math.inf) if above else key
+        )
+        judged = self._count_judged(monkeypatch)
+        assert check_against_decide_all(cfg, state, [0, 0, 0], 0, [(reward, total)]) == [(2, 0)]
+        assert len(judged) == (0 if above else 1)
+        assert list(state.active) == [True, False, False]
+
+    @pytest.mark.parametrize(
+        "reward,total,judged,flipped",
+        [(1e-3, 10.0, 0, 3), (1e-300, 10.0, 3, 3), (4.2, 0.0, 3, 0)],
+        ids=["all-above-the-bound", "reward-out-of-range", "stall-quantum"],
+    )
+    def test_certain_exits_need_the_exact_test(self, reward, total, judged, flipped, monkeypatch):
+        # every ready active miner's key is far above x * (1 + margin) at the
+        # first condition: all of `ready_active` leaves as one slice.  Outside
+        # the exact test (a reward below 2**-800, a stall) each one is judged
+        cfg, state = self._ready_state(
+            [MinerAgent(id=f"m{i}", hashrate=h, unit_cost=1.0) for i, h in enumerate([1.0, 2.0, 7.0])],
+            passes=1,
+        )
+        calls = self._count_judged(monkeypatch)
+        assert check_against_decide_all(cfg, state, [0, 0, 0], 0, [(reward, total)]) == [(flipped, 0)]
+        assert len(calls) == judged
 
     def test_a_dwell_expiry_brings_the_miner_into_the_bounds(self):
         cfg, state = self._ready_state(
