@@ -42,8 +42,7 @@ def cmd_curve(args) -> int:
         return EXIT_USAGE
     try:
         if args.landmarks:
-            peak_d, half_d, tenth_d = args.landmarks
-            schedule = calibrate_schedule(peak_d, half_d, tenth_d, args.r_max, b_ratio=args.b_ratio)
+            schedule = calibrate_schedule(*args.landmarks, args.r_max, b_ratio=args.b_ratio)
         else:
             keys = ["a", "b", "scale", "d_co", "spread"]
             schedule = schedule_from_dict(dict(zip(keys, args.params)))
@@ -52,7 +51,7 @@ def cmd_curve(args) -> int:
         return EXIT_USAGE
 
     lo, hi = args.range
-    if not (lo < hi) or args.step <= 0:
+    if not (-math.inf < lo < hi < math.inf and 0.0 < args.step < math.inf):
         print(f"error: bad range/step: range=({lo}, {hi}) step={args.step}", file=sys.stderr)
         return EXIT_USAGE
 

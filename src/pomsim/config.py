@@ -93,6 +93,8 @@ class SimConfig:
             raise ConfigError("$.large_threshold: must be positive")
         if self.rate_constant is not None and not (self.rate_constant > 0.0):
             raise ConfigError("$.rate_constant: must be positive when given")
+        if self.explicit_population is not None and not self.explicit_population:
+            raise ConfigError("$.population.explicit: must contain at least one miner")
         first: dict[str, int] = {}  # the `winner` column must tell the miners apart
         for j, m in enumerate(self.explicit_population or ()):
             i = first.setdefault(m.id, j)
@@ -294,8 +296,8 @@ _VARIANTS = {RewardScheduleParams: _schedule, DifficultyMap: _difficulty_map}
 def _explicit_population(obj: dict, path: str) -> list[MinerAgent]:
     _check_keys(obj, path, {"explicit"}, {"explicit"})
     entries = obj["explicit"]
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"{path}.explicit: expected a nonempty list of miners")
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}.explicit: expected a list of miners")
     return [
         read(MinerAgent, e, f"{path}.explicit[{i}]", id=f"m{i:03d}") for i, e in enumerate(entries)
     ]

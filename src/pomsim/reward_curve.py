@@ -201,8 +201,8 @@ def calibrate_schedule(
         raise OrderingError(
             f"need 0 < peak_d < half_d < tenth_d, got {peak_d}, {half_d}, {tenth_d}"
         )
-    if not (r_max_target > 0.0):
-        raise ParameterError(f"r_max_target must be positive, got {r_max_target}")
+    if not (0.0 < r_max_target < math.inf):
+        raise ParameterError(f"r_max_target must be positive and finite, got {r_max_target}")
     if not (b_ratio > 1.0):
         raise ParameterError(f"b_ratio must exceed 1, got {b_ratio}")
 

@@ -20,7 +20,7 @@ import operator
 import os
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -76,10 +76,11 @@ class NetworkState:
     Availability (`avail`) and the aggregates taken over it are kept until an
     event changes them: a flip (`stale`) or a duty-phase edge (`next_edge`).
     Then `_refresh` takes them all anew in one step, with the next edge, and
-    opens an epoch in the availability log.  The aggregates are taken over
-    the available miners only (`idx`): `cum[k]`, the sequential sum of the
-    first k + 1 of their hashrates, is the dense `(hashrate * avail).cumsum()`
-    at `idx[k]`, bit for bit, since adding a zero changes no sum.
+    opens an epoch in the availability log, which holds counts only.  The
+    aggregates are taken over the available miners only (`idx`): `cum[k]`,
+    the sequential sum of the first k + 1 of their hashrates, is the dense
+    `(hashrate * avail).cumsum()` at `idx[k]`, bit for bit, since adding a
+    zero changes no sum.
     A miner's dwell is the decision pass from which it may flip again; `due`
     maps each such pass still to come to its miners.  The miners out of their
     dwell sit in two lists ordered by their fixed keys: `ready_active` by
@@ -91,7 +92,7 @@ class NetworkState:
 
     height: int
     clock: float
-    retarget_state: RetargetState
+    retarget_state: RetargetState = field(init=False)  # genesis difficulty from the first refresh
     r_max: float
     ids: list[str]
     hashrate: np.ndarray
@@ -110,17 +111,16 @@ class NetworkState:
     kappa: float  # solve-rate constant, resolved once per run
     has_duty: bool
     avail: np.ndarray  # availability at `height`; a new array on each refresh
-    stale: bool  # a flip happened since `avail` was taken
-    total: float  # pairwise sum of the available hashrates
-    idx: np.ndarray  # the available miners, ascending; their count is its length
-    cum: np.ndarray  # cumsum of their hashrates, for the winner draw
-    large_share: float  # share of `total` held by large miners
-    # availability log, one epoch per refresh: the height it starts at, its
-    # availability, and each miner's available blocks before it.  A refresh in a
-    # stall quantum opens an epoch at the height of the one before it; that
-    # epoch has zero length and adds nothing to any count
+    stale: bool = field(init=False)  # a flip happened since `avail` was taken
+    total: float = field(init=False)  # pairwise sum of the available hashrates
+    idx: np.ndarray = field(init=False)  # the available miners, ascending; len() is their count
+    cum: np.ndarray = field(init=False)  # cumsum of their hashrates, for the winner draw
+    large_share: float = field(init=False)  # share of `total` held by large miners
+    # availability log, one epoch per refresh: the height it starts at and each
+    # miner's available blocks before it; the last epoch's availability is
+    # `avail`.  A refresh in a stall quantum opens an epoch at the height of the
+    # one before it; that epoch has zero length and adds nothing to any count
     epoch_start: list[int]
-    epoch_avail: list[np.ndarray]
     epoch_count: list[np.ndarray]
 
 
@@ -144,33 +144,32 @@ def _refresh(state: NetworkState, window: int) -> None:
     ha = h[idx]
     total = float(np.add.reduce(ha))
     large = float(np.add.reduce(ha[state.is_large[idx]]))
+    starts, counts = state.epoch_start, state.epoch_count
+    counts.append(counts[-1] + state.avail * (b - starts[-1]))
+    old = bisect_right(starts, b - window) - 1
+    if old > 0:
+        del starts[:old], counts[:old]
+    starts.append(b)
     state.avail = avail
     state.stale = False
     state.total = total
     state.idx = idx
     state.cum = ha.cumsum()
     state.large_share = large / total if total > 0.0 else 0.0
-    starts, avails, counts = state.epoch_start, state.epoch_avail, state.epoch_count
-    counts.append(counts[-1] + avails[-1] * (b - starts[-1]))
-    old = bisect_right(starts, b - window) - 1
-    if old > 0:
-        del starts[:old], avails[:old], counts[:old]
-    starts.append(b)
-    avails.append(avail)
 
 
 def _window_count(state: NetworkState, i: int, window: int) -> int:
     """Blocks among the last `window` before this one in which miner `i` was available."""
-    starts, b = state.epoch_start, state.height
+    starts, counts, b = state.epoch_start, state.epoch_count, state.height
     lo = b - window if b > window else 0
     if starts[-1] <= lo:  # one availability over the whole window
         return (b - lo) * bool(state.avail[i])
-    e = bisect_right(starts, lo) - 1  # the epoch that holds block `lo`
-    counts, avails = state.epoch_count, state.epoch_avail
+    e = bisect_right(starts, lo) - 1  # the epoch that holds block `lo`: one block or more
+    was_avail = int(counts[e + 1][i] - counts[e][i]) // (starts[e + 1] - starts[e])
     return (
         int(counts[-1][i] - counts[e][i])
-        + (b - starts[-1]) * bool(avails[-1][i])
-        - (lo - starts[e]) * bool(avails[e][i])
+        + (b - starts[-1]) * bool(state.avail[i])
+        - (lo - starts[e]) * was_avail
     )
 
 
@@ -195,8 +194,7 @@ def _decision_pass(
 
     Inactive miners evaluate the revenue they would earn after joining
     (their hashrate added to the total), so an empty network can restart.
-    A miner that flips at pass p may flip again from pass
-    p + 1 + dwell + U[0, dwell).
+    A miner that flips at pass p is re-armed (`_arm`) from pass p + 1 + dwell.
 
     With x = block_reward * price * 3600 / (T * total), an active miner earns
     hashrate * x and an inactive one at most that, up to rounding.  So only an
@@ -268,14 +266,19 @@ def _decision_pass(
     act = state.active
     for e in back:
         act[e[1]] = e[5]
-    base, n = config.economics.dwell, len(back)
-    if base > 0 and n <= 2:  # n scalar draws: the values and generator state of one of size n, sooner
-        jitters = [int(rng.integers(base)) for _ in range(n)]
+    dwell = config.economics.dwell
+    _arm(state.due, back, p + 1 + dwell, dwell, rng)
+
+
+def _arm(due: defaultdict, entries: list, first: int, dwell: int, rng: np.random.Generator) -> None:
+    """Re-arm `entries`, in order: each may flip again from pass first + U[0, dwell)."""
+    n = len(entries)
+    if dwell > 0 and n <= 2:  # scalar draws are faster, with the values and state of one of size n
+        jitters = [int(rng.integers(dwell)) for _ in range(n)]
     else:
-        jitters = rng.integers(0, base, n).tolist() if base > 0 else [0] * n
-    due, q = state.due, p + 1 + base
-    for e, jitter in zip(back, jitters):
-        due[q + jitter].append(e)
+        jitters = rng.integers(0, dwell, n).tolist() if dwell > 0 else [0] * n
+    for e, jitter in zip(entries, jitters):
+        due[first + jitter].append(e)
 
 
 def step(
@@ -368,35 +371,17 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     else:
         agents = generate_population(config.population, rng)
     n = len(agents)
-    if n == 0:
-        raise ConfigError("population: must contain at least one miner")
     hashrate = np.array([m.hashrate for m in agents])
     unit_cost = np.array([m.unit_cost for m in agents])
     active = np.array([m.active for m in agents])
     duty_on = np.array([m.duty[0] if m.duty else 0 for m in agents], dtype=int)
     duty_off = np.array([m.duty[1] if m.duty else 0 for m in agents], dtype=int)
-    base_dwell = config.economics.dwell
-    if base_dwell > 0:  # staggered start
-        ready_at = rng.integers(0, base_dwell, n).tolist()
-    else:
-        ready_at = [0] * n
     _, r_max = schedule_max(config.schedule)
-    h0 = float(hashrate[active].sum())
-    d0 = hash_to_difficulty(h0, config.difficulty_map) if h0 > 0 else config.difficulty_map.floor
-    rt = RetargetState(
-        **vars(config.retarget),
-        current_difficulty=d0,
-        ema_interval=config.retarget.target_interval,
-        floor=config.difficulty_map.floor,
-    )
     on_cost = (config.economics.margin_on * (unit_cost * hashrate)).tolist()
     off_cost = (config.economics.margin_off * (unit_cost * hashrate)).tolist()
     miners = list(zip(range(n), hashrate.tolist(), on_cost, off_cost))
     active_entry = [(c_off / h, i, h, c_on, c_off, True) for i, h, c_on, c_off in miners]
     inactive_entry = [(c_on / h, i, h, c_on, c_off, False) for i, h, c_on, c_off in miners]
-    due = defaultdict(list)
-    for i, q in enumerate(ready_at):
-        due[q].append(active_entry[i] if active[i] else inactive_entry[i])
     # a total within this keeps each share h / total and h / (h + total), and
     # 1 / total, within 2**±200 (see `_decision_pass`)
     h_lo, h_hi = float(hashrate.min()), float(hashrate.max())
@@ -404,7 +389,6 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     state = NetworkState(
         height=0,
         clock=0.0,
-        retarget_state=rt,
         r_max=r_max,
         ids=[m.id for m in agents],
         hashrate=hashrate,
@@ -414,7 +398,7 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         inactive_entry=inactive_entry,
         ready_active=[],
         ready_inactive=[],
-        due=due,
+        due=defaultdict(list),
         exact_totals=exact_totals,
         passes=0,
         duty_on=duty_on,
@@ -423,16 +407,21 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         kappa=config.resolved_rate_constant(),
         has_duty=bool((duty_on > 0).any()),
         avail=active,
-        stale=True,
-        total=0.0,
-        idx=np.zeros(0, dtype=int),
-        cum=np.zeros(0),
-        large_share=0.0,
         epoch_start=[0],  # an empty epoch before the first block's
-        epoch_avail=[np.zeros(n, dtype=bool)],
         epoch_count=[np.zeros(n, dtype=int)],
     )
+    # staggered start: every miner goes through the re-arm rule from pass 0
+    entries = [active_entry[i] if on else inactive_entry[i] for i, on in enumerate(active)]
+    _arm(state.due, entries, 0, config.economics.dwell, rng)
     _refresh(state, config.pom.window)
+    h0 = state.total  # at height 0 the available miners are the active ones
+    d0 = hash_to_difficulty(h0, config.difficulty_map) if h0 > 0 else config.difficulty_map.floor
+    state.retarget_state = RetargetState(
+        **vars(config.retarget),
+        current_difficulty=d0,
+        ema_interval=config.retarget.target_interval,
+        floor=config.difficulty_map.floor,
+    )
     return state
 
 

@@ -290,8 +290,11 @@ class TestCompare:
     ["curve", "--params", "2", "1", "1"],
     ["compare", "{sweep}", "{sweep}", "--burn-in", "-3"],
     ["compare", "{sweep}", "{sweep}", "--burn-in", "150"],  # the whole series
+    ["curve", "--landmarks", "1.75", "2.20", "2.37", "--step", "nan"],
+    ["curve", "--landmarks", "1.75", "2.20", "2.37", "--range", "0", "inf"],
+    ["curve", "--landmarks", "1.75", "2.20", "2.37", "--r-max", "inf"],
 ], ids=["negative-base-seed", "unordered-landmarks", "negative-r-max", "a-above-b",
-        "negative-burn-in", "burn-in-past-series"])
+        "negative-burn-in", "burn-in-past-series", "nan-step", "infinite-range", "infinite-r-max"])
 def test_bad_arguments_are_usage_errors(argv, small_config, tmp_path, capsys):
     sweep = tmp_path / "sweep"
     if "{sweep}" in argv:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -194,6 +195,7 @@ HARDENING = [
      "$.population.explicit[2].id"),
     ("landmark-reward-underflow",  # the composed peak search finds only zero reward
      _example(schedule={"landmarks": {**LANDMARKS, "tenth_d": 1e6}}), "$.schedule"),
+    ("empty-explicit", _example(population={"explicit": []}), "$.population.explicit"),
 ]
 
 
@@ -202,6 +204,12 @@ def test_bad_input_is_a_config_error_naming_the_field_path(data, path):
     with pytest.raises(ConfigError) as info:
         config_from_dict(data)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def test_an_empty_explicit_population_is_rejected_when_the_config_is_built():
+    cfg = config_from_dict(_example())
+    with pytest.raises(ConfigError, match=r"^\$\.population\.explicit: must contain at least one"):
+        dataclasses.replace(cfg, explicit_population=[])
 
 
 # one config per variant form: landmarks, anchors and a population spec; a

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pomsim
 from pomsim.config import schedule_from_json, schedule_to_dict, schedule_to_json
 from pomsim.errors import (
     BracketingError,
@@ -299,6 +302,9 @@ class TestSerialization:
 def test_import_does_not_load_scipy():
     # numpy is the only runtime dependency: every search is `_golden_max`
     code = "import sys, pomsim; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    env = {**os.environ, "PYTHONPATH": str(Path(pomsim.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

@@ -316,21 +316,27 @@ class TestDutyCycle:
 
 
     @pytest.mark.parametrize(
-        "credit",
-        [PomCredit(), PomCredit(60, 40), PomCredit(7, 3)],
-        ids=lambda c: f"{c.required}-of-{c.window}",
+        "credit,stalls",
+        [(PomCredit(), False), (PomCredit(60, 40), False), (PomCredit(7, 3), False),
+         (PomCredit(7, 3), True)],
+        ids=["40-of-50", "40-of-60", "3-of-7", "3-of-7-stalling"],
     )
-    def test_credit_is_the_scalar_rule_over_the_winners_availability(self, credit):
-        # full0 costs nothing and never leaves, so the run never stalls
+    def test_credit_is_the_scalar_rule_over_the_winners_availability(self, credit, stalls):
+        # full0 costs nothing and never leaves, so the run never stalls.  With
+        # `stalls`, full0 pays too and every hashrate is tripled: genesis
+        # difficulty lies past the cutoff, and the network stalls and recovers
+        # three times.  Its stall quanta open zero-length log epochs, and its
+        # short window reaches into epochs of a log that has been trimmed
+        scale, cost0 = (3.0, 0.8) if stalls else (1.0, 0.0)
         cfg = dataclasses.replace(
             load_config("configs/dynamics.json"),
             pom=credit,
             explicit_population=[
-                explicit_miner("full0", 12.0),
-                explicit_miner("full1", 6.0, unit_cost=1.5),
-                explicit_miner("duty0", 10.0, unit_cost=0.5, duty=(5, 5)),
-                explicit_miner("duty1", 4.0, unit_cost=1.0, duty=(3, 7)),
-                explicit_miner("duty2", 20.0, unit_cost=2.0, duty=(40, 10)),
+                explicit_miner("full0", 12.0 * scale, unit_cost=cost0),
+                explicit_miner("full1", 6.0 * scale, unit_cost=1.5),
+                explicit_miner("duty0", 10.0 * scale, unit_cost=0.5, duty=(5, 5)),
+                explicit_miner("duty1", 4.0 * scale, unit_cost=1.0, duty=(3, 7)),
+                explicit_miner("duty2", 20.0 * scale, unit_cost=2.0, duty=(40, 10)),
             ],
         )
         window = cfg.pom.window
@@ -348,6 +354,7 @@ class TestDutyCycle:
             mults.append(rec.pom_multiplier)
         assert mults[:window] == [1.0] * window
         assert min(mults[window:]) < 1.0
+        assert (state.passes > state.height) == stalls  # each stall quantum is a pass
 
     @settings(max_examples=100, deadline=None)
     @given(
