@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -23,12 +24,13 @@ from .simulator import RunSummary, read_series_csv, run, schedule_max, write_ser
 
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+MAX_CURVE_ROWS = 1_000_000
 
 
-def _emit_curve(schedule, lo, hi, step, out):
+def _emit_curve(schedule, lo, step, rows, out):
     w = csv.writer(out)
     w.writerow(["d", "base", "cutoff_factor", "reward"])
-    for i in range(int((hi - lo) / step * (1.0 + 1e-9)) + 1):
+    for i in range(rows):
         d = lo + i * step
         cf = cutoff_factor(d, schedule.cutoff) if schedule.cutoff else 1.0
         w.writerow(
@@ -54,12 +56,13 @@ def cmd_curve(args) -> int:
     if not (-math.inf < lo < hi < math.inf and 0.0 < args.step < math.inf):
         print(f"error: bad range/step: range=({lo}, {hi}) step={args.step}", file=sys.stderr)
         return EXIT_USAGE
+    steps = (hi - lo) / args.step * (1.0 + 1e-9)  # inf where the count overflows a float
+    if not steps < MAX_CURVE_ROWS:
+        print(f"error: range/step give more than {MAX_CURVE_ROWS:,} rows", file=sys.stderr)
+        return EXIT_USAGE
 
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            _emit_curve(schedule, lo, hi, args.step, f)
-    else:
-        _emit_curve(schedule, lo, hi, args.step, sys.stdout)
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as f:
+        _emit_curve(schedule, lo, args.step, int(steps) + 1, f)
 
     if args.landmarks:
         peak_d, half_d, tenth_d = args.landmarks
@@ -188,18 +191,14 @@ def cmd_compare(args) -> int:
         print(f"error: seed {seed}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as f:
         fields = list(rows[0].keys())
-        w = csv.DictWriter(out, fieldnames=fields)
+        w = csv.DictWriter(f, fieldnames=fields)
         w.writeheader()
         for row in rows:
             w.writerow({k: (v if k == "seed" else repr(v)) for k, v in row.items()})
         medians = {k: repr(_median(rows, k)) for k in fields if k != "seed"}
         w.writerow({"seed": "median", **medians})
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

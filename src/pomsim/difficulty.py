@@ -7,7 +7,7 @@ exponentially smoothed block interval tracks a target interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -104,19 +104,22 @@ class RetargetState(RetargetConfig):
         super().__post_init__()
 
 
+def retarget_step(
+    rc: RetargetConfig, floor: float, d: float, ema: float, observed: float
+) -> tuple[float, float]:
+    """One controller step: the new (difficulty, interval EMA) after an observed interval."""
+    if not (observed > 0.0):
+        raise DomainError(f"observed interval must be positive, got {observed}")
+    ema = rc.smoothing * observed + (1.0 - rc.smoothing) * ema
+    ratio = min(max(rc.target_interval / ema, 1.0 / rc.clamp), rc.clamp)
+    return max(d * ratio, floor), ema
+
+
 def retarget(state: RetargetState, observed_interval: float) -> RetargetState:
-    """One controller step from a freshly observed block interval."""
-    if not (observed_interval > 0.0):
-        raise DomainError(f"observed interval must be positive, got {observed_interval}")
-    ema = state.smoothing * observed_interval + (1.0 - state.smoothing) * state.ema_interval
-    ratio = state.target_interval / ema
-    ratio = min(max(ratio, 1.0 / state.clamp), state.clamp)
-    new_d = max(state.current_difficulty * ratio, state.floor)
-    # valid by construction (new_d >= floor > 0 and ema > 0), so the field checks,
-    # which cost more than the step itself, are not run again
-    new = object.__new__(RetargetState)
-    new.__dict__.update(vars(state), current_difficulty=new_d, ema_interval=ema)
-    return new
+    """One controller step from a freshly observed block interval (`retarget_step`)."""
+    d, ema = state.current_difficulty, state.ema_interval
+    d, ema = retarget_step(state, state.floor, d, ema, observed_interval)
+    return replace(state, current_difficulty=d, ema_interval=ema)
 
 
 def rate_constant_from_map(

@@ -12,11 +12,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pomsim.simulator import RunSummary
+from pomsim import simulator
+from pomsim.config import PopulationSpec, load_config
+from pomsim.simulator import RunSummary, initial_state, step
 
-_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_ROOT = Path(__file__).resolve().parent.parent
+_PERFBENCH = _ROOT / "perfbench"
 
 
 def _load(name: str):
@@ -40,3 +44,27 @@ def test_every_trace_target_resolves(owner, attr):
 def test_run_summary_has_every_field_the_output_check_reads():
     names = {f.name for f in dataclasses.fields(RunSummary)}
     assert {*workloads.SUMMARY_FIELDS, "burn_in"} <= names
+
+
+def test_the_kernel_calls_retarget_once_per_block_and_stall_quantum(monkeypatch):
+    # the traced `difficulty.stall_quanta` is the calls to `simulator.retarget`
+    # less the blocks; 2,000 miners overshoot the cutoff, so this run stalls
+    cfg = dataclasses.replace(
+        load_config(_ROOT / "configs" / "dynamics.json"),
+        horizon=300,
+        population=PopulationSpec(n_small=1936, n_large=64),
+    )
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return retarget(*args)
+
+    retarget = simulator.retarget
+    monkeypatch.setattr(simulator, "retarget", counted)
+    rng = np.random.default_rng(cfg.seed)
+    state = initial_state(cfg, rng)
+    for _ in range(cfg.horizon):
+        state, _ = step(state, cfg, rng)
+    assert len(calls) == state.passes  # a decision pass per block and per stall quantum
+    assert len(calls) > cfg.horizon

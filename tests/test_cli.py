@@ -71,6 +71,17 @@ class TestCurve:
         assert len(lines) == 1 + rows
         assert lines[-1].split(",")[0] == last
 
+    @pytest.mark.parametrize("cap,rc", [(4, 0), (3, EXIT_USAGE)])
+    def test_row_cap(self, cap, rc, monkeypatch, capsys):
+        # range 0..3 at step 1 is 4 rows
+        monkeypatch.setattr(cli, "MAX_CURVE_ROWS", cap)
+        assert main(["curve", "--params", "1", "2", "1", "--range", "0", "3", "--step", "1"]) == rc
+        out, err = capsys.readouterr()
+        if rc:
+            assert not out and err == "error: range/step give more than 3 rows\n"
+        else:
+            assert len(out.splitlines()) == 1 + cap
+
     def test_single_row_when_step_exceeds_range(self, capsys):
         rc = main(["curve", "--params", "1.0", "2.0", "1.0",
                    "--range", "1.0", "1.5", "--step", "5.0"])
@@ -293,8 +304,13 @@ class TestCompare:
     ["curve", "--landmarks", "1.75", "2.20", "2.37", "--step", "nan"],
     ["curve", "--landmarks", "1.75", "2.20", "2.37", "--range", "0", "inf"],
     ["curve", "--landmarks", "1.75", "2.20", "2.37", "--r-max", "inf"],
+    ["curve", "--landmarks", "1.75", "2.20", "2.37", "--range", "0", "1e308", "--step", "1e-10",
+     "--out", "{tmp}/o"],
+    ["curve", "--params", "1", "2", "1", "--range", "0", "1", "--step", "1e-12",
+     "--out", "{tmp}/o"],
 ], ids=["negative-base-seed", "unordered-landmarks", "negative-r-max", "a-above-b",
-        "negative-burn-in", "burn-in-past-series", "nan-step", "infinite-range", "infinite-r-max"])
+        "negative-burn-in", "burn-in-past-series", "nan-step", "infinite-range", "infinite-r-max",
+        "overflowing-row-count", "huge-row-count"])
 def test_bad_arguments_are_usage_errors(argv, small_config, tmp_path, capsys):
     sweep = tmp_path / "sweep"
     if "{sweep}" in argv:

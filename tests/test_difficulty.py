@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from pomsim.difficulty import (
     hash_to_difficulty,
     rate_constant_from_map,
     retarget,
+    retarget_step,
 )
 from pomsim.errors import DomainError, ParameterError
 
@@ -116,6 +118,55 @@ class TestRetarget:
         d2 = retarget(s, obs).current_difficulty
         ratio = d2 / difficulty
         assert 1.0 / s.clamp - 1e-12 <= ratio <= s.clamp + 1e-12
+
+
+def _agree(state, obs):
+    """`retarget` and `retarget_step` give the same bits; the other fields are carried over."""
+    new = retarget(state, obs)
+    d, ema = retarget_step(state, state.floor, state.current_difficulty, state.ema_interval, obs)
+    assert type(new) is RetargetState
+    assert (new.current_difficulty.hex(), new.ema_interval.hex()) == (d.hex(), ema.hex())
+    assert dataclasses.replace(new, current_difficulty=1.0, ema_interval=1.0) == (
+        dataclasses.replace(state, current_difficulty=1.0, ema_interval=1.0)
+    )
+    return new
+
+
+class TestRetargetStep:
+    positive = st.floats(1e-12, 1e12)
+
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(1.0, 100.0, exclude_min=True),
+        positive,
+        positive,
+        positive,
+        positive,
+        positive,
+    )
+    def test_the_wrapper_is_the_step(self, smoothing, clamp, target, floor, d, ema, obs):
+        state = RetargetState(
+            target_interval=target, smoothing=smoothing, clamp=clamp,
+            current_difficulty=d, ema_interval=ema, floor=floor,
+        )
+        _agree(state, obs)
+
+    def test_a_step_onto_the_floor(self):
+        s = dataclasses.replace(make_state(difficulty=0.5, smoothing=1.0), floor=0.5)
+        assert _agree(s, 1000.0).current_difficulty == 0.5  # ratio 1 / clamp, then floored
+
+    @pytest.mark.parametrize("obs,ratio", [(1.0, 1.25), (1e6, 1.0 / 1.25)], ids=["up", "down"])
+    def test_both_clamp_bounds(self, obs, ratio):
+        s = make_state(difficulty=2.0, smoothing=1.0)
+        assert _agree(s, obs).current_difficulty == 2.0 * ratio
+
+    @pytest.mark.parametrize("obs", [0.0, -1.0, math.nan])
+    def test_both_reject_an_interval_that_is_not_positive(self, obs):
+        s = make_state()
+        with pytest.raises(DomainError):
+            retarget(s, obs)
+        with pytest.raises(DomainError):
+            retarget_step(s, s.floor, s.current_difficulty, s.ema_interval, obs)
 
 
 def synthetic_intervals(seed, start_difficulty, hashrate=40.0, n_blocks=200):

@@ -22,7 +22,7 @@ from pomsim.agents import (
 )
 from pomsim.config import config_from_dict, load_config
 from pomsim import simulator
-from pomsim.difficulty import hash_to_difficulty, retarget
+from pomsim.difficulty import hash_to_difficulty
 from pomsim.errors import ConfigError, InternalError, ParameterError
 from pomsim.metrics import EquilibriumSummary, equilibrium_summary
 from pomsim.simulator import (
@@ -267,20 +267,13 @@ class TestWinnerAvailability:
                 assert rec.active_miner_count == np.count_nonzero(probe.avail)
             state, _ = step(state, cfg, rng)
 
-    def test_stall_heavy_run_keeps_invariants(self, monkeypatch):
+    def test_stall_heavy_run_keeps_invariants(self):
         # 2,000 miners overshoot the cutoff: mass exits, stall quanta, re-entry
         cfg = dataclasses.replace(
             load_config("configs/dynamics.json"),
             horizon=300,
             population=PopulationSpec(n_small=1936, n_large=64),
         )
-        retargets = []
-
-        def counted(rt, interval):
-            retargets.append(interval)
-            return retarget(rt, interval)
-
-        monkeypatch.setattr(simulator, "retarget", counted)
         rng = np.random.default_rng(cfg.seed)
         state = initial_state(cfg, rng)
         index = {mid: i for i, mid in enumerate(state.ids)}
@@ -293,7 +286,7 @@ class TestWinnerAvailability:
             assert 0.0 <= rec.large_miner_share <= 1.0
             assert rec.timestamp > clock
             clock = rec.timestamp
-        assert len(retargets) > cfg.horizon  # the run went through the stall loop
+        assert state.passes > state.height  # a pass per block and per stall quantum: it stalled
 
 
 class TestDutyCycle:
