@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -18,24 +17,20 @@ import numpy as np
 from . import __version__
 from .config import load_config, schedule_from_dict
 from .errors import ConfigError, InternalError, PomSimError
-from .metrics import compare
+from .metrics import ComparisonDeltas, compare
 from .reward_curve import base_reward, calibrate_schedule, cutoff_factor, reward
-from .simulator import RunSummary, read_series_csv, run, schedule_max, write_series_csv
+from .simulator import RunSummary, read_series_csv, run, schedule_max, write_rows, write_series_csv
 
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 MAX_CURVE_ROWS = 1_000_000
 
 
-def _emit_curve(schedule, lo, step, rows, out):
-    w = csv.writer(out)
-    w.writerow(["d", "base", "cutoff_factor", "reward"])
+def _curve_rows(schedule, lo, step, rows):
     for i in range(rows):
         d = lo + i * step
         cf = cutoff_factor(d, schedule.cutoff) if schedule.cutoff else 1.0
-        w.writerow(
-            [repr(d), repr(base_reward(d, schedule.base)), repr(cf), repr(reward(d, schedule))]
-        )
+        yield d, base_reward(d, schedule.base), cf, reward(d, schedule)
 
 
 def cmd_curve(args) -> int:
@@ -62,7 +57,8 @@ def cmd_curve(args) -> int:
         return EXIT_USAGE
 
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as f:
-        _emit_curve(schedule, lo, args.step, int(steps) + 1, f)
+        rows = _curve_rows(schedule, lo, args.step, int(steps) + 1)
+        write_rows(f, ["d", "base", "cutoff_factor", "reward"], rows)
 
     if args.landmarks:
         peak_d, half_d, tenth_d = args.landmarks
@@ -103,7 +99,7 @@ def _run_one(config, seed: int, out_dir: str) -> dict:
     return summary
 
 
-def _median(rows: list[dict], key: str) -> float | None:
+def _median(rows: list, key: str | int) -> float | None:
     """The median of `key` over the rows where it is not None; None if there are none."""
     vals = [r[key] for r in rows if r[key] is not None]
     return float(np.median(vals)) if vals else None
@@ -186,19 +182,15 @@ def cmd_compare(args) -> int:
             base = read_series_csv(base_runs[seed])
             treat = read_series_csv(treat_runs[seed])
             deltas = compare(base, treat, args.burn_in)
-            rows.append({"seed": seed, **dataclasses.asdict(deltas)})
+            rows.append((seed, *dataclasses.astuple(deltas)))
     except PomSimError as exc:
         print(f"error: seed {seed}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    header = ["seed", *(f.name for f in dataclasses.fields(ComparisonDeltas))]
+    medians = [_median(rows, k) for k in range(1, len(header))]
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as f:
-        fields = list(rows[0].keys())
-        w = csv.DictWriter(f, fieldnames=fields)
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: (v if k == "seed" else repr(v)) for k, v in row.items()})
-        medians = {k: repr(_median(rows, k)) for k in fields if k != "seed"}
-        w.writerow({"seed": "median", **medians})
+        write_rows(f, header, [*rows, ("median", *medians)])
     return 0
 
 

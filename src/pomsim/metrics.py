@@ -25,7 +25,8 @@ class EquilibriumSummary:
 
 def equilibrium_summary(records: Sequence, burn_in: Optional[int] = None) -> EquilibriumSummary:
     """Post-burn-in time averages (and stddevs) of hashrate, interval, share;
-    the burn-in defaults to the first fifth of the series."""
+    the burn-in defaults to the first fifth of the series.  A statistic that
+    overflows is a `DomainError` naming its series and largest magnitude."""
     if burn_in is None:
         burn_in = len(records) // 5
     if burn_in >= len(records):
@@ -35,18 +36,23 @@ def equilibrium_summary(records: Sequence, burn_in: Optional[int] = None) -> Equ
     ts = np.array([r.timestamp for r in records])
     intervals = np.diff(np.concatenate([[0.0], ts]))
     tail = records[burn_in:]
-    hs = np.array([r.total_hash for r in tail])
-    shares = np.array([r.large_miner_share for r in tail])
-    iv = intervals[burn_in:]
-    return EquilibriumSummary(
-        burn_in=burn_in,
-        mean_hashrate=float(hs.mean()),
-        std_hashrate=float(hs.std()),
-        mean_interval=float(iv.mean()),
-        std_interval=float(iv.std()),
-        mean_share=float(shares.mean()),
-        std_share=float(shares.std()),
-    )
+    series = {
+        "hashrate": np.array([r.total_hash for r in tail]),
+        "interval": intervals[burn_in:],
+        "share": np.array([r.large_miner_share for r in tail]),
+    }
+    stats = {}
+    for name, xs in series.items():
+        try:
+            with np.errstate(over="raise"):
+                stats[f"mean_{name}"] = float(xs.mean())
+                stats[f"std_{name}"] = float(xs.std())
+        except FloatingPointError as exc:
+            raise DomainError(
+                f"the {name} series overflows its mean or stddev "
+                f"(largest magnitude {float(np.abs(xs).max())!r})"
+            ) from exc
+    return EquilibriumSummary(burn_in=burn_in, **stats)
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,10 @@ class NetworkState:
     the EMA of the interval, then moves difficulty by target / EMA, clamped
     to [1 / clamp, clamp] and floored at `floor`.
 
-    Availability (`avail`) and the aggregates taken over it are kept until an
-    event changes them: a flip (`stale`) or a duty-phase edge (`next_edge`).
-    Then `_refresh` takes them all anew in one step, with the next edge, and
-    opens an epoch in the availability log, which holds counts only.  The
+    Availability (`avail`) and the aggregates taken over it are taken anew,
+    in one step by `_refresh`, at one point: the top of `step`'s stall loop,
+    once the height reaches `refresh_at` (the next duty-phase edge, or the
+    height of a flip).  The availability log holds counts only.  The
     aggregates are taken over the available miners only (`idx`): `cum[k]`,
     the sequential sum of the first k + 1 of their hashrates, is the dense
     `(hashrate * avail).cumsum()` at `idx[k]`, bit for bit, since adding a
@@ -115,28 +115,27 @@ class NetworkState:
     passes: int  # decision passes run so far, stall quanta included
     duty_on: np.ndarray
     duty_off: np.ndarray
-    next_edge: float  # next height at which a duty phase turns; inf without duty
     kappa: float  # solve-rate constant, resolved once per run
     has_duty: bool
-    avail: np.ndarray  # availability at `height`; a new array on each refresh
-    stale: bool = field(init=False)  # a flip happened since `avail` was taken
+    avail: np.ndarray = field(init=False)  # availability at `height`; a new array on each refresh
+    refresh_at: float = field(init=False)  # height from which `avail` is out of date
     total: float = field(init=False)  # pairwise sum of the available hashrates
     idx: np.ndarray = field(init=False)  # the available miners, ascending; len() is their count
     cum: np.ndarray = field(init=False)  # cumsum of their hashrates, for the winner draw
     large_share: float = field(init=False)  # share of `total` held by large miners
-    # availability log, one epoch per refresh: the height it starts at and each
-    # miner's available blocks before it; the last epoch's availability is
-    # `avail`.  A refresh in a stall quantum opens an epoch at the height of the
-    # one before it; that epoch has zero length and adds nothing to any count
+    # availability log, one epoch per height at which availability was taken
+    # anew: the height it starts at and each miner's available blocks before it;
+    # the last epoch's availability is `avail`.  Epoch starts strictly increase
     epoch_start: list[int]
     epoch_count: list[np.ndarray]
 
 
 def _refresh(state: NetworkState, window: int) -> None:
-    """Take availability at `state.height` anew, with its aggregates and next duty edge.
+    """Take availability at `state.height` anew, with its aggregates and `refresh_at`.
 
-    The new availability opens a log epoch at this height; epochs that ended
-    before the last `window` blocks are dropped.
+    At a new height it opens a log epoch and drops the epochs that ended before
+    the last `window` blocks; at the open epoch's start (genesis, a stall
+    quantum), which holds no block yet, it replaces that epoch's availability.
     """
     h, b = state.hashrate, state.height
     if state.has_duty:
@@ -145,21 +144,22 @@ def _refresh(state: NetworkState, window: int) -> None:
         phase = b % np.maximum(period, 1)
         avail = state.active & ~(duty & (phase >= on))
         to_edge = np.where(phase < on, on - phase, period - phase)
-        state.next_edge = b + int(to_edge[duty].min())
+        state.refresh_at = b + int(to_edge[duty].min())
     else:
         avail = state.active.copy()
+        state.refresh_at = math.inf
     idx = avail.nonzero()[0]
     ha = h[idx]
     total = float(np.add.reduce(ha))
     large = float(np.add.reduce(ha[state.is_large[idx]]))
     starts, counts = state.epoch_start, state.epoch_count
-    counts.append(counts[-1] + state.avail * (b - starts[-1]))
-    old = bisect_right(starts, b - window) - 1
-    if old > 0:
-        del starts[:old], counts[:old]
-    starts.append(b)
+    if b > starts[-1]:
+        counts.append(counts[-1] + state.avail * (b - starts[-1]))
+        old = bisect_right(starts, b - window) - 1
+        if old > 0:
+            del starts[:old], counts[:old]
+        starts.append(b)
     state.avail = avail
-    state.stale = False
     state.total = total
     state.idx = idx
     state.cum = ha.cumsum()
@@ -172,7 +172,7 @@ def _window_count(state: NetworkState, i: int, window: int) -> int:
     lo = b - window if b > window else 0
     if starts[-1] <= lo:  # one availability over the whole window
         return (b - lo) * bool(state.avail[i])
-    e = bisect_right(starts, lo) - 1  # the epoch that holds block `lo`: one block or more
+    e = bisect_right(starts, lo) - 1  # the epoch that holds block `lo`
     was_avail = int(counts[e + 1][i] - counts[e][i]) // (starts[e + 1] - starts[e])
     return (
         int(counts[-1][i] - counts[e][i])
@@ -265,7 +265,7 @@ def _decision_pass(
     if not leave and not enter:
         return
     on[j:], off[:k] = stay, wait
-    state.stale = True
+    state.refresh_at = state.height
     # each flipped miner's entry in the list it goes back to, in index order
     inactive, active = state.inactive_entry, state.active_entry
     back = [inactive[e[1]] for e in leave]
@@ -299,12 +299,13 @@ def step(
     """
     price = config.price.at(state.height)
     window = config.pom.window
-    if state.stale or state.height >= state.next_edge:
-        _refresh(state, window)
-
     rc = config.retarget
     stalls = 0
-    while state.total <= 0.0:
+    while True:
+        if state.height >= state.refresh_at:
+            _refresh(state, window)
+        if state.total > 0.0:
+            break
         stalls += 1
         if stalls > _MAX_STALL_QUANTA:
             raise InternalError(
@@ -320,8 +321,6 @@ def step(
         state.difficulty = d
         r = _block_reward(config, d, state.r_max)
         _decision_pass(state, config, rng, r, price, 0.0)
-        if state.stale:
-            _refresh(state, window)
     total = state.total
 
     d = state.difficulty
@@ -403,13 +402,11 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         passes=0,
         duty_on=duty_on,
         duty_off=duty_off,
-        next_edge=math.inf,
         kappa=config.resolved_rate_constant(),
         has_duty=bool((duty_on > 0).any()),
         ema=config.retarget.target_interval,
         floor=config.difficulty_map.floor,
-        avail=active,
-        epoch_start=[0],  # an empty epoch before the first block's
+        epoch_start=[0],  # the first epoch opens at genesis
         epoch_count=[np.zeros(n, dtype=int)],
     )
     # staggered start: every miner goes through the re-arm rule from pass 0
@@ -442,16 +439,18 @@ def run(config: SimConfig) -> RunSeries:
     return RunSeries(config_digest=config.digest(), records=records, summary=summary)
 
 
-# one `blocks.csv` row: `str()` of each field, as `csv.writer` writes it (a
-# float is its repr), unquoted, since no field can need quoting (numbers never
-# do, and `MinerAgent` rejects an id that would)
-_ROW = ",".join(["%s"] * len(BlockRecord._fields)) + "\r\n"
+def write_rows(f, header, rows) -> None:
+    """Write a CSV table: the header, then `str()` of each field of each tuple row,
+    as `csv.writer` writes them (a float is its repr).  Unquoted, since no field
+    can need quoting: numbers never do, and `MinerAgent` rejects an id that would."""
+    row = ",".join(["%s"] * len(header)) + "\r\n"
+    f.write(",".join(header) + "\r\n")
+    f.writelines(map(row.__mod__, rows))
 
 
 def write_series_csv(series: RunSeries, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(BlockRecord._fields) + "\r\n")
-        f.writelines(map(_ROW.__mod__, series.records))
+        write_rows(f, BlockRecord._fields, series.records)
 
 
 def read_series_csv(path) -> list[BlockRecord]:

@@ -1,17 +1,23 @@
+import csv
 import dataclasses
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pomsim
 from pomsim import cli
 from pomsim.cli import EXIT_INTERNAL, EXIT_USAGE, main
-from pomsim.simulator import RunSummary
+from pomsim.config import schedule_from_dict
+from pomsim.metrics import ComparisonDeltas, compare
+from pomsim.reward_curve import base_reward, calibrate_schedule, cutoff_factor, reward
+from pomsim.simulator import RunSummary, read_series_csv
 
 
 @pytest.fixture
@@ -233,15 +239,15 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INTERNAL
         assert "does not advance the clock 7050.0 s at height 29" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_non_finite_summary_is_an_internal_error(self, tmp_path, capsys):
-        # intervals near 1e297 s: their stddev overflows, and JSON has no Infinity
+        # intervals near 1e298 s: their stddev overflows, which the summary reports
         miner = {"hashrate": 1e-300, "unit_cost": 0.5}
         cfg = self.dynamics_config(tmp_path, population={"explicit": [miner]})
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_INTERNAL
         err = capsys.readouterr().err
-        assert f"{out / 'seed_0' / 'summary.json'}: std_interval not finite" in err
+        assert "error: simulation failed: the interval series overflows its mean or stddev" in err
+        assert "(largest magnitude 1.64" in err
         assert not (out / "seed_0" / "summary.json").exists()
         assert not (out / "seed_0" / "blocks.csv").exists()
 
@@ -292,6 +298,72 @@ class TestCompare:
         (tmp_path / "y").mkdir()
         rc = main(["compare", str(tmp_path / "x"), str(tmp_path / "y")])
         assert rc == EXIT_USAGE
+
+
+class TestCsvTables:
+    """`pomsim curve` and `compare` format rows themselves; the csv module is the reference."""
+
+    @staticmethod
+    def csv_module_text(header, rows):
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        return buf.getvalue()
+
+    @staticmethod
+    def table(argv, to_file, tmp_path, capsys):
+        """What `main(argv)` writes to `--out` (when `to_file`) or to stdout."""
+        dest = tmp_path / "table.csv"
+        assert main(argv + ["--out", str(dest)] if to_file else argv) == 0
+        out = capsys.readouterr().out
+        return dest.read_bytes().decode() if to_file else out
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("args", [
+        ["--landmarks", "1.75", "2.2", "2.37", "--r-max", "9.0"],
+        ["--params", "1", "4", "0.5"],
+        ["--params", "1", "4", "0.5", "2.3", "0.05"],
+    ], ids=["landmarks", "no-cutoff", "cutoff"])
+    def test_curve(self, args, to_file, tmp_path, capsys):
+        if args[0] == "--landmarks":
+            schedule = calibrate_schedule(1.75, 2.2, 2.37, 9.0, b_ratio=4.0)
+        else:
+            schedule = schedule_from_dict(dict(zip(["a", "b", "scale", "d_co", "spread"],
+                                                   map(float, args[1:]))))
+        assert (schedule.cutoff is None) == (args[1:] == ["1", "4", "0.5"])
+        rows = []
+        for i in range(301):  # range 0..3 at step 0.01
+            d = i * 0.01
+            cf = cutoff_factor(d, schedule.cutoff) if schedule.cutoff else 1.0
+            rows.append([d, base_reward(d, schedule.base), cf, reward(d, schedule)])
+        want = self.csv_module_text(["d", "base", "cutoff_factor", "reward"], rows)
+        argv = ["curve", *args, "--range", "0", "3", "--step", "0.01"]
+        assert self.table(argv, to_file, tmp_path, capsys) == want
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"large_threshold": 1e9},  # no large miner: each share ratio, and their median, are nan
+    ], ids=["finite", "nan-median"])
+    def test_compare(self, overrides, to_file, small_config, tmp_path, capsys):
+        base = {**json.loads(small_config.read_text()), **overrides}
+        dirs = []
+        for name, cfg in [("base", base), ("treat", {**base, "constant_reward": True})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            dirs.append(str(tmp_path / name))
+            assert main(["run", "--config", str(path), "--seeds", "2", "--out", dirs[-1]]) == 0
+        rows = []
+        for seed in (3, 4):
+            b, t = (read_series_csv(Path(d) / f"seed_{seed}" / "blocks.csv") for d in dirs)
+            rows.append([seed, *dataclasses.astuple(compare(b, t))])
+        medians = [float(np.median([r[k] for r in rows])) for k in range(1, len(rows[0]))]
+        header = ["seed", *(f.name for f in dataclasses.fields(ComparisonDeltas))]
+        want = self.csv_module_text(header, rows + [["median", *medians]])
+        assert ("nan" in want.splitlines()[-1]) == bool(overrides)
+        capsys.readouterr()
+        assert self.table(["compare", *dirs], to_file, tmp_path, capsys) == want
 
 
 @pytest.mark.parametrize("argv", [

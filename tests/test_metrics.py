@@ -61,6 +61,20 @@ class TestEquilibriumSummary:
         with pytest.raises(DomainError):
             equilibrium_summary([record(0, 1.0)], burn_in=-1)
 
+    @pytest.mark.parametrize(
+        "name,recs",
+        [
+            ("hashrate", [record(i, 1.0 + i, total_hash=1e308) for i in range(3)]),
+            ("interval", [record(0, 1.0), record(1, 1e308), record(2, 1.7e308)]),
+            ("share", [record(i, 1.0 + i, share=1e308) for i in range(3)]),
+        ],
+        ids=["hashrate-mean", "interval-stddev", "share-mean"],
+    )
+    def test_an_overflowing_statistic_is_a_domain_error(self, name, recs):
+        msg = rf"^the {name} series overflows its mean or stddev \(largest magnitude 1e\+308\)$"
+        with pytest.raises(DomainError, match=msg):
+            equilibrium_summary(recs, burn_in=1)
+
     def test_golden_fixture(self):
         recs = read_series_csv(FIXTURE)
         s = equilibrium_summary(recs, burn_in=GOLDEN_BURN_IN)

@@ -23,7 +23,7 @@ from pomsim.agents import (
 from pomsim.config import config_from_dict, load_config
 from pomsim import simulator
 from pomsim.difficulty import hash_to_difficulty
-from pomsim.errors import ConfigError, InternalError, ParameterError
+from pomsim.errors import ConfigError, DomainError, InternalError, ParameterError
 from pomsim.metrics import EquilibriumSummary, equilibrium_summary
 from pomsim.simulator import (
     BlockRecord,
@@ -152,6 +152,16 @@ class TestDegenerateRuns:
         eq = equilibrium_summary(series.records)
         assert {k: getattr(series.summary, k) for k in vars(eq)} == vars(eq)
         assert series.summary.burn_in == 24
+
+    def test_an_overflowing_summary_is_a_domain_error(self):
+        # a lone miner of hashrate 1e-300: intervals near 1e298 s, whose stddev overflows
+        cfg = dataclasses.replace(
+            load_config("configs/dynamics.json"),
+            horizon=300,
+            explicit_population=[explicit_miner("m0", 1e-300, unit_cost=0.5)],
+        )
+        with pytest.raises(DomainError, match=r"^the interval series overflows its mean or stddev"):
+            run(cfg)
 
     def test_single_miner_wins_everything(self):
         cfg = make_config(
@@ -286,6 +296,8 @@ class TestWinnerAvailability:
             assert 0.0 <= rec.large_miner_share <= 1.0
             assert rec.timestamp > clock
             clock = rec.timestamp
+            starts = state.epoch_start  # one log epoch per height, stall quanta included
+            assert all(a < b for a, b in zip(starts, starts[1:]))
         assert state.passes > state.height  # a pass per block and per stall quantum: it stalled
 
 
@@ -318,8 +330,9 @@ class TestDutyCycle:
         # full0 costs nothing and never leaves, so the run never stalls.  With
         # `stalls`, full0 pays too and every hashrate is tripled: genesis
         # difficulty lies past the cutoff, and the network stalls and recovers
-        # three times.  Its stall quanta open zero-length log epochs, and its
-        # short window reaches into epochs of a log that has been trimmed
+        # three times.  Its stall quanta take availability anew at one height,
+        # which opens no second log epoch there, and its short window reaches
+        # into epochs of a log that has been trimmed
         scale, cost0 = (3.0, 0.8) if stalls else (1.0, 0.0)
         cfg = dataclasses.replace(
             load_config("configs/dynamics.json"),
@@ -339,6 +352,8 @@ class TestDutyCycle:
         for _ in range(window + 100):
             state, rec = step(state, cfg, rng)
             seen.append(state.avail)  # the availability this block was drawn from
+            starts = state.epoch_start
+            assert all(a < b for a, b in zip(starts, starts[1:]))  # one epoch per height
             w = state.ids.index(rec.winner)
             # the blocks before this one, at most a window of them (none at genesis)
             history = deque((avail[w] for avail in seen[:-1]), maxlen=window)
