@@ -34,6 +34,7 @@ from .reward_curve import (
 )
 from .simulator import (
     BlockRecord,
+    Draws,
     EconomicsConfig,
     NetworkState,
     PricePath,

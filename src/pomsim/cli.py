@@ -48,7 +48,7 @@ def cmd_curve(args) -> int:
         return EXIT_USAGE
 
     lo, hi = args.range
-    if not (-math.inf < lo < hi < math.inf and 0.0 < args.step < math.inf):
+    if not (0.0 <= lo < hi < math.inf and 0.0 < args.step < math.inf):
         print(f"error: bad range/step: range=({lo}, {hi}) step={args.step}", file=sys.stderr)
         return EXIT_USAGE
     steps = (hi - lo) / args.step * (1.0 + 1e-9)  # inf where the count overflows a float

@@ -20,7 +20,9 @@ import operator
 import os
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -36,6 +38,44 @@ from .metrics import EquilibriumSummary, equilibrium_summary
 from .reward_curve import RewardScheduleParams, find_peak, reward
 
 _MAX_STALL_QUANTA = 100_000
+_BATCH = 4096  # values per refill of each of the run's random streams
+
+
+def _batches(draw):
+    """The values of `draw(_BATCH)`, batch after batch: numpy gives the same values,
+    in the same order, as that many scalar draws."""
+    while True:
+        yield from draw(_BATCH).tolist()
+
+
+class Draws:
+    """The kernel's random draws, one stream per purpose, each drawn ahead.
+
+    Block intervals, winner draws and dwell jitter each come from a child of
+    `SeedSequence(seed).spawn(3)`, in that order.  The population and the
+    staggered start come from `default_rng(seed)` in `initial_state`.
+    """
+
+    def __init__(self, seed: int, dwell: int):
+        children = np.random.SeedSequence(seed).spawn(3)
+        intervals, winners, self._jitters = map(np.random.default_rng, children)
+        self.interval = partial(next, _batches(intervals.standard_exponential))  # Exp(1)
+        self.uniform = partial(next, _batches(winners.random))  # U[0, 1)
+        self._dwell = dwell
+        self._ahead, self._at = [], 0  # jitter drawn ahead, and the first value not yet taken
+
+    def jitter(self, n: int) -> list[int]:
+        """n values of U[0, dwell); none drawn when dwell is 0."""
+        ahead, i = self._ahead, self._at
+        if i + n > len(ahead):
+            if self._dwell == 0:
+                return [0] * n
+            ahead, i = ahead[i:], 0
+            while len(ahead) < n:
+                ahead += self._jitters.integers(0, self._dwell, _BATCH).tolist()
+            self._ahead = ahead
+        self._at = i + n
+        return ahead[i : i + n]
 
 
 class BlockRecord(NamedTuple):
@@ -72,7 +112,8 @@ class RunSeries:
 @dataclass(slots=True)
 class NetworkState:
     """Mutable per-run state: clock, controller, population arrays, and the
-    kernel's event bookkeeping.
+    kernel's event bookkeeping.  It holds no generator: `step` takes its
+    draws from a `Draws`, one stream per purpose.
 
     The controller's state is two floats, `difficulty` and `ema` (the block
     interval's EMA).  After each block and stall quantum `retarget_step` takes
@@ -193,7 +234,7 @@ _ON_COST = operator.itemgetter(3)  # and its on_cost
 def _decision_pass(
     state: NetworkState,
     config: SimConfig,
-    rng: np.random.Generator,
+    draws: Draws,
     block_reward: float,
     price: float,
     total_hash: float,
@@ -274,25 +315,24 @@ def _decision_pass(
     act = state.active
     for e in back:
         act[e[1]] = e[5]
-    dwell = config.economics.dwell
-    _arm(state.due, back, p + 1 + dwell, dwell, rng)
+    _arm(state.due, back, p + 1 + config.economics.dwell, draws.jitter)
 
 
-def _arm(due: defaultdict, entries: list, first: int, dwell: int, rng: np.random.Generator) -> None:
-    """Re-arm `entries`, in order: each may flip again from pass first + U[0, dwell)."""
-    n = len(entries)
-    if dwell > 0 and n <= 2:  # scalar draws are faster, with the values and state of one of size n
-        jitters = [int(rng.integers(dwell)) for _ in range(n)]
-    else:
-        jitters = rng.integers(0, dwell, n).tolist() if dwell > 0 else [0] * n
-    for e, jitter in zip(entries, jitters):
-        due[first + jitter].append(e)
+def _arm(due: defaultdict, entries: list, first: int, jitter: Callable[[int], list[int]]) -> None:
+    """Re-arm `entries`, in order: each may flip again from pass first + U[0, dwell),
+    the n offsets drawn by `jitter(n)`."""
+    for e, j in zip(entries, jitter(len(entries))):
+        due[first + j].append(e)
 
 
-def step(
-    state: NetworkState, config: SimConfig, rng: np.random.Generator
-) -> tuple[NetworkState, BlockRecord]:
+def step(state: NetworkState, config: SimConfig, draws: Draws) -> tuple[NetworkState, BlockRecord]:
     """Produce one block, updating state in place.
+
+    Draws, in order: in each stall quantum and after the block, the dwell
+    jitter of the miners the decision pass flipped (`draws.jitter`); for the
+    block, its interval (`draws.interval`, scaled by d / (kappa * total)), then
+    its winner (`draws.uniform`).  A source with these three methods may stand
+    in for `Draws`.
 
     If no miner is available the step advances time in stall quanta,
     decaying difficulty and re-running decisions until someone re-enters.
@@ -320,11 +360,11 @@ def step(
         d, state.ema = retarget(rc, state.floor, state.difficulty, state.ema, quantum)
         state.difficulty = d
         r = _block_reward(config, d, state.r_max)
-        _decision_pass(state, config, rng, r, price, 0.0)
+        _decision_pass(state, config, draws, r, price, 0.0)
     total = state.total
 
     d = state.difficulty
-    interval = float(rng.exponential(d / (state.kappa * total)))
+    interval = draws.interval() * (d / (state.kappa * total))
     if not state.clock + interval > state.clock:
         raise InternalError(
             f"block interval {interval!r} s does not advance the clock {state.clock!r} s "
@@ -333,7 +373,7 @@ def step(
     state.clock += interval
 
     # winner proportional to available hashrate
-    u = rng.random() * total
+    u = draws.uniform() * total
     cum = state.cum
     k = cum.searchsorted(u, "right")
     if k == len(cum):  # u is past cum[-1] by rounding: take the last available miner
@@ -348,7 +388,7 @@ def step(
     )  # built positionally, at about half the cost of a keyword call
 
     state.difficulty, state.ema = retarget(rc, state.floor, d, state.ema, interval)
-    _decision_pass(state, config, rng, raw, price, total)
+    _decision_pass(state, config, draws, raw, price, total)
     state.height += 1
     return state, record
 
@@ -365,6 +405,8 @@ def schedule_max(schedule: RewardScheduleParams) -> tuple[float, float]:
 
 
 def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
+    """The genesis state; `rng` (`default_rng(seed)` in `run`) draws the population
+    and the staggered start, and nothing after."""
     if config.explicit_population is not None:
         agents = config.explicit_population
     else:
@@ -409,9 +451,11 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         epoch_start=[0],  # the first epoch opens at genesis
         epoch_count=[np.zeros(n, dtype=int)],
     )
-    # staggered start: every miner goes through the re-arm rule from pass 0
+    # staggered start: every miner goes through the re-arm rule from pass 0,
+    # its jitter drawn from `rng` in one call
     entries = [active_entry[i] if on else inactive_entry[i] for i, on in enumerate(active)]
-    _arm(state.due, entries, 0, config.economics.dwell, rng)
+    dwell = config.economics.dwell
+    _arm(state.due, entries, 0, lambda n: rng.integers(0, dwell, n).tolist() if dwell else [0] * n)
     _refresh(state, config.pom.window)
     h0 = state.total  # at height 0 the available miners are the active ones
     state.difficulty = hash_to_difficulty(h0, config.difficulty_map) if h0 > 0 else state.floor
@@ -420,13 +464,13 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
 
 def run(config: SimConfig) -> RunSeries:
     """Execute the configured horizon from genesis; deterministic per seed."""
-    rng = np.random.default_rng(config.seed)
-    state = initial_state(config, rng)
+    state = initial_state(config, np.random.default_rng(config.seed))
     h0, large0 = state.total, state.large_share  # the genesis refresh's
+    draws = Draws(config.seed, config.economics.dwell)
 
     records: list[BlockRecord] = []
     for _ in range(config.horizon):
-        state, rec = step(state, config, rng)
+        state, rec = step(state, config, draws)
         records.append(rec)
 
     eq = equilibrium_summary(records) if records else EquilibriumSummary(burn_in=0)

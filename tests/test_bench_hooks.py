@@ -17,7 +17,7 @@ import pytest
 
 from pomsim import simulator
 from pomsim.config import PopulationSpec, load_config
-from pomsim.simulator import RunSummary, initial_state, step
+from pomsim.simulator import Draws, RunSummary, initial_state, step
 
 _ROOT = Path(__file__).resolve().parent.parent
 _PERFBENCH = _ROOT / "perfbench"
@@ -62,9 +62,9 @@ def test_the_kernel_calls_retarget_once_per_block_and_stall_quantum(monkeypatch)
 
     retarget = simulator.retarget
     monkeypatch.setattr(simulator, "retarget", counted)
-    rng = np.random.default_rng(cfg.seed)
-    state = initial_state(cfg, rng)
+    state = initial_state(cfg, np.random.default_rng(cfg.seed))
+    draws = Draws(cfg.seed, cfg.economics.dwell)
     for _ in range(cfg.horizon):
-        state, _ = step(state, cfg, rng)
+        state, _ = step(state, cfg, draws)
     assert len(calls) == state.passes  # a decision pass per block and per stall quantum
     assert len(calls) > cfg.horizon

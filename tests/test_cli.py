@@ -247,7 +247,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert "error: simulation failed: the interval series overflows its mean or stddev" in err
-        assert "(largest magnitude 1.64" in err
+        assert "(largest magnitude 1.066" in err
         assert not (out / "seed_0" / "summary.json").exists()
         assert not (out / "seed_0" / "blocks.csv").exists()
 
@@ -380,9 +380,10 @@ class TestCsvTables:
      "--out", "{tmp}/o"],
     ["curve", "--params", "1", "2", "1", "--range", "0", "1", "--step", "1e-12",
      "--out", "{tmp}/o"],
+    ["curve", "--params", "1", "4", "0.5", "--range", "-1", "3", "--out", "{tmp}/o"],
 ], ids=["negative-base-seed", "unordered-landmarks", "negative-r-max", "a-above-b",
         "negative-burn-in", "burn-in-past-series", "nan-step", "infinite-range", "infinite-r-max",
-        "overflowing-row-count", "huge-row-count"])
+        "overflowing-row-count", "huge-row-count", "negative-range-start"])
 def test_bad_arguments_are_usage_errors(argv, small_config, tmp_path, capsys):
     sweep = tmp_path / "sweep"
     if "{sweep}" in argv:

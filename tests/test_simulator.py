@@ -27,6 +27,7 @@ from pomsim.errors import ConfigError, DomainError, InternalError, ParameterErro
 from pomsim.metrics import EquilibriumSummary, equilibrium_summary
 from pomsim.simulator import (
     BlockRecord,
+    Draws,
     EconomicsConfig,
     PricePath,
     RunSummary,
@@ -221,18 +222,17 @@ class TestInvariants:
         assert cutoff_run.summary.mean_hashrate < const_run.summary.mean_hashrate
 
 
-class _FixedDraw:
-    """A generator whose uniform draw is always `u`: by default 1.0, the top of the range."""
+def draws_for(cfg):
+    """The draw source `run` gives `step` for this config."""
+    return Draws(cfg.seed, cfg.economics.dwell)
 
-    def __init__(self, seed, u=1.0):
-        self._rng = np.random.default_rng(seed)
-        self._u = u
 
-    def random(self):
-        return self._u
+class _FixedDraw(Draws):
+    """A draw source whose uniform draw is always `u`: by default 1.0, the top of the range."""
 
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
+    def __init__(self, seed, dwell, u=1.0):
+        super().__init__(seed, dwell)
+        self.uniform = lambda: u
 
 
 class TestWinnerAvailability:
@@ -244,7 +244,7 @@ class TestWinnerAvailability:
             constant_reward=True,
         )
         state = initial_state(cfg, np.random.default_rng(cfg.seed))
-        _, rec = step(state, cfg, _FixedDraw(cfg.seed))
+        _, rec = step(state, cfg, _FixedDraw(cfg.seed, cfg.economics.dwell))
         assert rec.winner == "b"
 
     @pytest.mark.parametrize("duty", [None, (2, 1)], ids=["no-duty", "duty"])
@@ -260,22 +260,21 @@ class TestWinnerAvailability:
             for mid, h, on in spec
         ]
         cfg = make_config(explicit_population=miners, constant_reward=True)
-        rng = np.random.default_rng(cfg.seed)
-        state = initial_state(cfg, rng)
+        state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
         for _ in range(4):
             probe = copy.deepcopy(state)  # the availability this block draws over
-            step(probe, cfg, np.random.default_rng(0))
+            step(probe, cfg, Draws(0, cfg.economics.dwell))
             cum = (probe.hashrate * probe.avail).cumsum()
             bounds = cum[probe.avail] / probe.total
             for u in [0.0, math.nextafter(1.0, 0.0), 1.0, *bounds.tolist()]:
-                _, rec = step(copy.deepcopy(state), cfg, _FixedDraw(0, u))
+                _, rec = step(copy.deepcopy(state), cfg, _FixedDraw(0, cfg.economics.dwell, u))
                 w = int(cum.searchsorted(u * rec.total_hash, "right"))
                 if w == len(cum):
                     w = int(cum.searchsorted(cum[-1]))
                 assert rec.winner == state.ids[w]
                 assert type(rec.active_miner_count) is int
                 assert rec.active_miner_count == np.count_nonzero(probe.avail)
-            state, _ = step(state, cfg, rng)
+            state, _ = step(state, cfg, draws)
 
     def test_stall_heavy_run_keeps_invariants(self):
         # 2,000 miners overshoot the cutoff: mass exits, stall quanta, re-entry
@@ -284,12 +283,11 @@ class TestWinnerAvailability:
             horizon=300,
             population=PopulationSpec(n_small=1936, n_large=64),
         )
-        rng = np.random.default_rng(cfg.seed)
-        state = initial_state(cfg, rng)
+        state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
         index = {mid: i for i, mid in enumerate(state.ids)}
         clock = 0.0
         for _ in range(cfg.horizon):
-            state, rec = step(state, cfg, rng)
+            state, rec = step(state, cfg, draws)
             assert state.avail[index[rec.winner]]  # the availability the block was drawn from
             assert rec.credited_reward <= rec.raw_reward
             assert 0.0 <= rec.pom_multiplier <= 1.0
@@ -329,13 +327,14 @@ class TestDutyCycle:
     def test_credit_is_the_scalar_rule_over_the_winners_availability(self, credit, stalls):
         # full0 costs nothing and never leaves, so the run never stalls.  With
         # `stalls`, full0 pays too and every hashrate is tripled: genesis
-        # difficulty lies past the cutoff, and the network stalls and recovers
-        # three times.  Its stall quanta take availability anew at one height,
-        # which opens no second log epoch there, and its short window reaches
-        # into epochs of a log that has been trimmed
-        scale, cost0 = (3.0, 0.8) if stalls else (1.0, 0.0)
+        # difficulty lies past the cutoff, and at seed 2 the network stalls and
+        # recovers three times.  Its stall quanta take availability anew at one
+        # height, which opens no second log epoch there, and its short window
+        # reaches into epochs of a log that has been trimmed
+        scale, cost0, seed = (3.0, 0.8, 2) if stalls else (1.0, 0.0, 0)
         cfg = dataclasses.replace(
             load_config("configs/dynamics.json"),
+            seed=seed,
             pom=credit,
             explicit_population=[
                 explicit_miner("full0", 12.0 * scale, unit_cost=cost0),
@@ -346,11 +345,10 @@ class TestDutyCycle:
             ],
         )
         window = cfg.pom.window
-        rng = np.random.default_rng(cfg.seed)
-        state = initial_state(cfg, rng)
+        state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
         seen, mults = [], []
         for _ in range(window + 100):
-            state, rec = step(state, cfg, rng)
+            state, rec = step(state, cfg, draws)
             seen.append(state.avail)  # the availability this block was drawn from
             starts = state.epoch_start
             assert all(a < b for a, b in zip(starts, starts[1:]))  # one epoch per height
@@ -397,15 +395,14 @@ class TestDutyCycle:
             return decision_pass(state, *args)
 
         decision_pass = simulator._decision_pass
-        rng = np.random.default_rng(seed)
-        state = initial_state(cfg, rng)
+        state, draws = initial_state(cfg, np.random.default_rng(seed)), draws_for(cfg)
         with (
             mock.patch.object(simulator, "_decision_pass", recorded),
             mock.patch.object(simulator, "_MAX_STALL_QUANTA", 1000),
         ):
             for _ in range(horizon):
                 try:
-                    state, rec = step(state, cfg, rng)
+                    state, rec = step(state, cfg, draws)
                 except InternalError as exc:  # a stall that does not end soon
                     assert "network stalled" in str(exc)
                     break
@@ -465,7 +462,7 @@ class TestStallRecovery:
         with pytest.raises(InternalError) as info:
             run(cfg)
         msg = str(info.value)
-        assert "within 100 quanta at height 245, clock " in msg
+        assert "within 100 quanta at height 249, clock " in msg
         assert ", difficulty 1e-06, price 30.0;" in msg
         assert msg.endswith("3 active miner(s) held off only by their duty phase")
 
@@ -493,7 +490,7 @@ class TestVectorizedDecisions:
                 decide(m, rev, cfg.economics.margin_on, cfg.economics.margin_off, dwell=0).active
             )
 
-        _decision_pass(state, cfg, np.random.default_rng(99), block_reward, price, total)
+        _decision_pass(state, cfg, Draws(99, 0), block_reward, price, total)
         assert list(state.active) == expected
 
 
@@ -544,10 +541,11 @@ def check_against_decide_all(cfg, state, left, seed, conditions):
     left = np.array(left)
     set_dwell(state, left)
     active = state.active.copy()
-    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws, jitter_ref = _RecordedJitter(seed, dwell), _children(seed)[2]
+    jitters = []  # the jitter values the dense pass drew, in order
     seen = []
     for block_reward, total in conditions:
-        _decision_pass(state, cfg, rng, block_reward, 30.0, total)
+        _decision_pass(state, cfg, draws, block_reward, 30.0, total)
 
         # the dense pass: a dwell countdown on every miner, the rule on all of them
         busy = left > 0
@@ -557,25 +555,72 @@ def check_against_decide_all(cfg, state, left, seed, conditions):
         rev = revenue_rate(h, prospective, block_reward, 30.0, target)
         flips = decide_all(active, ~busy, rev, on_cost, off_cost)
         if flips.any() and dwell > 0:
-            left[flips] = dwell + rng_ref.integers(0, dwell, np.count_nonzero(flips))
+            drawn = [int(jitter_ref.integers(dwell)) for _ in range(np.count_nonzero(flips))]
+            left[flips] = dwell + np.array(drawn)
+            jitters += drawn
 
         assert list(state.active) == list(active)
         assert ready_miners(state) == list(np.flatnonzero(left == 0))
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert draws.jitters == jitters
         seen.append((int(np.count_nonzero(flips)), expired))
     return seen
 
 
-def test_scalar_jitter_draws_are_one_draw_of_size_n():
-    # `_decision_pass` draws the jitter for 1 or 2 flips one by one: that must give
-    # the values and the generator state of one draw of size n, whatever the state
-    # the generator's buffered half-word is in (hence one generator across all n)
-    for base in [1, 2, 30, 1000, 2**31 + 5]:
-        for seed in range(20):
-            each, one = np.random.default_rng(seed), np.random.default_rng(seed)
-            for n in range(1, 8):
-                assert [int(each.integers(base)) for _ in range(n)] == one.integers(0, base, n).tolist()
-                assert each.bit_generator.state == one.bit_generator.state
+def _children(seed):
+    """Generators on the seed's three child seeds: the interval, winner and jitter streams."""
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3)]
+
+
+class _RecordedJitter(Draws):
+    """A `Draws` that keeps the jitter values it draws (none while dwell is 0)."""
+
+    def __init__(self, seed, dwell):
+        super().__init__(seed, dwell)
+        self.jitters = []
+
+    def jitter(self, n):
+        out = super().jitter(n)
+        if self._dwell:
+            self.jitters += out
+        return out
+
+
+class TestDraws:
+    """Each stream of `Draws` is the scalar draws of its own child generator, in order:
+    drawing 4,096 at a time changes no value."""
+
+    BATCH = simulator._BATCH
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_intervals_and_winners_across_refills(self, seed):
+        draws, (intervals, winners, _) = Draws(seed, 30), _children(seed)
+        n = 2 * self.BATCH + 3
+        expected = [intervals.standard_exponential() for _ in range(n)]
+        assert [draws.interval() for _ in range(n)] == expected
+        assert [draws.uniform() for _ in range(n)] == [winners.random() for _ in range(n)]
+
+    @pytest.mark.parametrize("base", [1, 2, 30, 1000, 2**31 + 5, 10**12])
+    def test_jitter_across_refills_straddles_and_a_set_larger_than_a_batch(self, base):
+        # 10**12 takes numpy's 64-bit path, the others its buffered 32-bit one
+        for seed in range(3):
+            draws, jitters = Draws(seed, base), _children(seed)[2]
+            # the set of 7 straddles the first refill; the set of 4,100, larger than
+            # a batch, and the one of exactly 4,096 each straddle another
+            for n in [1, 2, self.BATCH - 6, 7, self.BATCH + 4, self.BATCH, 3]:
+                assert draws.jitter(n) == [int(jitters.integers(base)) for _ in range(n)]
+
+    def test_no_jitter_is_drawn_when_dwell_is_0(self):
+        draws, jitters = Draws(5, 0), _children(5)[2]
+        for n in (1, 3, self.BATCH + 1):
+            assert draws.jitter(n) == [0] * n
+        assert draws._jitters.bit_generator.state == jitters.bit_generator.state
+
+    def test_jitter_leaves_the_interval_and_winner_streams_where_they_were(self):
+        draws, (intervals, winners, _) = Draws(7, 30), _children(7)
+        for n in range(1, 200):
+            assert draws.jitter(n)
+            assert draws.interval() == intervals.standard_exponential()
+            assert draws.uniform() == winners.random()
 
 
 class TestDecisionPass:
@@ -683,7 +728,7 @@ class TestDecisionPass:
             block_reward = self._reward_for(state, cfg, 0, off_cost[0] * (1 - 1e-10), total)
         else:  # 1e-10 above the entry threshold
             block_reward = self._reward_for(state, cfg, 0, on_cost[0] * (1 + 1e-10), total + 2.0)
-        _decision_pass(state, cfg, np.random.default_rng(0), block_reward, 30.0, total)
+        _decision_pass(state, cfg, Draws(0, 0), block_reward, 30.0, total)
         assert state.active[0] != active
 
     @staticmethod
@@ -754,14 +799,14 @@ class TestDecisionPass:
             passes=1,
             left=[1, 0],  # m is still in its dwell at pass 1
         )
-        rng, total, off_cost = np.random.default_rng(0), 22.0, costs(state)[1]
+        draws, total, off_cost = Draws(0, 0), 22.0, costs(state)[1]
         stay = self._reward_for(state, cfg, 0, off_cost[0] * 2.0, total)
         leave = self._reward_for(state, cfg, 0, off_cost[0] * 0.5, total)
-        _decision_pass(state, cfg, rng, leave, 30.0, total)  # pass 1: only big is ready
+        _decision_pass(state, cfg, draws, leave, 30.0, total)  # pass 1: only big is ready
         assert state.active[0]
-        _decision_pass(state, cfg, rng, stay, 30.0, total)  # pass 2: m is ready and stays
+        _decision_pass(state, cfg, draws, stay, 30.0, total)  # pass 2: m is ready and stays
         assert state.active[0]
-        _decision_pass(state, cfg, rng, leave, 30.0, total)  # pass 3: m leaves
+        _decision_pass(state, cfg, draws, leave, 30.0, total)  # pass 3: m leaves
         assert not state.active[0]
 
     def test_with_no_dwell_a_flipped_miner_is_judged_in_its_new_state(self):
@@ -770,14 +815,14 @@ class TestDecisionPass:
              MinerAgent(id="big", hashrate=20.0, unit_cost=0.0)],
             passes=1,
         )
-        rng, (on_cost, off_cost) = np.random.default_rng(0), costs(state)
+        draws, (on_cost, off_cost) = Draws(0, 0), costs(state)
         leave = self._reward_for(state, cfg, 0, off_cost[0] * 0.5, 22.0)
         enter = self._reward_for(state, cfg, 0, on_cost[0] * 2.0, 22.0)
-        _decision_pass(state, cfg, rng, leave, 30.0, 22.0)  # m leaves
+        _decision_pass(state, cfg, draws, leave, 30.0, 22.0)  # m leaves
         assert not state.active[0]
-        _decision_pass(state, cfg, rng, leave, 30.0, 20.0)  # the pass after a flip
+        _decision_pass(state, cfg, draws, leave, 30.0, 20.0)  # the pass after a flip
         assert not state.active[0]
-        _decision_pass(state, cfg, rng, enter, 30.0, 20.0)  # m is ready at once and enters
+        _decision_pass(state, cfg, draws, enter, 30.0, 20.0)  # m is ready at once and enters
         assert state.active[0]
 
     def test_quiet_network_skips_its_passes(self, monkeypatch):
