@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -54,8 +55,8 @@ class PricePath:
             values = list(self.series)
         else:
             values = [self.initial, self.initial * self.factor]
-        if not values or min(values) <= 0.0:
-            raise ParameterError("price path must be nonempty and positive everywhere")
+        if not values or not all(0.0 < v < math.inf for v in values):
+            raise ParameterError("price path must be nonempty, positive and finite everywhere")
 
     def at(self, height: int) -> float:
         if self.constant is not None:

@@ -33,7 +33,7 @@ LN9 = math.log(9.0)
 class BaseCurveParams:
     """Shape of the rising bell: scale * sqrt((exp(-a d) - exp(-b d)) * d).
 
-    Requires 0 < a < b and scale > 0.  `scale` converts the dimensionless
+    Requires 0 < a < b < inf and 0 < scale < inf.  `scale` converts the dimensionless
     bell into coin units.
     """
 
@@ -44,12 +44,12 @@ class BaseCurveParams:
     def __post_init__(self):
         if not (self.a > 0.0):
             raise ParameterError(f"a must be positive, got {self.a}")
-        if not (self.b > 0.0):
-            raise ParameterError(f"b must be positive, got {self.b}")
+        if not (0.0 < self.b < math.inf):
+            raise ParameterError(f"b must be positive and finite, got {self.b}")
         if not (self.a < self.b):
             raise ParameterError(f"a must be strictly less than b, got a={self.a} b={self.b}")
-        if not (self.scale > 0.0):
-            raise ParameterError(f"scale must be positive, got {self.scale}")
+        if not (0.0 < self.scale < math.inf):
+            raise ParameterError(f"scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ class CutoffParams:
     spread: float
 
     def __post_init__(self):
-        if not (self.d_co > 0.0):
-            raise ParameterError(f"d_co must be positive, got {self.d_co}")
-        if not (self.spread > 0.0):
-            raise ParameterError(f"spread must be positive, got {self.spread}")
+        if not (0.0 < self.d_co < math.inf):
+            raise ParameterError(f"d_co must be positive and finite, got {self.d_co}")
+        if not (0.0 < self.spread < math.inf):
+            raise ParameterError(f"spread must be positive and finite, got {self.spread}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,8 @@ def calibrate_schedule(
         )
     if not (0.0 < r_max_target < math.inf):
         raise ParameterError(f"r_max_target must be positive and finite, got {r_max_target}")
-    if not (b_ratio > 1.0):
-        raise ParameterError(f"b_ratio must exceed 1, got {b_ratio}")
+    if not (1.0 < b_ratio < math.inf):
+        raise ParameterError(f"b_ratio must exceed 1 and be finite, got {b_ratio}")
 
     cutoff = calibrate_cutoff(half_d, tenth_d)
 

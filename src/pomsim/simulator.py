@@ -20,9 +20,9 @@ import operator
 import os
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, islice, repeat
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -44,8 +44,7 @@ _BATCH = 4096  # values per refill of each of the run's random streams
 def _batches(draw):
     """The values of `draw(_BATCH)`, batch after batch: numpy gives the same values,
     in the same order, as that many scalar draws."""
-    while True:
-        yield from draw(_BATCH).tolist()
+    return chain.from_iterable(map(np.ndarray.tolist, map(draw, repeat(_BATCH))))
 
 
 class Draws:
@@ -61,21 +60,11 @@ class Draws:
         intervals, winners, self._jitters = map(np.random.default_rng, children)
         self.interval = partial(next, _batches(intervals.standard_exponential))  # Exp(1)
         self.uniform = partial(next, _batches(winners.random))  # U[0, 1)
-        self._dwell = dwell
-        self._ahead, self._at = [], 0  # jitter drawn ahead, and the first value not yet taken
+        self._offsets = _batches(partial(self._jitters.integers, 0, dwell)) if dwell else repeat(0)
 
     def jitter(self, n: int) -> list[int]:
         """n values of U[0, dwell); none drawn when dwell is 0."""
-        ahead, i = self._ahead, self._at
-        if i + n > len(ahead):
-            if self._dwell == 0:
-                return [0] * n
-            ahead, i = ahead[i:], 0
-            while len(ahead) < n:
-                ahead += self._jitters.integers(0, self._dwell, _BATCH).tolist()
-            self._ahead = ahead
-        self._at = i + n
-        return ahead[i : i + n]
+        return list(islice(self._offsets, n))
 
 
 class BlockRecord(NamedTuple):
@@ -315,18 +304,18 @@ def _decision_pass(
     act = state.active
     for e in back:
         act[e[1]] = e[5]
-    _arm(state.due, back, p + 1 + config.economics.dwell, draws.jitter)
+    _arm(state.due, back, p + 1 + config.economics.dwell, draws.jitter(len(back)))
 
 
-def _arm(due: defaultdict, entries: list, first: int, jitter: Callable[[int], list[int]]) -> None:
-    """Re-arm `entries`, in order: each may flip again from pass first + U[0, dwell),
-    the n offsets drawn by `jitter(n)`."""
-    for e, j in zip(entries, jitter(len(entries))):
+def _arm(due: defaultdict, entries: list, first: int, offsets) -> None:
+    """Re-arm `entries`, in order: each may flip again from pass first + its offset,
+    a value of U[0, dwell)."""
+    for e, j in zip(entries, offsets):
         due[first + j].append(e)
 
 
-def step(state: NetworkState, config: SimConfig, draws: Draws) -> tuple[NetworkState, BlockRecord]:
-    """Produce one block, updating state in place.
+def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
+    """Produce one block, updating state in place, and return its record.
 
     Draws, in order: in each stall quantum and after the block, the dwell
     jitter of the miners the decision pass flipped (`draws.jitter`); for the
@@ -365,7 +354,7 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> tuple[NetworkS
 
     d = state.difficulty
     interval = draws.interval() * (d / (state.kappa * total))
-    if not state.clock + interval > state.clock:
+    if not state.clock < state.clock + interval < math.inf:
         raise InternalError(
             f"block interval {interval!r} s does not advance the clock {state.clock!r} s "
             f"at height {state.height}"
@@ -390,7 +379,7 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> tuple[NetworkS
     state.difficulty, state.ema = retarget(rc, state.floor, d, state.ema, interval)
     _decision_pass(state, config, draws, raw, price, total)
     state.height += 1
-    return state, record
+    return record
 
 
 def _block_reward(config: SimConfig, d: float, r_max: float) -> float:
@@ -455,7 +444,7 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     # its jitter drawn from `rng` in one call
     entries = [active_entry[i] if on else inactive_entry[i] for i, on in enumerate(active)]
     dwell = config.economics.dwell
-    _arm(state.due, entries, 0, lambda n: rng.integers(0, dwell, n).tolist() if dwell else [0] * n)
+    _arm(state.due, entries, 0, rng.integers(0, dwell, n).tolist() if dwell else repeat(0))
     _refresh(state, config.pom.window)
     h0 = state.total  # at height 0 the available miners are the active ones
     state.difficulty = hash_to_difficulty(h0, config.difficulty_map) if h0 > 0 else state.floor
@@ -468,11 +457,7 @@ def run(config: SimConfig) -> RunSeries:
     h0, large0 = state.total, state.large_share  # the genesis refresh's
     draws = Draws(config.seed, config.economics.dwell)
 
-    records: list[BlockRecord] = []
-    for _ in range(config.horizon):
-        state, rec = step(state, config, draws)
-        records.append(rec)
-
+    records = [step(state, config, draws) for _ in range(config.horizon)]
     eq = equilibrium_summary(records) if records else EquilibriumSummary(burn_in=0)
     summary = RunSummary(
         **vars(eq),

@@ -17,7 +17,7 @@ import pytest
 
 from pomsim import simulator
 from pomsim.config import PopulationSpec, load_config
-from pomsim.simulator import Draws, RunSummary, initial_state, step
+from pomsim.simulator import BlockRecord, Draws, RunSummary, initial_state, run, step
 
 _ROOT = Path(__file__).resolve().parent.parent
 _PERFBENCH = _ROOT / "perfbench"
@@ -46,6 +46,30 @@ def test_run_summary_has_every_field_the_output_check_reads():
     assert {*workloads.SUMMARY_FIELDS, "burn_in"} <= names
 
 
+@pytest.mark.parametrize("variant", [
+    {},
+    {"constant_reward": True},
+    {"population": PopulationSpec(n_small=1936, n_large=64)},  # overshoots the cutoff: it stalls
+], ids=["cutoff", "constant", "2000-miners"])
+def test_run_is_initial_state_then_draws_then_step(variant):
+    # the output check takes the ids from `initial_state(config, default_rng(seed))`, and
+    # the tests drive `step` by hand: both must be what `run` does
+    cfg = dataclasses.replace(
+        load_config(_ROOT / "configs" / "dynamics.json"), horizon=300, **variant
+    )
+    state = initial_state(cfg, np.random.default_rng(cfg.seed))
+    draws = Draws(cfg.seed, cfg.economics.dwell)
+    records = []
+    for _ in range(cfg.horizon):
+        rec = step(state, cfg, draws)
+        assert type(rec) is BlockRecord
+        assert state.height == rec.height + 1  # the state passed in is the one that advanced
+        records.append(rec)
+    assert run(cfg).records == records
+    if "population" in variant:
+        assert state.passes > state.height  # a pass per block and per stall quantum: it stalled
+
+
 def test_the_kernel_calls_retarget_once_per_block_and_stall_quantum(monkeypatch):
     # the traced `difficulty.stall_quanta` is the calls to `simulator.retarget`
     # less the blocks; 2,000 miners overshoot the cutoff, so this run stalls
@@ -65,6 +89,6 @@ def test_the_kernel_calls_retarget_once_per_block_and_stall_quantum(monkeypatch)
     state = initial_state(cfg, np.random.default_rng(cfg.seed))
     draws = Draws(cfg.seed, cfg.economics.dwell)
     for _ in range(cfg.horizon):
-        state, _ = step(state, cfg, draws)
+        step(state, cfg, draws)
     assert len(calls) == state.passes  # a decision pass per block and per stall quantum
     assert len(calls) > cfg.horizon

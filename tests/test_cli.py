@@ -239,6 +239,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INTERNAL
         assert "does not advance the clock 7050.0 s at height 29" in capsys.readouterr().err
 
+    def test_an_infinite_block_interval_is_an_internal_error(self, tmp_path, capsys):
+        cfg = self.dynamics_config(tmp_path, rate_constant=1e-320, horizon=1)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "error: simulation failed: block interval inf s does not advance the clock" in err
+        assert not (out / "seed_0").exists()
+
     def test_a_non_finite_summary_is_an_internal_error(self, tmp_path, capsys):
         # intervals near 1e298 s: their stddev overflows, which the summary reports
         miner = {"hashrate": 1e-300, "unit_cost": 0.5}
@@ -381,9 +389,10 @@ class TestCsvTables:
     ["curve", "--params", "1", "2", "1", "--range", "0", "1", "--step", "1e-12",
      "--out", "{tmp}/o"],
     ["curve", "--params", "1", "4", "0.5", "--range", "-1", "3", "--out", "{tmp}/o"],
+    ["curve", "--landmarks", "1.75", "2.2", "2.37", "--b-ratio", "inf", "--out", "{tmp}/o"],
 ], ids=["negative-base-seed", "unordered-landmarks", "negative-r-max", "a-above-b",
         "negative-burn-in", "burn-in-past-series", "nan-step", "infinite-range", "infinite-r-max",
-        "overflowing-row-count", "huge-row-count", "negative-range-start"])
+        "overflowing-row-count", "huge-row-count", "negative-range-start", "infinite-b-ratio"])
 def test_bad_arguments_are_usage_errors(argv, small_config, tmp_path, capsys):
     sweep = tmp_path / "sweep"
     if "{sweep}" in argv:

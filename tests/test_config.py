@@ -196,6 +196,8 @@ HARDENING = [
     ("landmark-reward-underflow",  # the composed peak search finds only zero reward
      _example(schedule={"landmarks": {**LANDMARKS, "tenth_d": 1e6}}), "$.schedule"),
     ("empty-explicit", _example(population={"explicit": []}), "$.population.explicit"),
+    ("overflowing-price-step",  # initial * factor is inf
+     _example(price={"initial": 1e308, "factor": 10.0, "at_block": 100}), "$.price"),
 ]
 
 

@@ -107,7 +107,7 @@ def legacy_digest(config) -> str:
     rng = np.random.default_rng(config.seed)
     state = initial_state(config, rng)
     source = SingleGenerator(rng, config.economics.dwell)
-    records = [step(state, config, source)[1] for _ in range(config.horizon)]
+    records = [step(state, config, source) for _ in range(config.horizon)]
     out = io.StringIO(newline="")
     write_rows(out, BlockRecord._fields, records)
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()

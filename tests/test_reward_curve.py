@@ -67,7 +67,8 @@ class TestBaseReward:
 
     @pytest.mark.parametrize(
         "a,b,scale",
-        [(2.0, 1.0, 1.0), (1.0, 1.0, 1.0), (-1.0, 2.0, 1.0), (1.0, 2.0, 0.0), (0.0, 2.0, 1.0)],
+        [(2.0, 1.0, 1.0), (1.0, 1.0, 1.0), (-1.0, 2.0, 1.0), (1.0, 2.0, 0.0), (0.0, 2.0, 1.0),
+         (1.0, math.inf, 1.0), (1.0, 2.0, math.inf)],
     )
     def test_invalid_params_rejected(self, a, b, scale):
         with pytest.raises(ParameterError):
@@ -122,6 +123,11 @@ class TestCutoffFactor:
     def test_invalid_spread(self):
         with pytest.raises(ParameterError):
             CutoffParams(d_co=2.2, spread=0.0)
+
+    @pytest.mark.parametrize("d_co,spread", [(math.inf, 0.077), (2.2, math.inf)])
+    def test_non_finite_params_rejected(self, d_co, spread):
+        with pytest.raises(ParameterError):
+            CutoffParams(d_co=d_co, spread=spread)
 
     def test_overflow_safe(self):
         c = CutoffParams(d_co=1.0, spread=1e-3)
@@ -278,6 +284,10 @@ class TestCalibrateSchedule:
     def test_bad_target_rejected(self):
         with pytest.raises(ParameterError):
             calibrate_schedule(1.75, 2.20, 2.37, 0.0)
+
+    def test_infinite_b_ratio_rejected(self):
+        with pytest.raises(ParameterError, match="b_ratio"):
+            calibrate_schedule(1.75, 2.20, 2.37, 1.0, b_ratio=math.inf)
 
 
 class TestSerialization:

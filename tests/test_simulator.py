@@ -244,7 +244,7 @@ class TestWinnerAvailability:
             constant_reward=True,
         )
         state = initial_state(cfg, np.random.default_rng(cfg.seed))
-        _, rec = step(state, cfg, _FixedDraw(cfg.seed, cfg.economics.dwell))
+        rec = step(state, cfg, _FixedDraw(cfg.seed, cfg.economics.dwell))
         assert rec.winner == "b"
 
     @pytest.mark.parametrize("duty", [None, (2, 1)], ids=["no-duty", "duty"])
@@ -267,14 +267,14 @@ class TestWinnerAvailability:
             cum = (probe.hashrate * probe.avail).cumsum()
             bounds = cum[probe.avail] / probe.total
             for u in [0.0, math.nextafter(1.0, 0.0), 1.0, *bounds.tolist()]:
-                _, rec = step(copy.deepcopy(state), cfg, _FixedDraw(0, cfg.economics.dwell, u))
+                rec = step(copy.deepcopy(state), cfg, _FixedDraw(0, cfg.economics.dwell, u))
                 w = int(cum.searchsorted(u * rec.total_hash, "right"))
                 if w == len(cum):
                     w = int(cum.searchsorted(cum[-1]))
                 assert rec.winner == state.ids[w]
                 assert type(rec.active_miner_count) is int
                 assert rec.active_miner_count == np.count_nonzero(probe.avail)
-            state, _ = step(state, cfg, draws)
+            step(state, cfg, draws)
 
     def test_stall_heavy_run_keeps_invariants(self):
         # 2,000 miners overshoot the cutoff: mass exits, stall quanta, re-entry
@@ -287,7 +287,7 @@ class TestWinnerAvailability:
         index = {mid: i for i, mid in enumerate(state.ids)}
         clock = 0.0
         for _ in range(cfg.horizon):
-            state, rec = step(state, cfg, draws)
+            rec = step(state, cfg, draws)
             assert state.avail[index[rec.winner]]  # the availability the block was drawn from
             assert rec.credited_reward <= rec.raw_reward
             assert 0.0 <= rec.pom_multiplier <= 1.0
@@ -348,7 +348,7 @@ class TestDutyCycle:
         state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
         seen, mults = [], []
         for _ in range(window + 100):
-            state, rec = step(state, cfg, draws)
+            rec = step(state, cfg, draws)
             seen.append(state.avail)  # the availability this block was drawn from
             starts = state.epoch_start
             assert all(a < b for a, b in zip(starts, starts[1:]))  # one epoch per height
@@ -402,7 +402,7 @@ class TestDutyCycle:
         ):
             for _ in range(horizon):
                 try:
-                    state, rec = step(state, cfg, draws)
+                    rec = step(state, cfg, draws)
                 except InternalError as exc:  # a stall that does not end soon
                     assert "network stalled" in str(exc)
                     break
@@ -441,6 +441,15 @@ class TestStallRecovery:
         )
         with pytest.raises(InternalError, match=r"^block interval .* s does not advance the "
                            r"clock 7050\.0 s at height 29$"):
+            run(cfg)
+
+    def test_an_infinite_block_interval_is_an_error(self):
+        # a solve-rate constant this small makes the genesis block's interval inf
+        cfg = dataclasses.replace(
+            load_config("configs/dynamics.json"), horizon=1, rate_constant=1e-320
+        )
+        with pytest.raises(InternalError, match=r"^block interval inf s does not advance the "
+                           r"clock 0\.0 s at height 0$"):
             run(cfg)
 
     def test_stall_error_carries_the_state(self, monkeypatch):
@@ -576,11 +585,11 @@ class _RecordedJitter(Draws):
 
     def __init__(self, seed, dwell):
         super().__init__(seed, dwell)
-        self.jitters = []
+        self.dwell, self.jitters = dwell, []
 
     def jitter(self, n):
         out = super().jitter(n)
-        if self._dwell:
+        if self.dwell:
             self.jitters += out
         return out
 
