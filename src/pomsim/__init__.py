@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .agents import (
+    EconomicsConfig,
     MinerAgent,
     PomCredit,
     PopulationSpec,
@@ -14,6 +15,7 @@ from .agents import (
 from .difficulty import (
     DEFAULT_ANCHORS,
     DifficultyMap,
+    RetargetConfig,
     RetargetState,
     fit_difficulty_map,
     hash_to_difficulty,
@@ -35,10 +37,7 @@ from .reward_curve import (
 from .simulator import (
     BlockRecord,
     Draws,
-    EconomicsConfig,
     NetworkState,
-    PricePath,
-    RetargetConfig,
     RunSeries,
     SimConfig,
     read_series_csv,
@@ -48,6 +47,7 @@ from .simulator import (
     write_series_csv,
 )
 from .config import (
+    PricePath,
     config_from_dict,
     load_config,
     schedule_from_dict,

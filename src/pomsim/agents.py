@@ -51,8 +51,8 @@ class EconomicsConfig:
             raise ParameterError(
                 f"need margin_off <= 1 <= margin_on, got {self.margin_off}, {self.margin_on}"
             )
-        if self.dwell < 0:
-            raise ParameterError(f"dwell must be nonnegative, got {self.dwell}")
+        if not (0 <= self.dwell <= 2**63):  # the jitter is an int64 draw below dwell
+            raise ParameterError(f"dwell must be in [0, 2**63], got {self.dwell}")
 
 
 _CSV_UNSAFE = frozenset(',"\r\n')
@@ -80,8 +80,12 @@ class MinerAgent:
             raise ParameterError(f"unit_cost must be nonnegative and finite, got {self.unit_cost}")
         if self.dwell_remaining < 0:
             raise ParameterError(f"dwell_remaining must be nonnegative, got {self.dwell_remaining}")
-        if self.duty is not None and not (self.duty[0] >= 1 and self.duty[1] >= 0):
-            raise ParameterError(f"duty needs on >= 1 and off >= 0 blocks, got {list(self.duty)}")
+        # the kernel holds the period on + off in int64
+        on, off = self.duty or (1, 0)  # no duty: always on
+        if not (on >= 1 and off >= 0 and on + off < 2**63):
+            raise ParameterError(
+                f"duty needs on >= 1, off >= 0 and on + off < 2**63 blocks, got {list(self.duty)}"
+            )
 
 
 def revenue_rate(hashrate, total_hash, block_reward, price, target_interval):

@@ -100,9 +100,11 @@ def _run_one(config, seed: int, out_dir: str) -> dict:
 
 
 def _median(rows: list, key: str | int) -> float | None:
-    """The median of `key` over the rows where it is not None; None if there are none."""
+    """The median of `key` over the rows where it is not None; None if there are none.
+    The mean of two middle values may overflow to inf, which the JSON writer reports."""
     vals = [r[key] for r in rows if r[key] is not None]
-    return float(np.median(vals)) if vals else None
+    with np.errstate(over="ignore"):
+        return float(np.median(vals)) if vals else None
 
 
 def cmd_run(args) -> int:

@@ -28,9 +28,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .agents import flips, generate_population, pom_credit, revenue_rate
-# the config dataclasses (EconomicsConfig from `agents`, RetargetConfig from
-# `difficulty`) are re-exported here for callers that import them from here
-from .config import EconomicsConfig, PricePath, RetargetConfig, SimConfig  # noqa: F401
+from .config import SimConfig
 from .difficulty import hash_to_difficulty
 from .difficulty import retarget_step as retarget  # by this name perfbench traces the step
 from .errors import ConfigError, InternalError
@@ -112,18 +110,20 @@ class NetworkState:
     Availability (`avail`) and the aggregates taken over it are taken anew,
     in one step by `_refresh`, at one point: the top of `step`'s stall loop,
     once the height reaches `refresh_at` (the next duty-phase edge, or the
-    height of a flip).  The availability log holds counts only.  The
-    aggregates are taken over the available miners only (`idx`): `cum[k]`,
+    height of a flip).  The availability log `log` holds counts only, one
+    epoch `(start, counts)` per height at which availability was taken anew.
+    The aggregates are taken over the available miners only (`idx`): `cum[k]`,
     the sequential sum of the first k + 1 of their hashrates, is the dense
     `(hashrate * avail).cumsum()` at `idx[k]`, bit for bit, since adding a
     zero changes no sum.
     A miner's dwell is the decision pass from which it may flip again; `due`
     maps each such pass still to come to its miners.  The miners out of their
-    dwell sit in two lists ordered by their fixed keys: `ready_active` by
-    off_cost / hashrate, `ready_inactive` by on_cost / hashrate.  A miner is
-    in those lists, and in `due`, by its entry
-    `(key, index, hashrate, on_cost, off_cost, active)`: `active_entry[i]`
-    while it is active, `inactive_entry[i]` while it is not.
+    dwell sit in two lists: `ready_active` ordered by off_cost / hashrate,
+    `ready_inactive` by on_cost / hashrate.  Each miner has one fixed entry
+    `(off_cost / hashrate, on_cost / hashrate, index, hashrate, on_cost,
+    off_cost)`, held in one of the two lists or in `due`; a flip moves it from
+    one list to the other.  Its state is `active[index]` alone, which also
+    picks the list its dwell expiry returns it to.
     """
 
     height: int
@@ -136,8 +136,6 @@ class NetworkState:
     hashrate: np.ndarray
     is_large: np.ndarray
     active: np.ndarray
-    active_entry: list[tuple]  # each miner's place in `ready_active`
-    inactive_entry: list[tuple]  # each miner's place in `ready_inactive`
     ready_active: list[tuple]
     ready_inactive: list[tuple]
     due: defaultdict[int, list[tuple]]  # decision pass -> the miners whose dwell ends at it
@@ -156,8 +154,10 @@ class NetworkState:
     # availability log, one epoch per height at which availability was taken
     # anew: the height it starts at and each miner's available blocks before it;
     # the last epoch's availability is `avail`.  Epoch starts strictly increase
-    epoch_start: list[int]
-    epoch_count: list[np.ndarray]
+    log: list[tuple[int, np.ndarray]]
+
+
+_START = operator.itemgetter(0)  # a log epoch's start height
 
 
 def _refresh(state: NetworkState, window: int) -> None:
@@ -182,13 +182,13 @@ def _refresh(state: NetworkState, window: int) -> None:
     ha = h[idx]
     total = float(np.add.reduce(ha))
     large = float(np.add.reduce(ha[state.is_large[idx]]))
-    starts, counts = state.epoch_start, state.epoch_count
-    if b > starts[-1]:
-        counts.append(counts[-1] + state.avail * (b - starts[-1]))
-        old = bisect_right(starts, b - window) - 1
+    log = state.log
+    start, counts = log[-1]
+    if b > start:
+        old = bisect_right(log, b - window, key=_START) - 1
         if old > 0:
-            del starts[:old], counts[:old]
-        starts.append(b)
+            del log[:old]
+        log.append((b, counts + state.avail * (b - start)))
     state.avail = avail
     state.total = total
     state.idx = idx
@@ -198,17 +198,15 @@ def _refresh(state: NetworkState, window: int) -> None:
 
 def _window_count(state: NetworkState, i: int, window: int) -> int:
     """Blocks among the last `window` before this one in which miner `i` was available."""
-    starts, counts, b = state.epoch_start, state.epoch_count, state.height
+    log, b = state.log, state.height
     lo = b - window if b > window else 0
-    if starts[-1] <= lo:  # one availability over the whole window
+    last, now = log[-1]
+    if last <= lo:  # one availability over the whole window
         return (b - lo) * bool(state.avail[i])
-    e = bisect_right(starts, lo) - 1  # the epoch that holds block `lo`
-    was_avail = int(counts[e + 1][i] - counts[e][i]) // (starts[e + 1] - starts[e])
-    return (
-        int(counts[-1][i] - counts[e][i])
-        + (b - starts[-1]) * bool(state.avail[i])
-        - (lo - starts[e]) * was_avail
-    )
+    e = bisect_right(log, lo, key=_START) - 1  # the epoch that holds block `lo`
+    (start, counts), (end, after) = log[e], log[e + 1]
+    was_avail = int(after[i] - counts[i]) // (end - start)
+    return int(now[i] - counts[i]) + (b - last) * bool(state.avail[i]) - (lo - start) * was_avail
 
 
 _MARGIN = 1e-9  # relative slack of the candidate test, far above revenue_rate's rounding
@@ -216,8 +214,9 @@ _MARGIN = 1e-9  # relative slack of the candidate test, far above revenue_rate's
 # reward, reward * price and reward * price * 3600 / T within these keep each
 # product in a revenue and in x within 2**±1000, in the normal range
 _RATE_MIN, _RATE_MAX = 2.0**-800, 2.0**800
-_INDEX = operator.itemgetter(1)  # a ready-list entry's miner
-_ON_COST = operator.itemgetter(3)  # and its on_cost
+# a miner's entry: its ready_active key, its ready_inactive key, index, hashrate,
+# on_cost and off_cost
+_OFF_KEY, _ON_KEY, _INDEX, _ON_COST = map(operator.itemgetter, (0, 1, 2, 4))
 
 
 def _decision_pass(
@@ -258,9 +257,12 @@ def _decision_pass(
     """
     p = state.passes
     state.passes = p + 1
-    on, off = state.ready_active, state.ready_inactive
+    on, off, act = state.ready_active, state.ready_inactive, state.active
     for e in state.due.pop(p, ()):  # the miners whose dwell ends here
-        insort(on if e[5] else off, e)
+        if act[e[2]]:
+            insort(on, e, key=_OFF_KEY)
+        else:
+            insort(off, e, key=_ON_KEY)
     t = config.retarget.target_interval
     lo_total, hi_total = state.exact_totals
     rp = block_reward * price
@@ -273,11 +275,11 @@ def _decision_pass(
     if exact and lo_total <= total_hash <= hi_total:
         x = rate / total_hash
         lo, hi = x * (1.0 - _MARGIN), x * (1.0 + _MARGIN)
-        if (not on or on[-1][0] < lo) and (not off or off[0][0] > hi):
+        if (not on or on[-1][0] < lo) and (not off or off[0][1] > hi):
             return
-        j = bisect_left(on, (lo,))
-        m = bisect_right(on, (hi, math.inf))
-        k = bisect_right(off, (hi, math.inf))
+        j = bisect_left(on, lo, key=_OFF_KEY)
+        m = bisect_right(on, hi, key=_OFF_KEY)
+        k = bisect_right(off, hi, key=_ON_KEY)
     else:  # a stall, or magnitudes at which rounding may leave the margin
         j, m = 0, len(on)
         # an inactive miner's share h / (h + total) is at most 1
@@ -286,24 +288,21 @@ def _decision_pass(
     total = max(total_hash, 1e-300)
     leave, stay = on[m:], []  # above x * (1 + margin) an active miner leaves for certain
     for e in on[j:m]:
-        rev = revenue_rate(e[2], total, block_reward, price, t)
-        (leave if flips(True, rev, e[3], e[4]) else stay).append(e)
+        rev = revenue_rate(e[3], total, block_reward, price, t)
+        (leave if flips(True, rev, e[4], e[5]) else stay).append(e)
     enter, wait = [], []
     for e in off[:k]:
-        rev = revenue_rate(e[2], e[2] + total_hash, block_reward, price, t)
-        (enter if flips(False, rev, e[3], e[4]) else wait).append(e)
+        rev = revenue_rate(e[3], e[3] + total_hash, block_reward, price, t)
+        (enter if flips(False, rev, e[4], e[5]) else wait).append(e)
     if not leave and not enter:
         return
     on[j:], off[:k] = stay, wait
     state.refresh_at = state.height
-    # each flipped miner's entry in the list it goes back to, in index order
-    inactive, active = state.inactive_entry, state.active_entry
-    back = [inactive[e[1]] for e in leave]
-    back += [active[e[1]] for e in enter]
-    back.sort(key=_INDEX)
-    act = state.active
-    for e in back:
-        act[e[1]] = e[5]
+    for e in leave:
+        act[e[2]] = False
+    for e in enter:
+        act[e[2]] = True
+    back = sorted(leave + enter, key=_INDEX)  # the flipped miners, in index order
     _arm(state.due, back, p + 1 + config.economics.dwell, draws.jitter(len(back)))
 
 
@@ -409,9 +408,10 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     _, r_max = schedule_max(config.schedule)
     on_cost = (config.economics.margin_on * (unit_cost * hashrate)).tolist()
     off_cost = (config.economics.margin_off * (unit_cost * hashrate)).tolist()
-    miners = list(zip(range(n), hashrate.tolist(), on_cost, off_cost))
-    active_entry = [(c_off / h, i, h, c_on, c_off, True) for i, h, c_on, c_off in miners]
-    inactive_entry = [(c_on / h, i, h, c_on, c_off, False) for i, h, c_on, c_off in miners]
+    entries = [
+        (c_off / h, c_on / h, i, h, c_on, c_off)
+        for i, h, c_on, c_off in zip(range(n), hashrate.tolist(), on_cost, off_cost)
+    ]
     # a total within this keeps each share h / total and h / (h + total), and
     # 1 / total, within 2**±200 (see `_decision_pass`)
     h_lo, h_hi = float(hashrate.min()), float(hashrate.max())
@@ -424,8 +424,6 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         hashrate=hashrate,
         is_large=hashrate > config.large_threshold,
         active=active,
-        active_entry=active_entry,
-        inactive_entry=inactive_entry,
         ready_active=[],
         ready_inactive=[],
         due=defaultdict(list),
@@ -437,12 +435,10 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         has_duty=bool((duty_on > 0).any()),
         ema=config.retarget.target_interval,
         floor=config.difficulty_map.floor,
-        epoch_start=[0],  # the first epoch opens at genesis
-        epoch_count=[np.zeros(n, dtype=int)],
+        log=[(0, np.zeros(n, dtype=int))],  # the first epoch opens at genesis
     )
     # staggered start: every miner goes through the re-arm rule from pass 0,
     # its jitter drawn from `rng` in one call
-    entries = [active_entry[i] if on else inactive_entry[i] for i, on in enumerate(active)]
     dwell = config.economics.dwell
     _arm(state.due, entries, 0, rng.integers(0, dwell, n).tolist() if dwell else repeat(0))
     _refresh(state, config.pom.window)

@@ -15,6 +15,7 @@ import pomsim
 from pomsim import cli
 from pomsim.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from pomsim.config import schedule_from_dict
+from pomsim.errors import ConfigError
 from pomsim.metrics import ComparisonDeltas, compare
 from pomsim.reward_curve import base_reward, calibrate_schedule, cutoff_factor, reward
 from pomsim.simulator import RunSummary, read_series_csv
@@ -259,6 +260,18 @@ class TestRun:
         assert not (out / "seed_0" / "summary.json").exists()
         assert not (out / "seed_0" / "blocks.csv").exists()
 
+    def test_an_overflowing_median_is_an_internal_error(self, tmp_path, capsys):
+        # seeds 7 and 8 give mean intervals near 1.0e308 and 1.2e308: finite, but
+        # the median of the two overflows
+        cfg = self.dynamics_config(tmp_path, rate_constant=5e-310, horizon=1)
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg), "--seeds", "2", "--base-seed", "7", "--out", str(out)]
+        assert main(argv) == EXIT_INTERNAL
+        assert capsys.readouterr().err == (
+            f"error: {out / 'aggregate.json'}: median_mean_interval not finite\n"
+        )
+        assert not (out / "aggregate.json").exists()
+
     def test_unknown_key_names_field_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -439,6 +452,30 @@ def test_compare_names_the_file_and_line_of_a_truncated_run(small_config, tmp_pa
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"{blocks}, line {line}:" in err
+
+
+def test_a_table_without_the_block_header_is_not_a_run(small_config, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
+    blocks = out / "seed_3" / "blocks.csv"
+    blocks.write_text(blocks.read_text().replace("timestamp", "time", 1))
+    with pytest.raises(ConfigError, match="^unexpected CSV header in "):
+        read_series_csv(blocks)
+    capsys.readouterr()
+    assert main(["compare", str(out), str(out)]) == EXIT_USAGE
+    assert f"unexpected CSV header in {blocks}" in capsys.readouterr().err
+
+
+def test_compare_skips_a_seed_directory_not_named_by_an_integer(small_config, tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", str(small_config), "--seeds", "2", "--out", str(a)]) == 0
+    assert main(["run", "--config", str(small_config), "--seeds", "2", "--out", str(b)]) == 0
+    (b / "seed_x").mkdir()
+    (b / "seed_x" / "blocks.csv").write_bytes((b / "seed_3" / "blocks.csv").read_bytes())
+    capsys.readouterr()
+    assert main(["compare", str(a), str(b)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split(",")[0] for r in rows] == ["seed", "3", "4", "median"]
 
 
 def test_run_and_compare_write_and_read_utf8_under_an_ascii_locale(small_config, tmp_path):

@@ -198,6 +198,11 @@ HARDENING = [
     ("empty-explicit", _example(population={"explicit": []}), "$.population.explicit"),
     ("overflowing-price-step",  # initial * factor is inf
      _example(price={"initial": 1e308, "factor": 10.0, "at_block": 100}), "$.price"),
+    # the kernel holds a duty period and draws the dwell jitter in int64
+    ("int64-overflowing-duty-period", _example(**_miner(duty=[1, 2**63 - 1])),
+     "$.population.explicit[0]"),
+    ("int64-overflowing-duty-on", _example(**_miner(duty=[2**63, 0])), "$.population.explicit[0]"),
+    ("dwell-past-int64", _example(economics={"dwell": 2**63 + 1}), "$.economics"),
 ]
 
 

@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 from collections import Counter, deque
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pomsim.agents import (
+    EconomicsConfig,
     MinerAgent,
     PomCredit,
     PopulationSpec,
@@ -20,16 +23,14 @@ from pomsim.agents import (
     pom_multiplier,
     revenue_rate,
 )
-from pomsim.config import config_from_dict, load_config
+from pomsim.config import PricePath, config_from_dict, load_config
 from pomsim import simulator
 from pomsim.difficulty import hash_to_difficulty
-from pomsim.errors import ConfigError, DomainError, InternalError, ParameterError
+from pomsim.errors import ConfigError, DomainError, InternalError, ParameterError, PomSimError
 from pomsim.metrics import EquilibriumSummary, equilibrium_summary
 from pomsim.simulator import (
     BlockRecord,
     Draws,
-    EconomicsConfig,
-    PricePath,
     RunSummary,
     SimConfig,
     _decision_pass,
@@ -221,6 +222,50 @@ class TestInvariants:
         const_run = run(dataclasses.replace(cfg, constant_reward=True))
         assert cutoff_run.summary.mean_hashrate < const_run.summary.mean_hashrate
 
+    # integers at and past the int64 and uint64 edges, for every integer field
+    # but the population counts (a huge count only exhausts memory)
+    _INTS = st.sampled_from([0, 1, 2**31, 2**62, 2**63 - 1, 2**63, 2**64, 10**30])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.fixed_dictionaries(
+            {"horizon": st.integers(1, 100), "seed": _INTS},
+            optional={
+                "economics": st.fixed_dictionaries({"dwell": _INTS}),
+                "pom": st.fixed_dictionaries({"window": _INTS, "required": _INTS}),
+                "price": st.builds(
+                    lambda at: {"initial": 30.0, "factor": 0.5, "at_block": at}, _INTS
+                ),
+                "population": st.lists(
+                    st.tuples(st.floats(1.0, 30.0), st.tuples(_INTS, _INTS) | st.none()),
+                    min_size=1, max_size=3,
+                ).map(lambda ms: {"explicit": [
+                    {"hashrate": h, "unit_cost": 0.5, **({"duty": list(d)} if d else {})}
+                    for h, d in ms
+                ]}),
+            },
+        )
+    )
+    def test_integer_extremes_give_a_sound_run_or_a_typed_error(self, data):
+        base = json.loads(Path("configs/dynamics.json").read_text(encoding="utf-8"))
+        try:
+            cfg = config_from_dict({**base, **data})
+        except ConfigError:
+            return
+        try:
+            series = run(cfg)
+        except PomSimError:
+            return
+        clock = 0.0
+        for i, r in enumerate(series.records):
+            assert r.height == i and r.timestamp > clock
+            clock = r.timestamp
+            assert 0.0 <= r.credited_reward <= r.raw_reward
+            assert 0.0 <= r.pom_multiplier <= 1.0 and 0.0 <= r.large_miner_share <= 1.0
+            assert r.active_miner_count >= 1
+        summary = dataclasses.astuple(series.summary)
+        assert all(math.isfinite(v) for v in summary)
+
 
 def draws_for(cfg):
     """The draw source `run` gives `step` for this config."""
@@ -294,7 +339,7 @@ class TestWinnerAvailability:
             assert 0.0 <= rec.large_miner_share <= 1.0
             assert rec.timestamp > clock
             clock = rec.timestamp
-            starts = state.epoch_start  # one log epoch per height, stall quanta included
+            starts = [s for s, _ in state.log]  # one log epoch per height, stall quanta included
             assert all(a < b for a, b in zip(starts, starts[1:]))
         assert state.passes > state.height  # a pass per block and per stall quantum: it stalled
 
@@ -350,7 +395,7 @@ class TestDutyCycle:
         for _ in range(window + 100):
             rec = step(state, cfg, draws)
             seen.append(state.avail)  # the availability this block was drawn from
-            starts = state.epoch_start
+            starts = [s for s, _ in state.log]
             assert all(a < b for a, b in zip(starts, starts[1:]))  # one epoch per height
             w = state.ids.index(rec.winner)
             # the blocks before this one, at most a window of them (none at genesis)
@@ -511,33 +556,46 @@ def decide_all(active, ready, revenue, on_cost, off_cost):
     return flips
 
 
+OFF_KEY, ON_KEY, INDEX = (operator.itemgetter(k) for k in range(3))  # of a miner's entry
+
+
+def entries(state):
+    """Each miner's one entry, in index order, after checking that the ready
+    lists and `due` hold every miner exactly once."""
+    held = state.ready_active + state.ready_inactive + [e for es in state.due.values() for e in es]
+    held.sort(key=INDEX)
+    assert list(map(INDEX, held)) == list(range(len(state.ids)))
+    return held
+
+
 def set_dwell(state, left):
     """Make miner i ready from `left[i]` decision passes on: now when 0."""
+    held = entries(state)
     state.ready_active.clear()
     state.ready_inactive.clear()
     state.due.clear()
     for i, wait in enumerate(left):
-        entry = state.active_entry[i] if state.active[i] else state.inactive_entry[i]
         if wait:
-            state.due[state.passes + int(wait)].append(entry)
+            state.due[state.passes + int(wait)].append(held[i])
         else:
-            (state.ready_active if state.active[i] else state.ready_inactive).append(entry)
-    state.ready_active.sort()
-    state.ready_inactive.sort()
+            (state.ready_active if state.active[i] else state.ready_inactive).append(held[i])
+    state.ready_active.sort(key=OFF_KEY)
+    state.ready_inactive.sort(key=ON_KEY)
 
 
 def ready_miners(state):
     """The miners that may flip at the next decision pass, after checking the lists."""
     on, off = state.ready_active, state.ready_inactive
-    assert on == sorted(on) and off == sorted(off)
-    assert on == [state.active_entry[e[1]] for e in on] and all(state.active[e[1]] for e in on)
-    assert off == [state.inactive_entry[e[1]] for e in off] and not any(state.active[e[1]] for e in off)
-    return sorted(e[1] for e in on + off + state.due.get(state.passes, []))
+    assert on == sorted(on, key=OFF_KEY) and off == sorted(off, key=ON_KEY)
+    assert all(state.active[INDEX(e)] for e in on) and not any(state.active[INDEX(e)] for e in off)
+    entries(state)
+    return sorted(map(INDEX, on + off + state.due.get(state.passes, [])))
 
 
 def costs(state):
     """The (on_cost, off_cost) arrays of the population."""
-    return np.array([e[3] for e in state.active_entry]), np.array([e[4] for e in state.active_entry])
+    held = entries(state)
+    return np.array([e[4] for e in held]), np.array([e[5] for e in held])
 
 
 def check_against_decide_all(cfg, state, left, seed, conditions):
@@ -775,7 +833,7 @@ class TestDecisionPass:
              MinerAgent(id="far", hashrate=3.0, unit_cost=50.0)],
             passes=1,
         )
-        key = state.active_entry[1][0]
+        key = entries(state)[1][0]
         reward, total = self._conditions_with_bound_at(
             cfg, math.nextafter(key, -math.inf) if above else key
         )
