@@ -191,6 +191,9 @@ def cmd_compare(args) -> int:
 
     header = ["seed", *(f.name for f in dataclasses.fields(ComparisonDeltas))]
     medians = [_median(rows, k) for k in range(1, len(header))]
+    for k, m in enumerate(medians, 1):  # as in aggregate.json; a nan ratio from a seed stays
+        if not math.isfinite(m) and all(math.isfinite(r[k]) for r in rows):
+            raise InternalError(f"median {header[k]} not finite")
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as f:
         write_rows(f, header, [*rows, ("median", *medians)])
     return 0

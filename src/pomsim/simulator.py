@@ -115,7 +115,7 @@ class NetworkState:
     The aggregates are taken over the available miners only (`idx`): `cum[k]`,
     the sequential sum of the first k + 1 of their hashrates, is the dense
     `(hashrate * avail).cumsum()` at `idx[k]`, bit for bit, since adding a
-    zero changes no sum.
+    zero changes no sum.  That one sum is the network total, `cum[-1]`.
     A miner's dwell is the decision pass from which it may flip again; `due`
     maps each such pass still to come to its miners.  The miners out of their
     dwell sit in two lists: `ready_active` ordered by off_cost / hashrate,
@@ -134,7 +134,7 @@ class NetworkState:
     r_max: float
     ids: list[str]
     hashrate: np.ndarray
-    is_large: np.ndarray
+    large_hashrate: np.ndarray  # hashrate, zeroed for the miners that are not large
     active: np.ndarray
     ready_active: list[tuple]
     ready_inactive: list[tuple]
@@ -147,9 +147,9 @@ class NetworkState:
     has_duty: bool
     avail: np.ndarray = field(init=False)  # availability at `height`; a new array on each refresh
     refresh_at: float = field(init=False)  # height from which `avail` is out of date
-    total: float = field(init=False)  # pairwise sum of the available hashrates
+    total: float = field(init=False)  # the available hashrate, `cum[-1]` (0 if none)
     idx: np.ndarray = field(init=False)  # the available miners, ascending; len() is their count
-    cum: np.ndarray = field(init=False)  # cumsum of their hashrates, for the winner draw
+    cum: np.ndarray = field(init=False)  # sequential cumsum of their hashrates, in index order
     large_share: float = field(init=False)  # share of `total` held by large miners
     # availability log, one epoch per height at which availability was taken
     # anew: the height it starts at and each miner's available blocks before it;
@@ -163,11 +163,12 @@ _START = operator.itemgetter(0)  # a log epoch's start height
 def _refresh(state: NetworkState, window: int) -> None:
     """Take availability at `state.height` anew, with its aggregates and `refresh_at`.
 
+    The total is `cum[-1]`; the large miners' sum, the others zeroed, is at most it.
     At a new height it opens a log epoch and drops the epochs that ended before
     the last `window` blocks; at the open epoch's start (genesis, a stall
     quantum), which holds no block yet, it replaces that epoch's availability.
     """
-    h, b = state.hashrate, state.height
+    b = state.height
     if state.has_duty:
         on, duty = state.duty_on, state.duty_on > 0
         period = on + state.duty_off
@@ -179,9 +180,6 @@ def _refresh(state: NetworkState, window: int) -> None:
         avail = state.active.copy()
         state.refresh_at = math.inf
     idx = avail.nonzero()[0]
-    ha = h[idx]
-    total = float(np.add.reduce(ha))
-    large = float(np.add.reduce(ha[state.is_large[idx]]))
     log = state.log
     start, counts = log[-1]
     if b > start:
@@ -190,10 +188,11 @@ def _refresh(state: NetworkState, window: int) -> None:
             del log[:old]
         log.append((b, counts + state.avail * (b - start)))
     state.avail = avail
-    state.total = total
     state.idx = idx
-    state.cum = ha.cumsum()
-    state.large_share = large / total if total > 0.0 else 0.0
+    state.cum = cum = state.hashrate[idx].cumsum()
+    state.total = total = float(cum[-1]) if len(idx) else 0.0
+    large = state.large_hashrate[idx].cumsum()
+    state.large_share = float(large[-1]) / total if len(idx) else 0.0
 
 
 def _window_count(state: NetworkState, i: int, window: int) -> int:
@@ -352,7 +351,8 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
     total = state.total
 
     d = state.difficulty
-    interval = draws.interval() * (d / (state.kappa * total))
+    rate = state.kappa * total  # 0 if the product underflows: the interval is inf
+    interval = draws.interval() * (d / rate) if rate else math.inf
     if not state.clock < state.clock + interval < math.inf:
         raise InternalError(
             f"block interval {interval!r} s does not advance the clock {state.clock!r} s "
@@ -364,8 +364,8 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
     u = draws.uniform() * total
     cum = state.cum
     k = cum.searchsorted(u, "right")
-    if k == len(cum):  # u is past cum[-1] by rounding: take the last available miner
-        k = cum.searchsorted(cum[-1])
+    if k == len(cum):  # u == total only at a total <= 2**-1022 or a stand-in source's U = 1.0
+        k = cum.searchsorted(total)  # the last available miner
     widx = int(state.idx[k])
 
     raw = _block_reward(config, d, state.r_max)
@@ -422,7 +422,7 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         r_max=r_max,
         ids=[m.id for m in agents],
         hashrate=hashrate,
-        is_large=hashrate > config.large_threshold,
+        large_hashrate=np.where(hashrate > config.large_threshold, hashrate, 0.0),
         active=active,
         ready_active=[],
         ready_inactive=[],

@@ -248,6 +248,18 @@ class TestRun:
         assert "error: simulation failed: block interval inf s does not advance the clock" in err
         assert not (out / "seed_0").exists()
 
+    def test_a_solve_rate_that_underflows_is_an_internal_error(self, tmp_path, capsys):
+        # kappa * 5e-324 underflows to 0: an infinite interval, not a ZeroDivisionError
+        miner = {"id": "m0", "hashrate": 5e-324, "unit_cost": 0.0}
+        cfg = self.dynamics_config(tmp_path, horizon=5, population={"explicit": [miner]})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == (
+            "error: simulation failed: block interval inf s does not advance the clock 0.0 s "
+            "at height 0\n"
+        )
+        assert not (out / "seed_0").exists()
+
     def test_a_non_finite_summary_is_an_internal_error(self, tmp_path, capsys):
         # intervals near 1e298 s: their stddev overflows, which the summary reports
         miner = {"hashrate": 1e-300, "unit_cost": 0.5}
@@ -295,6 +307,23 @@ class TestCompare:
         for line in lines[1:]:
             fields = line.split(",")
             assert all(float(v) == 0.0 or float(v) == 1.0 for v in fields[1:])
+
+    def test_an_overflowing_median_delta_is_an_internal_error(self, tmp_path, capsys):
+        # seeds 7 and 8 at rate constant 5e-310 give mean intervals near 1.0e308 and
+        # 1.2e308: each seed's delta_interval is finite, but their median overflows
+        dirs, codes = [], []
+        for name, rate_constant in [("base", 1.0), ("treat", 5e-310)]:
+            (tmp_path / name).mkdir()
+            cfg = TestRun.dynamics_config(tmp_path / name, rate_constant=rate_constant, horizon=1)
+            dirs.append(str(tmp_path / name / "o"))
+            argv = ["run", "--config", str(cfg), "--seeds", "2", "--base-seed", "7"]
+            codes.append(main([*argv, "--out", dirs[-1]]))
+        assert codes == [0, EXIT_INTERNAL]  # the treatment's aggregate.json overflows too
+        capsys.readouterr()
+        out = tmp_path / "compare.csv"
+        assert main(["compare", *dirs, "--burn-in", "0", "--out", str(out)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "error: median delta_interval not finite\n"
+        assert not out.exists()
 
     def test_out_file(self, small_config, tmp_path):
         out = tmp_path / "sweep"

@@ -5,14 +5,16 @@ draw of the seeded generators, fails here.  To re-pin on purpose, run
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-and paste the printed table over `GOLDEN`, saying in the change why the
-traces moved.  The script also checks `LEGACY`.
+and paste each printed table over `GOLDEN` and `LEGACY`, saying in the change
+why the traces moved.  The script exits 1 while `LEGACY` is unreproduced.
 
-`LEGACY` holds the digests from before the kernel's draws were split into
-one stream per purpose, when one generator seeded with the seed made every
-draw.  Driven by `SingleGenerator`, which draws from that generator lazily
-in the old order, today's kernel still gives each of them: so that split
-moved the streams and nothing else.
+`LEGACY` holds today's kernel driven by `SingleGenerator`: one generator,
+seeded with the seed, makes every draw, lazily, in the order the kernel
+asks for them, as every draw was made before the kernel's draws were split
+into one stream per purpose.  The kernel is the same under both sources,
+so `GOLDEN` and `LEGACY` differ only by the draw source.  A re-pin that
+moves the kernel's arithmetic re-derives both tables; the kernel from before
+the split, given the same arithmetic, gave the current `LEGACY` table too.
 """
 
 import dataclasses
@@ -114,27 +116,27 @@ def legacy_digest(config) -> str:
 
 
 LEGACY = {
-    "dynamics-s0-cutoff": "9e97a3fe00891d491d22061f49a65a5a916889e9aaec5e147213132e2f3c54dc",
-    "dynamics-s0-constant": "6e5c841e1e0971b83b607e6619a3f56dbe554eee74e747d9384ab48f49286e53",
-    "dynamics-s1-cutoff": "8efcd541a21517f8e5ebbecf69f16a8517a70c33b6fd5039b226ed09357b3c5d",
+    "dynamics-s0-cutoff": "3edd0c2dc1bb4b576437ea0c0556fbff8f73fa608932630fd4bed1a085c394fd",
+    "dynamics-s0-constant": "8f9483e290b3ff981e60cbabbc291ed5c20b2f10ad517c4f861ba50b378dab63",
+    "dynamics-s1-cutoff": "087e421fdeb465f7645fd013052eccd3509dde5bc84397dfb578054c90a6f8ba",
     "dynamics-s1-constant": "3916b0c916bfc2b3e553000af285cce428cf9cf861c5e13a085632fde208ae3c",
-    "dynamics-s2-cutoff": "187e4d34d6c2f829cf3d4896892f03c5136ffa925dd01e6f013717f956a9d7a0",
-    "dynamics-s2-constant": "5d59b06fab5780204703915956e3b87cd7e9f6d84525f4ccf3958d5b49182283",
-    "example-s0-cutoff": "9e97a3fe00891d491d22061f49a65a5a916889e9aaec5e147213132e2f3c54dc",
-    "example-s0-constant": "6e5c841e1e0971b83b607e6619a3f56dbe554eee74e747d9384ab48f49286e53",
-    "example-s1-cutoff": "8efcd541a21517f8e5ebbecf69f16a8517a70c33b6fd5039b226ed09357b3c5d",
+    "dynamics-s2-cutoff": "7cafd96fc87d57d3a6f161ba43781cf84bd1063f20525f26b643af381563df47",
+    "dynamics-s2-constant": "5f05236db93e329a9fc6d2f2c77b1379516314575a20211448b73f6b9e8a45cc",
+    "example-s0-cutoff": "3edd0c2dc1bb4b576437ea0c0556fbff8f73fa608932630fd4bed1a085c394fd",
+    "example-s0-constant": "8f9483e290b3ff981e60cbabbc291ed5c20b2f10ad517c4f861ba50b378dab63",
+    "example-s1-cutoff": "087e421fdeb465f7645fd013052eccd3509dde5bc84397dfb578054c90a6f8ba",
     "example-s1-constant": "3916b0c916bfc2b3e553000af285cce428cf9cf861c5e13a085632fde208ae3c",
-    "example-s2-cutoff": "187e4d34d6c2f829cf3d4896892f03c5136ffa925dd01e6f013717f956a9d7a0",
-    "example-s2-constant": "5d59b06fab5780204703915956e3b87cd7e9f6d84525f4ccf3958d5b49182283",
-    "price_step-s0-cutoff": "47b7b10749812c1a449fb45e3e53ea59ffe06ed7cea5b082c909de3642340b31",
-    "price_step-s0-constant": "e4dc53416fd40c3a75643b735a085d7825d05d985ab5f45e6ad620effe742ecf",
-    "price_step-s1-cutoff": "f48ced94fc1135655f1d62901bc20d797c0315dca1bccc3fb68aefad40f1228b",
-    "price_step-s1-constant": "47a4992a6842c9583368855685b9158e87e994be6d3c52adfecfad6a9526b46d",
-    "price_step-s2-cutoff": "f547a4cbd5f7ded6169fb4404aed6581a206d5757b1efb772448b5a7a26e6f53",
-    "price_step-s2-constant": "614e7ea412331802534a38307115baa9c0773f75b0d2035a8af79bdf05b94487",
-    "cliff-s0": "e59d925ae6579f9d7e257437a4266ec5f8b20c733146cb1d124f88827b5ed4b3",
-    "cliff-s1": "63102d668589af55f1609ba88696d71d2ce32f264184322f616338948d5ea8e2",
-    "cliff-s2": "dd9129c88c68dc330a68bde9f64522b3649664bc972983c59d8baacb160a2fc3",
+    "example-s2-cutoff": "7cafd96fc87d57d3a6f161ba43781cf84bd1063f20525f26b643af381563df47",
+    "example-s2-constant": "5f05236db93e329a9fc6d2f2c77b1379516314575a20211448b73f6b9e8a45cc",
+    "price_step-s0-cutoff": "f4f6d0cf082ae3b2a3bd880fd1d15581ea5f4cc4546e1dacd4f1e5c22ebfde3d",
+    "price_step-s0-constant": "34ec0d89b8fc2a1cfff7378b0c7304ae34d8dd7babfad0f6de4d074c722516de",
+    "price_step-s1-cutoff": "e59a98facb8ed6ae0515d2351b1626d11a31555012d1cb74e5373df412778acc",
+    "price_step-s1-constant": "c60c3328099ffc58c63f89e3d711a61853c4846cb921b108ebc37da45d9740c0",
+    "price_step-s2-cutoff": "c131237c2b00c233c1df6429dae1706a643e9e0f9051e82560aab7bd877d6f66",
+    "price_step-s2-constant": "7a5e62086c3fd14a61d248124c4a0bc119a8006b9bd6d6307a052368c74c5001",
+    "cliff-s0": "4f47b277c496066843055db176913b3f7d4fb522187a154ea68045014a7a0252",
+    "cliff-s1": "e271641ace5e198bae75a51bda86108f1b7b18c1adca78f37b14440d20b2e3d2",
+    "cliff-s2": "c3881c66fcf6fc22e3c7c5a2120ea7a3e65e4f32b72bf12602848bbaee91db53",
     "duty-s0": "dd7d4e18770b4c7c27e88f8bc6b71515c98cfba06bd3880ed35e6eca4802acb9",
     "duty-s1": "becf1f59d47e1b76a1296b0bc672e0e6065b5ae1e1dcfaae75d57031819fc34e",
     "duty-s2": "9903397c17c1b0d0fadc2a519fa81c23923c50d10a6f3ef6c94ce874e85cc308",
@@ -142,27 +144,27 @@ LEGACY = {
 
 
 GOLDEN = {
-    "dynamics-s0-cutoff": "61df174c3bea101682886c4131cbdc85d7906ffc42678c27de34e54d09d2d33b",
-    "dynamics-s0-constant": "19dce144af60fd740977ed6a8947f1c052d9e9ad7c4f622d592457360d4b9b14",
-    "dynamics-s1-cutoff": "cb2fba5c55c74456b411b1d2904573a7d85451f7eee1d3c169aa00beb809171f",
+    "dynamics-s0-cutoff": "77e2606a8817378da59e1596641987f5e94fc9420722070972ad1b359f473d12",
+    "dynamics-s0-constant": "c010a449ac2276cc7e9ee20104e5d38ef88e3dbcbb7e9a752d75b4549c8fbac9",
+    "dynamics-s1-cutoff": "c8a2ddb3a5db74c4bda86a2b1caf5fd463ceaf06c5d4a010429ef76aae55afd4",
     "dynamics-s1-constant": "a0e3c518953abd8a60424448e3b820bf55743912402338acb22058f21dca65dd",
-    "dynamics-s2-cutoff": "06902b377b9bb0aa88d6eae8a8574669aeec9bdb027bace2b4824ad856dd8a55",
-    "dynamics-s2-constant": "57e6797e4e05227cf0f07707c2226d1f68b0610a96098aed9bc8618a966493c8",
-    "example-s0-cutoff": "61df174c3bea101682886c4131cbdc85d7906ffc42678c27de34e54d09d2d33b",
-    "example-s0-constant": "19dce144af60fd740977ed6a8947f1c052d9e9ad7c4f622d592457360d4b9b14",
-    "example-s1-cutoff": "cb2fba5c55c74456b411b1d2904573a7d85451f7eee1d3c169aa00beb809171f",
+    "dynamics-s2-cutoff": "c8770298460aa7f05a4dd82577331881d6b31b1002ebbe7574e9071c283c7191",
+    "dynamics-s2-constant": "0f29419f9650ce0efe0b3e77171dc031248ef0d50675a7de4267970a20edf3a7",
+    "example-s0-cutoff": "77e2606a8817378da59e1596641987f5e94fc9420722070972ad1b359f473d12",
+    "example-s0-constant": "c010a449ac2276cc7e9ee20104e5d38ef88e3dbcbb7e9a752d75b4549c8fbac9",
+    "example-s1-cutoff": "c8a2ddb3a5db74c4bda86a2b1caf5fd463ceaf06c5d4a010429ef76aae55afd4",
     "example-s1-constant": "a0e3c518953abd8a60424448e3b820bf55743912402338acb22058f21dca65dd",
-    "example-s2-cutoff": "06902b377b9bb0aa88d6eae8a8574669aeec9bdb027bace2b4824ad856dd8a55",
-    "example-s2-constant": "57e6797e4e05227cf0f07707c2226d1f68b0610a96098aed9bc8618a966493c8",
-    "price_step-s0-cutoff": "e3dfcdaa4f249f097bb3ec06f3521be2a2add9afdf923ff1ce60a6c45cef260a",
-    "price_step-s0-constant": "42ad043e1ab9496a6697fadaa1ca370fe160829928112c3f23be218bf8274f7d",
-    "price_step-s1-cutoff": "bd659151e0f585ad16c35fcf74db736aacfcba750cabc78c8c0f7a0dac16c718",
-    "price_step-s1-constant": "b43074d74a238f89a1c30c8c4609a301e482106f47298d4e6c852b6f4571051b",
-    "price_step-s2-cutoff": "24de8f486d4a929f14072697ecdc26b6d696c29c814f246f9a92513f185e3a37",
-    "price_step-s2-constant": "fa8ebac930c84d5d19f85b0851ec19ba0d92e87fbe8a3b0e7758c92e4788ee8b",
-    "cliff-s0": "51439777626dd6645a63f939b0020c1a8a854d34a358f505b80cbc96ad35540e",
-    "cliff-s1": "840b904ef7c74c2efec050f5a5a2da19525d6aefd24a9927dd9e2f8743a26c62",
-    "cliff-s2": "792b8fdcf0a5aad9a7ce7e7b612494db5f90ed190c625f4e936a02eceada2dac",
+    "example-s2-cutoff": "c8770298460aa7f05a4dd82577331881d6b31b1002ebbe7574e9071c283c7191",
+    "example-s2-constant": "0f29419f9650ce0efe0b3e77171dc031248ef0d50675a7de4267970a20edf3a7",
+    "price_step-s0-cutoff": "43ce012a93ee181d6fd9789bb9dbe67c40e268b274e5604c25333204fdc92aa6",
+    "price_step-s0-constant": "3684d6d9ef3f8a726854ef04ebd1ad11dfc9e2e6c02aed3268b4a29e0fbdc6ad",
+    "price_step-s1-cutoff": "3115ae327721165debe14db851364f590888eb9a2c962dd0519650c437a61a32",
+    "price_step-s1-constant": "db82c0ceadd1a4abcdc354935059abdae18598485a5ecfe18e35099631f945d4",
+    "price_step-s2-cutoff": "4bb8a2d5935b2bf3a473f816c8a506c633f8a555294727fe6483d8d5de2cfbb5",
+    "price_step-s2-constant": "415ddde265f72a0c1ed17783a0f499e139170337eb6a101c113b1042246a879c",
+    "cliff-s0": "ab74883f73a4edd2bcb2009b4e123f4db30f9db7fd9df776677eaf9e48b9926c",
+    "cliff-s1": "dfa3f4af2b81be3988f8a720de656c5a0b1453ba800a6322822ec47b64edb033",
+    "cliff-s2": "c7034f1defc3d32f699c2e1e94a559468ccb039a09da15b62e44c30411de010e",
     "duty-s0": "689a61bd3ecaad5af8fd822d9c779fe76994dea9a1fac139bb8db34114c8c0ee",
     "duty-s1": "5b636f27a2c8d2054acebd16265c7fe35f4820fbd6a6de836c57283f7765f934",
     "duty-s2": "add5aeaee25269c660f645d0780bbbd04cb121b10af19920990f9d8054b0ef94",
@@ -188,10 +190,10 @@ def test_every_case_is_pinned():
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        print("GOLDEN = {")
-        for name, config in CASES:
-            print(f'    "{name}": "{trace_digest(config, Path(tmp))}",')
-        print("}")
-    moved = [name for name, config in CASES if legacy_digest(config) != LEGACY[name]]
+        golden = {name: trace_digest(config, Path(tmp)) for name, config in CASES}
+    legacy = {name: legacy_digest(config) for name, config in CASES}
+    for title, table in (("GOLDEN", golden), ("LEGACY", legacy)):
+        print(f"{title} = {{", *(f'    "{k}": "{v}",' for k, v in table.items()), "}", sep="\n")
+    moved = [name for name in legacy if legacy[name] != LEGACY[name]]
     print(f"LEGACY: {len(CASES) - len(moved)} of {len(CASES)} reproduced", *moved, file=sys.stderr)
     sys.exit(1 if moved else 0)

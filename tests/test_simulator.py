@@ -5,6 +5,7 @@ import json
 import math
 import operator
 from collections import Counter, deque
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
@@ -58,6 +59,12 @@ def make_config(**kw):
     defaults = dict(schedule=SCHEDULE, horizon=500, seed=0)
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def sequential_sum(hashrates):
+    """The kernel's network total: the sequential sum of the available hashrates, in
+    index order (0 if there are none), taken in pure Python."""
+    return [0.0, *accumulate(hashrates)][-1]
 
 
 class TestDeterminism:
@@ -222,6 +229,21 @@ class TestInvariants:
         const_run = run(dataclasses.replace(cfg, constant_reward=True))
         assert cutoff_run.summary.mean_hashrate < const_run.summary.mean_hashrate
 
+    def test_the_large_share_never_exceeds_one(self):
+        # numpy's pairwise sums gave the large miners 1.1e17 + 32 of a total of
+        # 1.1e17 + 16, a share of 1.0000000000000002; the sequential sums give
+        # 1.1e17 for both
+        hs = [3.0, 3e16, 1e16, 7.0, 3e16, 1e16, 3e16, 1.0, 7.0]
+        cfg = make_config(
+            horizon=3,
+            large_threshold=2.0,
+            constant_reward=True,
+            explicit_population=[explicit_miner(f"m{i}", h) for i, h in enumerate(hs)],
+        )
+        series = run(cfg)
+        assert [r.large_miner_share for r in series.records] == [1.0] * 3
+        assert series.summary.initial_large_share == 1.0
+
     # integers at and past the int64 and uint64 edges, for every integer field
     # but the population counts (a huge count only exhausts memory)
     _INTS = st.sampled_from([0, 1, 2**31, 2**62, 2**63 - 1, 2**63, 2**64, 10**30])
@@ -334,6 +356,7 @@ class TestWinnerAvailability:
         for _ in range(cfg.horizon):
             rec = step(state, cfg, draws)
             assert state.avail[index[rec.winner]]  # the availability the block was drawn from
+            assert rec.total_hash == state.total == state.cum[-1]  # one sum, bit for bit
             assert rec.credited_reward <= rec.raw_reward
             assert 0.0 <= rec.pom_multiplier <= 1.0
             assert 0.0 <= rec.large_miner_share <= 1.0
@@ -431,8 +454,6 @@ class TestDutyCycle:
                 for i, (h, c, duty) in enumerate(miners)
             ],
         )
-        hashrate = np.array([h for h, _, _ in miners])
-        is_large = hashrate > cfg.large_threshold
         passes = []  # each decision pass's state.active, taken as it starts
 
         def recorded(state, *args):
@@ -457,10 +478,13 @@ class TestDutyCycle:
                     bool(active[i]) and (duty is None or rec.height % sum(duty) < duty[0])
                     for i, (_, _, duty) in enumerate(miners)
                 ])
-                total = float(np.add.reduce(hashrate[avail]))
+                hs = [h for (h, _, _), a in zip(miners, avail) if a]
+                total = sequential_sum(hs)
+                large = sequential_sum(h if h > cfg.large_threshold else 0.0 for h in hs)
                 assert rec.active_miner_count == np.count_nonzero(avail)
                 assert rec.total_hash == total
-                assert rec.large_miner_share == np.add.reduce(hashrate[avail & is_large]) / total
+                assert rec.large_miner_share == large / total
+                assert 0.0 <= rec.large_miner_share <= 1.0
                 assert avail[state.ids.index(rec.winner)]
 
 
@@ -496,6 +520,19 @@ class TestStallRecovery:
         with pytest.raises(InternalError, match=r"^block interval inf s does not advance the "
                            r"clock 0\.0 s at height 0$"):
             run(cfg)
+
+    def test_a_solve_rate_that_underflows_is_an_error(self):
+        # kappa * 5e-324 underflows to 0, so the genesis block's interval is inf
+        base = load_config("configs/dynamics.json")
+        cfg = dataclasses.replace(
+            base, horizon=5, explicit_population=[explicit_miner("m0", 5e-324)]
+        )
+        with pytest.raises(InternalError, match=r"^block interval inf s does not advance the "
+                           r"clock 0\.0 s at height 0$"):
+            run(cfg)
+        # a subnormal hashrate beside a normal one runs: nothing is rejected up front
+        pair = [explicit_miner("m0", 1e-310), explicit_miner("m1", 1.0)]
+        assert len(run(dataclasses.replace(base, horizon=50, explicit_population=pair)).records) == 50
 
     def test_stall_error_carries_the_state(self, monkeypatch):
         # two costly full-time miners leave, and the duty miners that stay active are
@@ -534,7 +571,7 @@ class TestVectorizedDecisions:
             explicit_population=agents, economics=EconomicsConfig(dwell=0)
         )
         state = initial_state(cfg, np.random.default_rng(cfg.seed))
-        total = float(state.hashrate[state.active].sum())
+        total = sequential_sum(state.hashrate[state.active].tolist())
         block_reward, price = 4.2, 30.0
 
         expected = []
@@ -790,7 +827,7 @@ class TestDecisionPass:
             passes=1,
         )
         on_cost, off_cost = costs(state)
-        total = float(np.add.reduce(state.hashrate[state.active]))
+        total = sequential_sum(state.hashrate[state.active].tolist())
         if active:  # 1e-10 below the exit threshold
             block_reward = self._reward_for(state, cfg, 0, off_cost[0] * (1 - 1e-10), total)
         else:  # 1e-10 above the entry threshold
