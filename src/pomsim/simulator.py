@@ -8,8 +8,9 @@ for a given (config, seed).
 
 The kernel does work in proportion to what changed: the aggregates over
 the available miners are taken again only when availability changes (a
-flip or a duty-phase edge), the proof-of-mining credit is read from a log
-of those changes, and a decision pass that can flip nobody is skipped.
+flip or a duty-phase edge), the proof-of-mining credit is counted from each
+miner's own list of the heights at which it flipped, and a decision pass
+that can flip nobody is skipped.
 """
 
 from __future__ import annotations
@@ -110,12 +111,19 @@ class NetworkState:
     Availability (`avail`) and the aggregates taken over it are taken anew,
     in one step by `_refresh`, at one point: the top of `step`'s stall loop,
     once the height reaches `refresh_at` (the next duty-phase edge, or the
-    height of a flip).  The availability log `log` holds counts only, one
-    epoch `(start, counts)` per height at which availability was taken anew.
-    The aggregates are taken over the available miners only (`idx`): `cum[k]`,
-    the sequential sum of the first k + 1 of their hashrates, is the dense
-    `(hashrate * avail).cumsum()` at `idx[k]`, bit for bit, since adding a
-    zero changes no sum.  That one sum is the network total, `cum[-1]`.
+    height of a flip).  The aggregates are taken over the available miners
+    only (`idx`): `cum[k]`, the sequential sum of the first k + 1 of their
+    hashrates, is the dense `(hashrate * avail).cumsum()` at `idx[k]`, bit for
+    bit, since adding a zero changes no sum.  That one sum is the network
+    total, `cum[-1]`.
+    The proof-of-mining credit is counted from `toggles`: each miner's
+    ascending heights at which its active status changed, so an odd count
+    means active (a miner active at genesis starts at `[0]`).  A block's flips
+    take effect at the next height, a stall quantum's at its own height, where
+    a second flip cancels the first.  Duty phases are not recorded: with a
+    duty cycle (on, period) a miner is available at height h if it is active
+    there and h % period < on.  `_compact` drops the toggles that no window
+    still to come reaches.
     A miner's dwell is the decision pass from which it may flip again; `due`
     maps each such pass still to come to its miners.  The miners out of their
     dwell sit in two lists: `ready_active` ordered by off_cost / hashrate,
@@ -151,22 +159,18 @@ class NetworkState:
     idx: np.ndarray = field(init=False)  # the available miners, ascending; len() is their count
     cum: np.ndarray = field(init=False)  # sequential cumsum of their hashrates, in index order
     large_share: float = field(init=False)  # share of `total` held by large miners
-    # availability log, one epoch per height at which availability was taken
-    # anew: the height it starts at and each miner's available blocks before it;
-    # the last epoch's availability is `avail`.  Epoch starts strictly increase
-    log: list[tuple[int, np.ndarray]]
+    toggles: list[list[int]]  # per miner, the heights at which its active status changed
+    cycles: list[tuple[int, int] | None]  # per miner, (on, on + off), or None if always on
+    room: int  # toggles that may still be stored before `_compact` runs
 
 
-_START = operator.itemgetter(0)  # a log epoch's start height
+_KEEP = 32  # toggles per miner the store may hold before it is compacted
 
 
-def _refresh(state: NetworkState, window: int) -> None:
+def _refresh(state: NetworkState) -> None:
     """Take availability at `state.height` anew, with its aggregates and `refresh_at`.
 
     The total is `cum[-1]`; the large miners' sum, the others zeroed, is at most it.
-    At a new height it opens a log epoch and drops the epochs that ended before
-    the last `window` blocks; at the open epoch's start (genesis, a stall
-    quantum), which holds no block yet, it replaces that epoch's availability.
     """
     b = state.height
     if state.has_duty:
@@ -180,13 +184,6 @@ def _refresh(state: NetworkState, window: int) -> None:
         avail = state.active.copy()
         state.refresh_at = math.inf
     idx = avail.nonzero()[0]
-    log = state.log
-    start, counts = log[-1]
-    if b > start:
-        old = bisect_right(log, b - window, key=_START) - 1
-        if old > 0:
-            del log[:old]
-        log.append((b, counts + state.avail * (b - start)))
     state.avail = avail
     state.idx = idx
     state.cum = cum = state.hashrate[idx].cumsum()
@@ -195,17 +192,42 @@ def _refresh(state: NetworkState, window: int) -> None:
     state.large_share = float(large[-1]) / total if len(idx) else 0.0
 
 
+def _on_blocks(t: int, on: int, period: int) -> int:
+    """Heights below t in the on-phase of a duty cycle: those h with h % period < on."""
+    return t // period * on + min(t % period, on)
+
+
 def _window_count(state: NetworkState, i: int, window: int) -> int:
-    """Blocks among the last `window` before this one in which miner `i` was available."""
-    log, b = state.log, state.height
+    """Blocks among the last `window` before this one in which miner `i` was available.
+
+    Each active span in [lo, b) counts its end less its start: the off toggles
+    after lo less the on toggles after lo, plus b if the miner is active now,
+    less lo if it was active at lo.  With a duty cycle a height h stands for the
+    on-phase heights below it, `_on_blocks(h, ...)`.
+    """
+    b = state.height
     lo = b - window if b > window else 0
-    last, now = log[-1]
-    if last <= lo:  # one availability over the whole window
-        return (b - lo) * bool(state.avail[i])
-    e = bisect_right(log, lo, key=_START) - 1  # the epoch that holds block `lo`
-    (start, counts), (end, after) = log[e], log[e + 1]
-    was_avail = int(after[i] - counts[i]) // (end - start)
-    return int(now[i] - counts[i]) + (b - last) * bool(state.avail[i]) - (lo - start) * was_avail
+    t, cycle = state.toggles[i], state.cycles[i]
+    if cycle is None and t and t[-1] <= lo:  # one active status over the whole window
+        return (b - lo) * (len(t) & 1)
+    k = bisect_right(t, lo)  # the toggles at or before lo; an odd count: active at lo
+    ons, offs = t[k + (k & 1) :: 2], t[k | 1 :: 2]  # t[0] is an on toggle
+    now, was = len(t) & 1, k & 1
+    if cycle is not None:
+        f = partial(_on_blocks, on=cycle[0], period=cycle[1])
+        b, lo, ons, offs = f(b), f(lo), map(f, ons), map(f, offs)
+    return sum(offs) - sum(ons) + b * now - lo * was
+
+
+def _compact(state: NetworkState, window: int) -> None:
+    """Drop the on/off toggle pairs that end before every window still to come, and
+    let the store grow to `_KEEP` per miner, or twice what it keeps, before the next call."""
+    lo = state.height - window
+    kept = 0
+    for t in state.toggles:
+        del t[: bisect_right(t, lo) & ~1]
+        kept += len(t)
+    state.room = max(_KEEP * len(state.toggles), 2 * kept) - kept
 
 
 _MARGIN = 1e-9  # relative slack of the candidate test, far above revenue_rate's rounding
@@ -296,13 +318,25 @@ def _decision_pass(
     if not leave and not enter:
         return
     on[j:], off[:k] = stay, wait
-    state.refresh_at = state.height
+    b = state.refresh_at = state.height
     for e in leave:
         act[e[2]] = False
     for e in enter:
         act[e[2]] = True
     back = sorted(leave + enter, key=_INDEX)  # the flipped miners, in index order
     _arm(state.due, back, p + 1 + config.economics.dwell, draws.jitter(len(back)))
+    toggled = map(state.toggles.__getitem__, map(_INDEX, back))
+    if total_hash:  # a block: the flips take effect at b + 1, above every stored toggle
+        any(map(list.append, toggled, repeat(b + 1)))
+    else:  # a stall quantum: at b, where the last block's or this stall's flips may be
+        for t in toggled:
+            if t and t[-1] == b:
+                t.pop()
+            else:
+                t.append(b)
+    state.room -= len(back)
+    if state.room < 0:
+        _compact(state, config.pom.window)
 
 
 def _arm(due: defaultdict, entries: list, first: int, offsets) -> None:
@@ -325,12 +359,11 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
     decaying difficulty and re-running decisions until someone re-enters.
     """
     price = config.price.at(state.height)
-    window = config.pom.window
     rc = config.retarget
     stalls = 0
     while True:
         if state.height >= state.refresh_at:
-            _refresh(state, window)
+            _refresh(state)
         if state.total > 0.0:
             break
         stalls += 1
@@ -369,7 +402,7 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
     widx = int(state.idx[k])
 
     raw = _block_reward(config, d, state.r_max)
-    mult = pom_credit(_window_count(state, widx, window), state.height, config.pom)
+    mult = pom_credit(_window_count(state, widx, config.pom.window), state.height, config.pom)
     record = BlockRecord(
         state.height, state.clock, d, total, state.ids[widx],
         raw, mult, raw * mult, len(state.idx), state.large_share,
@@ -405,6 +438,9 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     active = np.array([m.active for m in agents])
     duty_on = np.array([m.duty[0] if m.duty else 0 for m in agents], dtype=int)
     duty_off = np.array([m.duty[1] if m.duty else 0 for m in agents], dtype=int)
+    cycles = [  # a cycle with no off-phase is always on
+        (on, on + off) if off else None for on, off in zip(duty_on.tolist(), duty_off.tolist())
+    ]
     _, r_max = schedule_max(config.schedule)
     on_cost = (config.economics.margin_on * (unit_cost * hashrate)).tolist()
     off_cost = (config.economics.margin_off * (unit_cost * hashrate)).tolist()
@@ -435,13 +471,15 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         has_duty=bool((duty_on > 0).any()),
         ema=config.retarget.target_interval,
         floor=config.difficulty_map.floor,
-        log=[(0, np.zeros(n, dtype=int))],  # the first epoch opens at genesis
+        toggles=[[0] if a else [] for a in active.tolist()],
+        cycles=cycles,
+        room=_KEEP * n - int(active.sum()),
     )
     # staggered start: every miner goes through the re-arm rule from pass 0,
     # its jitter drawn from `rng` in one call
     dwell = config.economics.dwell
     _arm(state.due, entries, 0, rng.integers(0, dwell, n).tolist() if dwell else repeat(0))
-    _refresh(state, config.pom.window)
+    _refresh(state)
     h0 = state.total  # at height 0 the available miners are the active ones
     state.difficulty = hash_to_difficulty(h0, config.difficulty_map) if h0 > 0 else state.floor
     return state

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 from collections import Counter, deque
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from unittest import mock
@@ -294,6 +295,25 @@ def draws_for(cfg):
     return Draws(cfg.seed, cfg.economics.dwell)
 
 
+def assert_toggles_track_active(state):
+    """Each miner's toggle heights strictly increase, and their count is odd
+    exactly when it is active."""
+    assert [len(t) % 2 == 1 for t in state.toggles] == state.active.tolist()
+    assert all(all(map(operator.lt, t, t[1:])) for t in state.toggles)
+
+
+def checking_toggles():
+    """A patch under which every decision pass, stall quanta included, ends with
+    `assert_toggles_track_active`."""
+    decision_pass = simulator._decision_pass
+
+    def checked(state, *args):
+        decision_pass(state, *args)
+        assert_toggles_track_active(state)
+
+    return mock.patch.object(simulator, "_decision_pass", checked)
+
+
 class _FixedDraw(Draws):
     """A draw source whose uniform draw is always `u`: by default 1.0, the top of the range."""
 
@@ -353,18 +373,37 @@ class TestWinnerAvailability:
         state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
         index = {mid: i for i, mid in enumerate(state.ids)}
         clock = 0.0
-        for _ in range(cfg.horizon):
-            rec = step(state, cfg, draws)
-            assert state.avail[index[rec.winner]]  # the availability the block was drawn from
-            assert rec.total_hash == state.total == state.cum[-1]  # one sum, bit for bit
-            assert rec.credited_reward <= rec.raw_reward
-            assert 0.0 <= rec.pom_multiplier <= 1.0
-            assert 0.0 <= rec.large_miner_share <= 1.0
-            assert rec.timestamp > clock
-            clock = rec.timestamp
-            starts = [s for s, _ in state.log]  # one log epoch per height, stall quanta included
-            assert all(a < b for a, b in zip(starts, starts[1:]))
+        with checking_toggles():  # after every pass, stall quanta included
+            for _ in range(cfg.horizon):
+                rec = step(state, cfg, draws)
+                assert state.avail[index[rec.winner]]  # the availability the block was drawn from
+                assert rec.total_hash == state.total == state.cum[-1]  # one sum, bit for bit
+                assert rec.credited_reward <= rec.raw_reward
+                assert 0.0 <= rec.pom_multiplier <= 1.0
+                assert 0.0 <= rec.large_miner_share <= 1.0
+                assert rec.timestamp > clock
+                clock = rec.timestamp
         assert state.passes > state.height  # a pass per block and per stall quantum: it stalled
+
+
+def duty_population(credit, stalls):
+    """Two full-time miners and three duty miners, under `credit`.  full0 costs
+    nothing and never leaves, so the network never stalls.  With `stalls` full0
+    pays too and every hashrate is tripled: genesis difficulty lies past the
+    cutoff, and at seed 2 the network stalls and recovers three times."""
+    scale, cost0, seed = (3.0, 0.8, 2) if stalls else (1.0, 0.0, 0)
+    return dataclasses.replace(
+        load_config("configs/dynamics.json"),
+        seed=seed,
+        pom=credit,
+        explicit_population=[
+            explicit_miner("full0", 12.0 * scale, unit_cost=cost0),
+            explicit_miner("full1", 6.0 * scale, unit_cost=1.5),
+            explicit_miner("duty0", 10.0 * scale, unit_cost=0.5, duty=(5, 5)),
+            explicit_miner("duty1", 4.0 * scale, unit_cost=1.0, duty=(3, 7)),
+            explicit_miner("duty2", 20.0 * scale, unit_cost=2.0, duty=(40, 10)),
+        ],
+    )
 
 
 class TestDutyCycle:
@@ -393,42 +432,105 @@ class TestDutyCycle:
         ids=["40-of-50", "40-of-60", "3-of-7", "3-of-7-stalling"],
     )
     def test_credit_is_the_scalar_rule_over_the_winners_availability(self, credit, stalls):
-        # full0 costs nothing and never leaves, so the run never stalls.  With
-        # `stalls`, full0 pays too and every hashrate is tripled: genesis
-        # difficulty lies past the cutoff, and at seed 2 the network stalls and
-        # recovers three times.  Its stall quanta take availability anew at one
-        # height, which opens no second log epoch there, and its short window
-        # reaches into epochs of a log that has been trimmed
-        scale, cost0, seed = (3.0, 0.8, 2) if stalls else (1.0, 0.0, 0)
-        cfg = dataclasses.replace(
-            load_config("configs/dynamics.json"),
-            seed=seed,
-            pom=credit,
-            explicit_population=[
-                explicit_miner("full0", 12.0 * scale, unit_cost=cost0),
-                explicit_miner("full1", 6.0 * scale, unit_cost=1.5),
-                explicit_miner("duty0", 10.0 * scale, unit_cost=0.5, duty=(5, 5)),
-                explicit_miner("duty1", 4.0 * scale, unit_cost=1.0, duty=(3, 7)),
-                explicit_miner("duty2", 20.0 * scale, unit_cost=2.0, duty=(40, 10)),
-            ],
-        )
+        # with `stalls` the network stalls and recovers three times; its stall
+        # quanta flip miners at one height, where a second flip cancels the first
+        cfg = duty_population(credit, stalls)
         window = cfg.pom.window
         state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
         seen, mults = [], []
-        for _ in range(window + 100):
-            rec = step(state, cfg, draws)
-            seen.append(state.avail)  # the availability this block was drawn from
-            starts = [s for s, _ in state.log]
-            assert all(a < b for a, b in zip(starts, starts[1:]))  # one epoch per height
-            w = state.ids.index(rec.winner)
-            # the blocks before this one, at most a window of them (none at genesis)
-            history = deque((avail[w] for avail in seen[:-1]), maxlen=window)
-            agent = MinerAgent(id=rec.winner, hashrate=1.0, unit_cost=0.0, history=history)
-            assert rec.pom_multiplier == pom_multiplier(agent, cfg.pom)
-            mults.append(rec.pom_multiplier)
+        with checking_toggles():
+            for _ in range(window + 100):
+                rec = step(state, cfg, draws)
+                seen.append(state.avail)  # the availability this block was drawn from
+                w = state.ids.index(rec.winner)
+                # the blocks before this one, at most a window of them (none at genesis)
+                history = deque((avail[w] for avail in seen[:-1]), maxlen=window)
+                agent = MinerAgent(id=rec.winner, hashrate=1.0, unit_cost=0.0, history=history)
+                assert rec.pom_multiplier == pom_multiplier(agent, cfg.pom)
+                mults.append(rec.pom_multiplier)
         assert mults[:window] == [1.0] * window
         assert min(mults[window:]) < 1.0
         assert (state.passes > state.height) == stalls  # each stall quantum is a pass
+
+    def test_window_count_is_a_dense_recount_with_or_without_compaction(self, tmp_path):
+        # every miner's count, after every block, against the availability each block
+        # was drawn from; compaction after every pass, and never, changes no byte
+        cfg = dataclasses.replace(duty_population(PomCredit(7, 3), stalls=True), horizon=207)
+        window, n = cfg.pom.window, len(cfg.explicit_population)
+        decision_pass, compact = simulator._decision_pass, simulator._compact
+
+        def compacting(state, config, *args):
+            decision_pass(state, config, *args)
+            compact(state, config.pom.window)
+
+        outputs, stored = [], []
+        for patch in (
+            mock.patch.object(simulator, "_decision_pass", compacting),
+            mock.patch.object(simulator, "_compact", lambda state, window: None),
+        ):
+            state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
+            seen, records = [], []
+            with patch:
+                for _ in range(cfg.horizon):
+                    records.append(step(state, cfg, draws))
+                    seen.append(state.avail.tolist())
+                    b = state.height  # the next block's
+                    dense = [sum(a[i] for a in seen[max(b - window, 0):b]) for i in range(n)]
+                    assert [simulator._window_count(state, i, window) for i in range(n)] == dense
+            assert state.passes > state.height  # it stalled
+            path = tmp_path / f"{len(outputs)}.csv"
+            write_series_csv(simulator.RunSeries("", records, None), path)
+            outputs.append(path.read_bytes())
+            stored.append(sum(map(len, state.toggles)))
+        write_series_csv(run(cfg), tmp_path / "run.csv")
+        assert outputs[0] == outputs[1] == (tmp_path / "run.csv").read_bytes()
+        assert stored[0] < stored[1]  # compaction dropped toggles
+
+    # duty cycles (on, off), with no off-phase and with periods at the int64 edge
+    _CYCLES = st.sampled_from([(1, 0), (2**63 - 1, 0), (1, 2**63 - 2), (2**62, 2**62 - 1)]) | (
+        st.tuples(st.integers(1, 2**62), st.integers(0, 2**62 - 1))
+    )
+
+    @given(on=st.integers(1, 12), off=st.integers(0, 12), t=st.integers(0, 200))
+    def test_on_blocks_is_a_dense_count(self, on, off, t):
+        period = on + off
+        assert simulator._on_blocks(t, on, period) == sum(h % period < on for h in range(t))
+
+    @given(cycle=_CYCLES, t=st.integers(0, 2**80))
+    def test_on_blocks_counts_each_height_once(self, cycle, t):
+        # f(0) = 0 and f(t + 1) - f(t) = [t % period < on] make f the dense count at
+        # every t, by induction; large periods and heights reach it only this way
+        on, period = cycle[0], sum(cycle)
+        f = partial(simulator._on_blocks, on=on, period=period)
+        assert f(0) == 0
+        assert f(t + 1) - f(t) == (t % period < on)
+        assert f(t + period) - f(t) == on  # one whole period
+        for h in (period - 1, on - 1, on):  # the last height of a period and the phase edge
+            assert f(h + 1) - f(h) == (h % period < on)
+
+    def test_the_toggle_store_stays_within_its_bound(self):
+        # the cliff shape: 2,000 miners toggle 105,554 times in 3,000 blocks, so the store
+        # reaches its bound of `_KEEP` toggles per miner and is compacted
+        cfg = dataclasses.replace(
+            load_config("configs/dynamics.json"),
+            horizon=3000,
+            seed=7,
+            population=PopulationSpec(n_small=1936, n_large=64),
+        )
+        compact, calls = simulator._compact, []
+
+        def counted(state, window):
+            calls.append(state.height)
+            compact(state, window)
+
+        state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
+        stored = []
+        with mock.patch.object(simulator, "_compact", counted):
+            for _ in range(cfg.horizon):
+                step(state, cfg, draws)
+                stored.append(sum(map(len, state.toggles)))
+        assert calls  # the bound was reached and held
+        assert max(stored) <= simulator._KEEP * 2000
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -498,7 +600,8 @@ class TestStallRecovery:
             economics=EconomicsConfig(dwell=0),
             price=PricePath(constant=30.0),
         )
-        series = run(cfg)
+        with checking_toggles():  # each re-entry pops its exit's toggle at the same height
+            series = run(cfg)
         assert len(series.records) == 50
         assert all(r.active_miner_count == 1 for r in series.records)
 
