@@ -65,7 +65,7 @@ class MinerAgent:
     unit_cost: float
     active: bool = True
     dwell_remaining: int = 0
-    # forced (on_blocks, off_blocks) duty cycle; None means always available
+    # forced (on_blocks, off_blocks) duty cycle; None or an off-phase of 0: always available
     duty: Optional[tuple[int, int]] = None
     history: deque = field(default_factory=deque)
 

@@ -155,14 +155,16 @@ def cmd_run(args) -> int:
 
 
 def _seed_runs(dir_path: Path) -> dict[int, Path]:
+    """Each `seed_{n}/blocks.csv` under `dir_path`, by n; a directory whose name is not
+    exactly `seed_{n}` for the int n it parses to (`seed_01`, `seed_1_0`) is skipped."""
     found = {}
     for sub in sorted(dir_path.glob("seed_*")):
-        csv_path = sub / "blocks.csv"
-        if csv_path.is_file():
-            try:
-                found[int(sub.name.split("_", 1)[1])] = csv_path
-            except ValueError:
-                continue
+        try:
+            seed = int(sub.name.removeprefix("seed_"))
+        except ValueError:
+            continue
+        if sub.name == f"seed_{seed}" and (sub / "blocks.csv").is_file():
+            found[seed] = sub / "blocks.csv"
     return found
 
 

@@ -8,9 +8,9 @@ for a given (config, seed).
 
 The kernel does work in proportion to what changed: the aggregates over
 the available miners are taken again only when availability changes (a
-flip or a duty-phase edge), the proof-of-mining credit is counted from each
-miner's own list of the heights at which it flipped, and a decision pass
-that can flip nobody is skipped.
+flip, or a phase edge of a miner whose duty cycle has an off-phase), the
+proof-of-mining credit is counted from each miner's own list of the heights
+at which it flipped, and a decision pass that can flip nobody is skipped.
 """
 
 from __future__ import annotations
@@ -108,21 +108,22 @@ class NetworkState:
     the EMA of the interval, then moves difficulty by target / EMA, clamped
     to [1 / clamp, clamp] and floored at `floor`.
 
-    Availability (`avail`) and the aggregates taken over it are taken anew,
-    in one step by `_refresh`, at one point: the top of `step`'s stall loop,
-    once the height reaches `refresh_at` (the next duty-phase edge, or the
-    height of a flip).  The aggregates are taken over the available miners
-    only (`idx`): `cum[k]`, the sequential sum of the first k + 1 of their
-    hashrates, is the dense `(hashrate * avail).cumsum()` at `idx[k]`, bit for
-    bit, since adding a zero changes no sum.  That one sum is the network
-    total, `cum[-1]`.
+    Availability is held in one form, `idx`: the available miners, ascending.
+    It and the aggregates over it are taken anew, in one step by `_refresh`,
+    at one point: the top of `step`'s stall loop, once the height reaches
+    `refresh_at` (the next phase edge of a cycling miner, or the height of a
+    flip).  `cum[k]`, the sequential sum of the first k + 1 available
+    hashrates, is the dense cumsum of the hashrates with the unavailable ones
+    zeroed at `idx[k]`, bit for bit, since adding a zero changes no sum.  That
+    one sum is the network total, `cum[-1]`.
     The proof-of-mining credit is counted from `toggles`: each miner's
     ascending heights at which its active status changed, so an odd count
     means active (a miner active at genesis starts at `[0]`).  A block's flips
     take effect at the next height, a stall quantum's at its own height, where
-    a second flip cancels the first.  Duty phases are not recorded: with a
-    duty cycle (on, period) a miner is available at height h if it is active
-    there and h % period < on.  `_compact` drops the toggles that no window
+    a second flip cancels the first.  Duty phases are not recorded: a miner
+    cycles iff its duty cycle has an off-phase, and with `cycles[i]` =
+    (on, period) it is available at height h if it is active there and
+    h % period < on.  `_compact` drops the toggles that no window
     still to come reaches.
     A miner's dwell is the decision pass from which it may flip again; `due`
     maps each such pass still to come to its miners.  The miners out of their
@@ -149,18 +150,15 @@ class NetworkState:
     due: defaultdict[int, list[tuple]]  # decision pass -> the miners whose dwell ends at it
     exact_totals: tuple[float, float]  # the totals at which the candidate test is exact
     passes: int  # decision passes run so far, stall quanta included
-    duty_on: np.ndarray
-    duty_off: np.ndarray
     kappa: float  # solve-rate constant, resolved once per run
-    has_duty: bool
-    avail: np.ndarray = field(init=False)  # availability at `height`; a new array on each refresh
-    refresh_at: float = field(init=False)  # height from which `avail` is out of date
+    refresh_at: float = field(init=False)  # height from which `idx` is out of date
     total: float = field(init=False)  # the available hashrate, `cum[-1]` (0 if none)
     idx: np.ndarray = field(init=False)  # the available miners, ascending; len() is their count
     cum: np.ndarray = field(init=False)  # sequential cumsum of their hashrates, in index order
     large_share: float = field(init=False)  # share of `total` held by large miners
     toggles: list[list[int]]  # per miner, the heights at which its active status changed
-    cycles: list[tuple[int, int] | None]  # per miner, (on, on + off), or None if always on
+    cycles: list[tuple[int, int] | None]  # per miner, (on, on + off) if it cycles, else None
+    cycling: tuple[np.ndarray, ...]  # the cycling miners' index, on and period, int64 arrays
     room: int  # toggles that may still be stored before `_compact` runs
 
 
@@ -173,19 +171,15 @@ def _refresh(state: NetworkState) -> None:
     The total is `cum[-1]`; the large miners' sum, the others zeroed, is at most it.
     """
     b = state.height
-    if state.has_duty:
-        on, duty = state.duty_on, state.duty_on > 0
-        period = on + state.duty_off
-        phase = b % np.maximum(period, 1)
-        avail = state.active & ~(duty & (phase >= on))
-        to_edge = np.where(phase < on, on - phase, period - phase)
-        state.refresh_at = b + int(to_edge[duty].min())
-    else:
-        avail = state.active.copy()
-        state.refresh_at = math.inf
-    idx = avail.nonzero()[0]
-    state.avail = avail
-    state.idx = idx
+    avail = state.active.copy()
+    state.refresh_at = math.inf
+    i, on, period = state.cycling
+    if len(i):  # skipped with no cycling miner: on empty arrays it doubles a refresh's cost
+        phase = b % period
+        live = phase < on  # in the on-phase
+        avail[i] &= live
+        state.refresh_at = b + int((np.where(live, on, period) - phase).min())
+    state.idx = idx = avail.nonzero()[0]
     state.cum = cum = state.hashrate[idx].cumsum()
     state.total = total = float(cum[-1]) if len(idx) else 0.0
     large = state.large_hashrate[idx].cumsum()
@@ -202,7 +196,7 @@ def _window_count(state: NetworkState, i: int, window: int) -> int:
 
     Each active span in [lo, b) counts its end less its start: the off toggles
     after lo less the on toggles after lo, plus b if the miner is active now,
-    less lo if it was active at lo.  With a duty cycle a height h stands for the
+    less lo if it was active at lo.  For a cycling miner a height h stands for the
     on-phase heights below it, `_on_blocks(h, ...)`.
     """
     b = state.height
@@ -372,7 +366,7 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
                 f"network stalled: no miner re-entered within {_MAX_STALL_QUANTA} quanta "
                 f"at height {state.height}, clock {state.clock!r} s, difficulty "
                 f"{state.difficulty!r}, price {price!r}; "
-                f"{np.count_nonzero(state.active & ~state.avail)} active miner(s) "
+                f"{np.count_nonzero(state.active)} active miner(s) "  # none is available
                 "held off only by their duty phase"
             )
         quantum = rc.target_interval * rc.clamp
@@ -436,11 +430,9 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     hashrate = np.array([m.hashrate for m in agents])
     unit_cost = np.array([m.unit_cost for m in agents])
     active = np.array([m.active for m in agents])
-    duty_on = np.array([m.duty[0] if m.duty else 0 for m in agents], dtype=int)
-    duty_off = np.array([m.duty[1] if m.duty else 0 for m in agents], dtype=int)
-    cycles = [  # a cycle with no off-phase is always on
-        (on, on + off) if off else None for on, off in zip(duty_on.tolist(), duty_off.tolist())
-    ]
+    # a miner cycles iff its duty cycle has an off-phase: (on, 0) is always on
+    cycles = [(m.duty[0], sum(m.duty)) if m.duty and m.duty[1] else None for m in agents]
+    cycling = np.array([(i, *c) for i, c in enumerate(cycles) if c], np.int64).reshape(-1, 3)
     _, r_max = schedule_max(config.schedule)
     on_cost = (config.economics.margin_on * (unit_cost * hashrate)).tolist()
     off_cost = (config.economics.margin_off * (unit_cost * hashrate)).tolist()
@@ -465,14 +457,12 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         due=defaultdict(list),
         exact_totals=exact_totals,
         passes=0,
-        duty_on=duty_on,
-        duty_off=duty_off,
         kappa=config.resolved_rate_constant(),
-        has_duty=bool((duty_on > 0).any()),
         ema=config.retarget.target_interval,
         floor=config.difficulty_map.floor,
         toggles=[[0] if a else [] for a in active.tolist()],
         cycles=cycles,
+        cycling=tuple(cycling.T.copy()),
         room=_KEEP * n - int(active.sum()),
     )
     # staggered start: every miner goes through the re-arm rule from pass 0,
@@ -522,10 +512,10 @@ def read_series_csv(path) -> list[BlockRecord]:
     floats = operator.itemgetter(*[i for i, t in enumerate(types) if t is float])
     with open(path, newline="", encoding="utf-8") as f:
         rd = csv.reader(f)
-        if next(rd, None) != list(BlockRecord._fields):
-            raise ConfigError(f"unexpected CSV header in {path}")
         records = []
         try:
+            if next(rd, None) != list(BlockRecord._fields):
+                raise ConfigError(f"unexpected CSV header in {path}")
             for row in rd:
                 if len(row) != n:
                     raise ValueError(f"{len(row)} fields, expected {n}")
@@ -536,7 +526,11 @@ def read_series_csv(path) -> list[BlockRecord]:
                     if nan:
                         raise ValueError(f"{nan[0]} is nan")
                 records.append(rec)
-        except ValueError as exc:  # a short, long, garbled or NaN row
+        except ConfigError:
+            raise
+        except UnicodeDecodeError as exc:  # decoded a chunk ahead of the reader: at no known line
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except (ValueError, csv.Error) as exc:  # a short, long, garbled, NaN or oversized row
             raise ConfigError(f"{path}, line {rd.line_num}: bad row ({exc})") from exc
     with open(path, "rb") as f:  # the writer ends every row with a line terminator
         f.seek(-1, os.SEEK_END)

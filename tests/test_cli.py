@@ -474,13 +474,21 @@ def test_compare_names_the_file_and_line_of_a_truncated_run(small_config, tmp_pa
     garbled = lines[:6] + [",".join([fields[0], "abc", *fields[2:]])] + lines[7:]  # timestamp abc
     fields = lines[8].split(",")
     nan = lines[:8] + [",".join([*fields[:3], "nan", *fields[4:]])] + lines[9:]  # total_hash nan
-    for bad, line in ((short, len(lines)), (long, 6), (garbled, 7), (nan, 9)):
-        blocks.write_text("\n".join(bad))
+    fields = lines[3].split(",")
+    huge = lines[:3] + [",".join([*fields[:4], "m" * 131_073, *fields[5:]])] + lines[4:]
+    # a Latin-1 byte, not UTF-8, in the header and in a row: decoded ahead of the
+    # reader, so at no known line
+    latin_header = [lines[0].replace("winner", "winn\xe9r")] + lines[1:]
+    fields = lines[4].split(",")
+    latin_row = lines[:4] + [",".join([*fields[:4], "\xe9" + fields[4], *fields[5:]])] + lines[5:]
+    for bad, line in ((short, len(lines)), (long, 6), (garbled, 7), (nan, 9), (huge, 4),
+                      (latin_header, None), (latin_row, None)):
+        blocks.write_bytes("\n".join(bad).encode("latin-1"))
         capsys.readouterr()
         assert main(["compare", str(out), str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert f"{blocks}, line {line}:" in err
+        assert (f"{blocks}, line {line}:" if line else f"{blocks}: not UTF-8 text") in err
 
 
 def test_a_table_without_the_block_header_is_not_a_run(small_config, tmp_path, capsys):
@@ -499,12 +507,16 @@ def test_compare_skips_a_seed_directory_not_named_by_an_integer(small_config, tm
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(small_config), "--seeds", "2", "--out", str(a)]) == 0
     assert main(["run", "--config", str(small_config), "--seeds", "2", "--out", str(b)]) == 0
-    (b / "seed_x").mkdir()
-    (b / "seed_x" / "blocks.csv").write_bytes((b / "seed_3" / "blocks.csv").read_bytes())
+    # all but seed_x parse to an int, but only seed_{n} names seed n: none is read
+    for name in ("seed_x", "seed_3_0", "seed_03", "seed_+4", "seed_ 4", "seed_4 "):
+        (b / name).mkdir()
+        (b / name / "blocks.csv").write_bytes((b / "seed_3" / "blocks.csv").read_bytes())
     capsys.readouterr()
     assert main(["compare", str(a), str(b)]) == 0
-    rows = capsys.readouterr().out.splitlines()
-    assert [r.split(",")[0] for r in rows] == ["seed", "3", "4", "median"]
+    out = capsys.readouterr().out
+    assert [r.split(",")[0] for r in out.splitlines()] == ["seed", "3", "4", "median"]
+    assert main(["compare", str(a), str(a)]) == 0
+    assert capsys.readouterr().out == out  # each seed against its own run
 
 
 def test_run_and_compare_write_and_read_utf8_under_an_ascii_locale(small_config, tmp_path):

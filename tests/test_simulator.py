@@ -314,6 +314,13 @@ def checking_toggles():
     return mock.patch.object(simulator, "_decision_pass", checked)
 
 
+def available(state):
+    """`state.idx`, the available miners, as a mask over all of them."""
+    mask = np.zeros(len(state.ids), dtype=bool)
+    mask[state.idx] = True
+    return mask
+
+
 class _FixedDraw(Draws):
     """A draw source whose uniform draw is always `u`: by default 1.0, the top of the range."""
 
@@ -351,8 +358,9 @@ class TestWinnerAvailability:
         for _ in range(4):
             probe = copy.deepcopy(state)  # the availability this block draws over
             step(probe, cfg, Draws(0, cfg.economics.dwell))
-            cum = (probe.hashrate * probe.avail).cumsum()
-            bounds = cum[probe.avail] / probe.total
+            avail = available(probe)
+            cum = (probe.hashrate * avail).cumsum()
+            bounds = cum[avail] / probe.total
             for u in [0.0, math.nextafter(1.0, 0.0), 1.0, *bounds.tolist()]:
                 rec = step(copy.deepcopy(state), cfg, _FixedDraw(0, cfg.economics.dwell, u))
                 w = int(cum.searchsorted(u * rec.total_hash, "right"))
@@ -360,7 +368,7 @@ class TestWinnerAvailability:
                     w = int(cum.searchsorted(cum[-1]))
                 assert rec.winner == state.ids[w]
                 assert type(rec.active_miner_count) is int
-                assert rec.active_miner_count == np.count_nonzero(probe.avail)
+                assert rec.active_miner_count == np.count_nonzero(avail)
             step(state, cfg, draws)
 
     def test_stall_heavy_run_keeps_invariants(self):
@@ -376,7 +384,7 @@ class TestWinnerAvailability:
         with checking_toggles():  # after every pass, stall quanta included
             for _ in range(cfg.horizon):
                 rec = step(state, cfg, draws)
-                assert state.avail[index[rec.winner]]  # the availability the block was drawn from
+                assert available(state)[index[rec.winner]]  # the availability it was drawn from
                 assert rec.total_hash == state.total == state.cum[-1]  # one sum, bit for bit
                 assert rec.credited_reward <= rec.raw_reward
                 assert 0.0 <= rec.pom_multiplier <= 1.0
@@ -424,6 +432,35 @@ class TestDutyCycle:
             else:
                 assert r.active_miner_count == 2
 
+    def test_a_duty_cycle_without_an_off_phase_is_always_on(self, tmp_path):
+        # [5, 0] and [1, 0] have phase edges every 5 blocks and every block, but
+        # never take their miner out: the same bytes and no refresh at those edges
+        def population(duty5, duty1):
+            return dataclasses.replace(
+                load_config("configs/dynamics.json"),
+                horizon=1000,
+                constant_reward=True,
+                explicit_population=[
+                    explicit_miner("full", 10.0),
+                    explicit_miner("on5", 4.0, duty=duty5),
+                    explicit_miner("on1", 6.0, duty=duty1),
+                ],
+            )
+
+        refresh, outputs, refreshes = simulator._refresh, [], []
+        for cfg in (population(None, None), population((5, 0), (1, 0))):
+            calls = []
+
+            def counted(state):
+                calls.append(state.height)
+                refresh(state)
+
+            with mock.patch.object(simulator, "_refresh", counted):
+                write_series_csv(run(cfg), tmp_path / "blocks.csv")
+            outputs.append((tmp_path / "blocks.csv").read_bytes())
+            refreshes.append(len(calls))
+        assert outputs[0] == outputs[1]
+        assert refreshes == [1, 1]  # genesis only: nobody flips at a constant reward
 
     @pytest.mark.parametrize(
         "credit,stalls",
@@ -441,7 +478,7 @@ class TestDutyCycle:
         with checking_toggles():
             for _ in range(window + 100):
                 rec = step(state, cfg, draws)
-                seen.append(state.avail)  # the availability this block was drawn from
+                seen.append(available(state))  # the availability this block was drawn from
                 w = state.ids.index(rec.winner)
                 # the blocks before this one, at most a window of them (none at genesis)
                 history = deque((avail[w] for avail in seen[:-1]), maxlen=window)
@@ -473,7 +510,7 @@ class TestDutyCycle:
             with patch:
                 for _ in range(cfg.horizon):
                     records.append(step(state, cfg, draws))
-                    seen.append(state.avail.tolist())
+                    seen.append(available(state).tolist())
                     b = state.height  # the next block's
                     dense = [sum(a[i] for a in seen[max(b - window, 0):b]) for i in range(n)]
                     assert [simulator._window_count(state, i, window) for i in range(n)] == dense
