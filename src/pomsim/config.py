@@ -103,6 +103,23 @@ class SimConfig:
                 raise ConfigError(
                     f"$.population.explicit[{j}].id: duplicate id {m.id!r} (also explicit[{i}])"
                 )
+            self._check_costs(m.unit_cost, m.hashrate, f"$.population.explicit[{j}]")
+        if self.explicit_population is None:  # a drawn miner's cost is at most its class's bound
+            p = self.population
+            for n, cost, hashrate in ((p.n_small, p.small_cost, p.small_hash),
+                                      (p.n_large, p.large_cost, p.large_hash)):
+                if n:
+                    self._check_costs(cost[1], hashrate[1], "$.population")
+
+    def _check_costs(self, unit_cost: float, hashrate: float, path: str) -> None:
+        """The kernel's on and off costs, margin * (unit_cost * hashrate), must be finite."""
+        econ = self.economics
+        for margin in (econ.margin_on, econ.margin_off):
+            if not math.isfinite(margin * (unit_cost * hashrate)):
+                raise ConfigError(
+                    f"{path}: a miner's cost overflows: margin {margin!r} * (unit_cost "
+                    f"{unit_cost!r} * hashrate {hashrate!r})"
+                )
 
     def resolved_rate_constant(self) -> float:
         if self.rate_constant is not None:

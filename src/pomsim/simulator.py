@@ -115,12 +115,15 @@ class NetworkState:
     flip).  `cum[k]`, the sequential sum of the first k + 1 available
     hashrates, is the dense cumsum of the hashrates with the unavailable ones
     zeroed at `idx[k]`, bit for bit, since adding a zero changes no sum.  That
-    one sum is the network total, `cum[-1]`.
+    one sum is the network total, `cum[-1]`.  The large miners' sum runs over
+    the available ones among `large` alone, in index order: the same bits as
+    that cumsum with every other hashrate zeroed.
     The proof-of-mining credit is counted from `toggles`: each miner's
     ascending heights at which its active status changed, so an odd count
-    means active (a miner active at genesis starts at `[0]`).  A block's flips
-    take effect at the next height, a stall quantum's at its own height, where
-    a second flip cancels the first.  Duty phases are not recorded: a miner
+    means active (a miner active at genesis starts at `[0]`).  A flip at
+    height `at` cancels a toggle already at `at`, and is stored otherwise: a
+    block's flips take effect at the next height, above every stored toggle,
+    a stall quantum's at its own height.  Duty phases are not recorded: a miner
     cycles iff its duty cycle has an off-phase, and with `cycles[i]` =
     (on, period) it is available at height h if it is active there and
     h % period < on.  `_compact` drops the toggles that no window
@@ -130,9 +133,12 @@ class NetworkState:
     dwell sit in two lists: `ready_active` ordered by off_cost / hashrate,
     `ready_inactive` by on_cost / hashrate.  Each miner has one fixed entry
     `(off_cost / hashrate, on_cost / hashrate, index, hashrate, on_cost,
-    off_cost)`, held in one of the two lists or in `due`; a flip moves it from
-    one list to the other.  Its state is `active[index]` alone, which also
-    picks the list its dwell expiry returns it to.
+    off_cost)`, held in one of the two lists or in `due`; a flip moves it to
+    `due`.  Its state is held once, as a byte in `flags`, which the decision
+    pass reads and writes as a Python int; `active` is a numpy bool view of the
+    same memory, which `_refresh` reads (`copy.deepcopy` copies the two apart).
+    The flag picks the list that a miner coming out of its dwell goes to,
+    unless the pass flips it at once.
     """
 
     height: int
@@ -143,8 +149,9 @@ class NetworkState:
     r_max: float
     ids: list[str]
     hashrate: np.ndarray
-    large_hashrate: np.ndarray  # hashrate, zeroed for the miners that are not large
-    active: np.ndarray
+    large: tuple[np.ndarray, np.ndarray]  # the large miners' index and hashrate arrays
+    flags: bytearray  # per miner, 1 if active: what the decision pass reads and writes
+    active: np.ndarray  # `flags` as a numpy bool array, the same memory
     ready_active: list[tuple]
     ready_inactive: list[tuple]
     due: defaultdict[int, list[tuple]]  # decision pass -> the miners whose dwell ends at it
@@ -168,22 +175,26 @@ _KEEP = 32  # toggles per miner the store may hold before it is compacted
 def _refresh(state: NetworkState) -> None:
     """Take availability at `state.height` anew, with its aggregates and `refresh_at`.
 
-    The total is `cum[-1]`; the large miners' sum, the others zeroed, is at most it.
+    The total is `cum[-1]`.  The large miners' sum is taken over the large miners
+    alone, which gives the bits of the sum over all of them with the others
+    zeroed, so it is at most the total.
     """
     b = state.height
-    avail = state.active.copy()
+    avail = state.active
     state.refresh_at = math.inf
     i, on, period = state.cycling
     if len(i):  # skipped with no cycling miner: on empty arrays it doubles a refresh's cost
         phase = b % period
         live = phase < on  # in the on-phase
+        avail = avail.copy()
         avail[i] &= live
         state.refresh_at = b + int((np.where(live, on, period) - phase).min())
     state.idx = idx = avail.nonzero()[0]
     state.cum = cum = state.hashrate[idx].cumsum()
     state.total = total = float(cum[-1]) if len(idx) else 0.0
-    large = state.large_hashrate[idx].cumsum()
-    state.large_share = float(large[-1]) / total if len(idx) else 0.0
+    large_idx, large_h = state.large
+    large = large_h[avail[large_idx]].cumsum()
+    state.large_share = float(large[-1]) / total if len(large) else 0.0
 
 
 def _on_blocks(t: int, on: int, period: int) -> int:
@@ -258,26 +269,30 @@ def _decision_pass(
     a third bisection takes those as one slice, unjudged.  Only the active
     miners with keys within x * (1 ± margin) and the inactive ones up to
     x * (1 + margin) are judged.  (No entry is certain: an inactive miner's
-    share after joining is below hashrate / total.)
+    share after joining is below hashrate / total.)  A miner whose dwell
+    ends at this pass takes the same test on its own key before it is filed:
+    an active one above the band leaves unjudged, one that can flip is
+    judged at once, and only one that cannot flip, or that stays, goes into
+    its list by `insort`.
 
     The margin covers the rounding only while no product in a revenue or in
     x leaves the normal range, so the test runs only at the totals in
     `state.exact_totals` and while the reward is 0 or the reward,
     reward * price and reward * price * 3600 / T lie within 2**-800..2**800
     (see `_RATE_MIN`).  Otherwise, and in a stall quantum, every ready active
-    miner is judged, and the ready inactive ones unless even the lowest
-    on_cost among them is above revenue_rate(1, 1, ...): a share is at most
-    1, so no inactive miner earns more (in a stall, with the total at 0,
-    each earns exactly that).
+    miner and every expiring miner is judged, and the ready inactive ones
+    unless even the lowest on_cost among them is above revenue_rate(1, 1, ...):
+    a share is at most 1, so no inactive miner earns more (in a stall, with
+    the total at 0, each earns exactly that).
+
+    The flipped miners, in index order, are re-armed; then one loop flips each
+    one's byte flag and stores its toggle by `NetworkState`'s one rule, at
+    `at` = b + 1 after a block and at b in a stall quantum.
     """
     p = state.passes
     state.passes = p + 1
-    on, off, act = state.ready_active, state.ready_inactive, state.active
-    for e in state.due.pop(p, ()):  # the miners whose dwell ends here
-        if act[e[2]]:
-            insort(on, e, key=_OFF_KEY)
-        else:
-            insort(off, e, key=_ON_KEY)
+    on, off = state.ready_active, state.ready_inactive
+    expiring = state.due.pop(p, ())  # the miners whose dwell ends here
     t = config.retarget.target_interval
     lo_total, hi_total = state.exact_totals
     rp = block_reward * price
@@ -290,12 +305,13 @@ def _decision_pass(
     if exact and lo_total <= total_hash <= hi_total:
         x = rate / total_hash
         lo, hi = x * (1.0 - _MARGIN), x * (1.0 + _MARGIN)
-        if (not on or on[-1][0] < lo) and (not off or off[0][1] > hi):
+        if not expiring and (not on or on[-1][0] < lo) and (not off or off[0][1] > hi):
             return
         j = bisect_left(on, lo, key=_OFF_KEY)
         m = bisect_right(on, hi, key=_OFF_KEY)
         k = bisect_right(off, hi, key=_ON_KEY)
     else:  # a stall, or magnitudes at which rounding may leave the margin
+        lo, hi = -math.inf, math.inf  # every expiring miner is judged
         j, m = 0, len(on)
         # an inactive miner's share h / (h + total) is at most 1
         top = revenue_rate(1.0, 1.0, block_reward, price, t)
@@ -309,25 +325,39 @@ def _decision_pass(
     for e in off[:k]:
         rev = revenue_rate(e[3], e[3] + total_hash, block_reward, price, t)
         (enter if flips(False, rev, e[4], e[5]) else wait).append(e)
+    if leave or enter:
+        on[j:], off[:k] = stay, wait
+    flags = state.flags
+    for e in expiring:  # the lists' test on the miner's own key, then its list
+        h = e[3]
+        if flags[e[2]]:
+            if e[0] > hi or e[0] >= lo and flips(
+                True, revenue_rate(h, total, block_reward, price, t), e[4], e[5]
+            ):
+                leave.append(e)
+            else:
+                insort(on, e, key=_OFF_KEY)
+        elif e[1] <= hi and flips(
+            False, revenue_rate(h, h + total_hash, block_reward, price, t), e[4], e[5]
+        ):
+            enter.append(e)
+        else:
+            insort(off, e, key=_ON_KEY)
     if not leave and not enter:
         return
-    on[j:], off[:k] = stay, wait
     b = state.refresh_at = state.height
-    for e in leave:
-        act[e[2]] = False
-    for e in enter:
-        act[e[2]] = True
+    at = b + 1 if total_hash else b
     back = sorted(leave + enter, key=_INDEX)  # the flipped miners, in index order
+    toggles = state.toggles
     _arm(state.due, back, p + 1 + config.economics.dwell, draws.jitter(len(back)))
-    toggled = map(state.toggles.__getitem__, map(_INDEX, back))
-    if total_hash:  # a block: the flips take effect at b + 1, above every stored toggle
-        any(map(list.append, toggled, repeat(b + 1)))
-    else:  # a stall quantum: at b, where the last block's or this stall's flips may be
-        for t in toggled:
-            if t and t[-1] == b:
-                t.pop()
-            else:
-                t.append(b)
+    for e in back:
+        i = e[2]
+        flags[i] ^= 1
+        t = toggles[i]
+        if t and t[-1] == at:
+            t.pop()
+        else:
+            t.append(at)
     state.room -= len(back)
     if state.room < 0:
         _compact(state, config.pom.window)
@@ -429,7 +459,7 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     n = len(agents)
     hashrate = np.array([m.hashrate for m in agents])
     unit_cost = np.array([m.unit_cost for m in agents])
-    active = np.array([m.active for m in agents])
+    flags = bytearray(m.active for m in agents)
     # a miner cycles iff its duty cycle has an off-phase: (on, 0) is always on
     cycles = [(m.duty[0], sum(m.duty)) if m.duty and m.duty[1] else None for m in agents]
     cycling = np.array([(i, *c) for i, c in enumerate(cycles) if c], np.int64).reshape(-1, 3)
@@ -444,14 +474,16 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     # 1 / total, within 2**±200 (see `_decision_pass`)
     h_lo, h_hi = float(hashrate.min()), float(hashrate.max())
     exact_totals = (max(1.0, h_hi) * 2.0**-200, min(2.0**200, h_lo * 2.0**199))
+    large = np.flatnonzero(hashrate > config.large_threshold)
     state = NetworkState(
         height=0,
         clock=0.0,
         r_max=r_max,
         ids=[m.id for m in agents],
         hashrate=hashrate,
-        large_hashrate=np.where(hashrate > config.large_threshold, hashrate, 0.0),
-        active=active,
+        large=(large, hashrate[large]),
+        flags=flags,
+        active=np.frombuffer(flags, np.bool_),
         ready_active=[],
         ready_inactive=[],
         due=defaultdict(list),
@@ -460,10 +492,10 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         kappa=config.resolved_rate_constant(),
         ema=config.retarget.target_interval,
         floor=config.difficulty_map.floor,
-        toggles=[[0] if a else [] for a in active.tolist()],
+        toggles=[[0] if a else [] for a in flags],
         cycles=cycles,
         cycling=tuple(cycling.T.copy()),
-        room=_KEEP * n - int(active.sum()),
+        room=_KEEP * n - sum(flags),
     )
     # staggered start: every miner goes through the re-arm rule from pass 0,
     # its jitter drawn from `rng` in one call

@@ -203,6 +203,26 @@ HARDENING = [
      "$.population.explicit[0]"),
     ("int64-overflowing-duty-on", _example(**_miner(duty=[2**63, 0])), "$.population.explicit[0]"),
     ("dwell-past-int64", _example(economics={"dwell": 2**63 + 1}), "$.economics"),
+    # the kernel's costs margin * (unit_cost * hashrate) must be finite
+    ("overflowing-cost", _example(population={"explicit": [
+        {"hashrate": 1e9, "unit_cost": 1.7e308}, {"hashrate": 3.0, "unit_cost": 1.0}]}),
+     "$.population.explicit[0]"),
+    ("overflowing-on-cost",  # unit_cost * hashrate is finite, margin_on times it is not
+     _example(**_miner(hashrate=1.0, unit_cost=1.7e308)), "$.population.explicit[0]"),
+    ("overflowing-cost-of-a-later-miner",
+     _example(population={"explicit": [{"hashrate": 1.0, "unit_cost": 1.0},
+                                       {"hashrate": 2.0, "unit_cost": 1e308}]}),
+     "$.population.explicit[1]"),
+    ("overflowing-margin", _example(economics={"margin_on": 1e308}, **_miner(unit_cost=10.0)),
+     "$.population.explicit[0]"),
+    ("overflowing-off-margin",  # -1e308 * 10 is -inf
+     _example(economics={"margin_off": -1e308}, **_miner(unit_cost=10.0)),
+     "$.population.explicit[0]"),
+    ("overflowing-small-cost-bound",
+     _example(population={**EXAMPLE_POPULATION, "small_cost": [0.3, 1e308]}), "$.population"),
+    ("overflowing-large-hash-bound",
+     _example(population={**EXAMPLE_POPULATION, "large_hash": [5.0, 1e300],
+                          "large_cost": [0.6, 1e10]}), "$.population"),
 ]
 
 

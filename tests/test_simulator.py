@@ -392,6 +392,10 @@ class TestWinnerAvailability:
                 assert rec.timestamp > clock
                 clock = rec.timestamp
         assert state.passes > state.height  # a pass per block and per stall quantum: it stalled
+        # the pass writes the byte flags; `active` is the same memory, so `_refresh` reads them
+        assert np.shares_memory(state.active, np.frombuffer(state.flags, np.bool_))
+        assert [len(t) % 2 for t in state.toggles] == list(state.flags)
+        assert state.active.tolist() == list(map(bool, state.flags))
 
 
 def duty_population(credit, stalls):
@@ -867,6 +871,14 @@ class TestDraws:
             assert draws.uniform() == winners.random()
 
 
+# (hashrate, unit_cost, block reward, total) at which a revenue or x leaves the normal range
+OUTSIDE_THE_NORMAL_RANGE = {
+    "subnormal-reward": (1.0, 5e-324, 5e-324, 2.0),
+    "subnormal-hashrate": (5e-324, 1.0, 1.0, 2.0),
+    "overflowing-x": (1.0, 1.5e308, 1e307, 100.0),
+}
+
+
 class TestDecisionPass:
     """`_decision_pass` judges only candidates, and flips what `decide_all` would."""
 
@@ -929,18 +941,21 @@ class TestDecisionPass:
             assert max(e for _, e in seen) >= 30
 
     @pytest.mark.parametrize(
-        "hashrate,unit_cost,reward,total",
-        [(1.0, 5e-324, 5e-324, 2.0), (5e-324, 1.0, 1.0, 2.0), (1.0, 1.5e308, 1e307, 100.0)],
-        ids=["subnormal-reward", "subnormal-hashrate", "overflowing-x"],
+        "hashrate,unit_cost,reward,total,left",
+        [(*case, left) for left in (0, 1, 3) for case in OUTSIDE_THE_NORMAL_RANGE.values()],
+        ids=[name + (f"-dwell-{left}" if left else "")
+             for left in (0, 1, 3) for name in OUTSIDE_THE_NORMAL_RANGE],
     )
     def test_products_outside_the_normal_range_are_judged_in_full(
-        self, hashrate, unit_cost, reward, total
+        self, hashrate, unit_cost, reward, total, left
     ):
-        # rounding there leaves any relative margin: the dense rule flips this miner
+        # rounding there leaves any relative margin: the dense rule flips this miner,
+        # whether it was ready or comes out of a dwell of `left` passes at the last one
         agents = [MinerAgent(id="m", hashrate=hashrate, unit_cost=unit_cost)]
         cfg = make_config(explicit_population=agents, economics=EconomicsConfig(dwell=0))
         state = initial_state(cfg, np.random.default_rng(0))
-        assert check_against_decide_all(cfg, state, [0], 0, [(reward, total)]) == [(1, 0)]
+        seen = check_against_decide_all(cfg, state, [left], 0, [(reward, total)] * (left + 1))
+        assert seen == [(0, 0)] * (left - 1) + [(0, 1)] * (left > 0) + [(1, 0)]
 
     @staticmethod
     def _ready_state(miners, passes, left=None):
@@ -999,6 +1014,82 @@ class TestDecisionPass:
 
         monkeypatch.setattr(simulator, "flips", counted)
         return calls
+
+    @staticmethod
+    def _count_filed(monkeypatch):
+        """Collect the entries the kernel files into a ready list with `insort`."""
+        filed, insort = [], simulator.insort
+
+        def counted(a, x, **kw):
+            filed.append(x)
+            return insort(a, x, **kw)
+
+        monkeypatch.setattr(simulator, "insort", counted)
+        return filed
+
+    def _expiring_state(self, miners):
+        """A dwell-free state at pass 1 in which every miner's dwell ends at pass 2."""
+        return self._ready_state(miners, passes=1, left=[1] * len(miners))
+
+    @pytest.mark.parametrize(
+        "active,scale,judged,filed",
+        [(True, 10.0, 0, 0), (True, 0.1, 0, 1), (False, 10.0, 0, 1), (False, 0.1, 1, 0)],
+        ids=["active-above", "active-below", "inactive-above", "inactive-below"],
+    )
+    def test_an_expiry_outside_the_band_takes_the_lists_test(
+        self, active, scale, judged, filed, monkeypatch
+    ):
+        # the key is 10 times x * (1 + margin), or a tenth of it.  Above the band an
+        # active miner leaves for certain and is not filed, an inactive one cannot
+        # enter and is filed unjudged; below it an active one cannot leave and is
+        # filed unjudged, an inactive one is judged and enters
+        cfg, state = self._expiring_state([MinerAgent(id="m", hashrate=2.0, unit_cost=1.0,
+                                                      active=active)])
+        key = entries(state)[0][0 if active else 1]
+        reward, total = self._conditions_with_bound_at(cfg, key / scale)
+        calls, stored = self._count_judged(monkeypatch), self._count_filed(monkeypatch)
+        seen = check_against_decide_all(cfg, state, [1], 0, [(reward, total)] * 2)
+        # pass 1 judges nobody: the lists are empty and nobody's dwell ends there
+        assert seen == [(0, 1), (1 - filed, 0)]
+        assert len(calls) == judged
+        assert [INDEX(e) for e in stored] == [0] * filed
+
+    @pytest.mark.parametrize("active", [True, False])
+    @pytest.mark.parametrize("where", [1.0, 1.0 + 5e-10], ids=["at-the-bound", "inside"])
+    def test_an_expiry_inside_the_band_is_judged_at_once(self, active, where, monkeypatch):
+        # the key is x * (1 + margin), or a relative 5e-10 below it: judged once,
+        # then filed only if it stays
+        cfg, state = self._expiring_state([MinerAgent(id="m", hashrate=2.0, unit_cost=1.0,
+                                                      active=active)])
+        t = cfg.retarget.target_interval
+        key = entries(state)[0][0 if active else 1]
+        reward, total = self._conditions_with_bound_at(cfg, key)
+        reward *= where
+        judged, filed = self._count_judged(monkeypatch), self._count_filed(monkeypatch)
+        seen = check_against_decide_all(cfg, state, [1], 0, [(reward, total)] * 2)
+        assert seen[0] == (0, 1) and judged == [judged[0]]
+        rev = revenue_rate(2.0, total if active else 2.0 + total, reward, 30.0, t)
+        assert judged[0][:2] == (active, rev)
+        flipped = seen[1][0]
+        assert state.active[0] == (active != bool(flipped))
+        assert len(filed) == 1 - flipped
+
+    @pytest.mark.parametrize("reward,total", [(4.2, 0.0), (1e-300, 10.0)],
+                             ids=["stall-quantum", "reward-out-of-range"])
+    def test_outside_the_exact_test_every_expiry_is_judged(self, reward, total, monkeypatch):
+        # keys far on both sides of x: with the exact test none of these would be
+        # judged; in a stall quantum or below 2**-800 each one is
+        miners = [MinerAgent(id=f"m{i}", hashrate=h, unit_cost=c, active=a)
+                  for i, (h, c, a) in enumerate([(1.0, 1.0, True), (2.0, 1e-9, True),
+                                                 (7.0, 5.0, True), (3.0, 1e6, False),
+                                                 (4.0, 1e-9, False)])]
+        cfg, state = self._expiring_state(miners)
+        judged, filed = self._count_judged(monkeypatch), self._count_filed(monkeypatch)
+        # pass 1 is quiet and exact, so it judges nobody; every dwell ends at pass 2
+        seen = check_against_decide_all(cfg, state, [1] * 5, 0, [(1.0, 10.0), (reward, total)])
+        assert seen[0] == (0, 5)
+        assert sorted(args[0] for args in judged) == [False, False, True, True, True]
+        assert len(filed) == 5 - seen[1][0]
 
     @pytest.mark.parametrize("above", [False, True], ids=["at-the-bound", "one-ulp-above"])
     def test_only_keys_past_the_upper_bound_leave_unjudged(self, above, monkeypatch):
@@ -1134,6 +1225,41 @@ class TestLargeMinerRule:
         assert all(0.0 <= x <= 1.0 for x in s)
         # jointly rescaling hashrates and the threshold preserves the share
         assert self.shares([h * k for h in hs], threshold=5.0 * k) == pytest.approx(s)
+
+
+    # the nine-miner case whose pairwise sums gave a share above 1 (at threshold 2)
+    NINE = [3.0, 3e16, 1e16, 7.0, 3e16, 1e16, 3e16, 1.0, 7.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.one_of(
+            st.tuples(st.lists(st.floats(1.0, 1e200), min_size=1, max_size=12), st.just(0.5)),
+            st.tuples(st.lists(st.floats(5e-324, 1.0), min_size=1, max_size=12), st.just(1.0)),
+            st.tuples(
+                st.lists(st.floats(5e-324, 1e200), min_size=1, max_size=12),
+                st.floats(5e-324, 1e200),
+            ),
+            st.just((NINE, 2.0)),
+        ),
+        data=st.data(),
+    )
+    def test_the_large_share_is_the_zero_padded_sequential_sum(self, case, data):
+        # all large, none large, or mixed from subnormal to 1e200, under random masks
+        hs, threshold = case
+        miners = [explicit_miner(f"m{i}", h) for i, h in enumerate(hs)]
+        cfg = make_config(explicit_population=miners, large_threshold=threshold)
+        state = initial_state(cfg, np.random.default_rng(0))
+        h = state.hashrate
+        padded = np.where(h > threshold, h, 0.0)
+        for _ in range(3):
+            mask = data.draw(st.lists(st.booleans(), min_size=len(hs), max_size=len(hs)))
+            state.active[:] = mask
+            simulator._refresh(state)
+            idx, total = state.idx, state.total
+            assert idx.tolist() == [i for i, a in enumerate(mask) if a]
+            expected = float(padded[idx].cumsum()[-1]) / total if len(idx) else 0.0
+            assert state.large_share.hex() == expected.hex()
+            assert 0.0 <= state.large_share <= 1.0
 
 
 class TestConfigDigest:
