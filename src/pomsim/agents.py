@@ -54,6 +54,11 @@ class EconomicsConfig:
         if not (0 <= self.dwell <= 2**63):  # the jitter is an int64 draw below dwell
             raise ParameterError(f"dwell must be in [0, 2**63], got {self.dwell}")
 
+    def costs(self, unit_cost, hashrate):
+        """A miner's (on_cost, off_cost): margin * (unit_cost * hashrate), on floats or arrays."""
+        cost = unit_cost * hashrate
+        return self.margin_on * cost, self.margin_off * cost
+
 
 _CSV_UNSAFE = frozenset(',"\r\n')
 
@@ -137,10 +142,9 @@ def decide(
     generator here, so this is the low end of the simulator's
     `dwell + U[0, dwell)` re-arm.
     """
-    EconomicsConfig(margin_on, margin_off, dwell)  # validates the arguments
-    cost = m.unit_cost * m.hashrate
+    econ = EconomicsConfig(margin_on, margin_off, dwell)  # validates the arguments
     left = m.dwell_remaining
-    if left == 0 and flips(m.active, revenue_rate, margin_on * cost, margin_off * cost):
+    if left == 0 and flips(m.active, revenue_rate, *econ.costs(m.unit_cost, m.hashrate)):
         return replace(m, active=not m.active, dwell_remaining=dwell)
     return replace(m, dwell_remaining=max(left - 1, 0))  # the countdown of a miner in its dwell
 

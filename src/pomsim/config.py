@@ -112,10 +112,10 @@ class SimConfig:
                     self._check_costs(cost[1], hashrate[1], "$.population")
 
     def _check_costs(self, unit_cost: float, hashrate: float, path: str) -> None:
-        """The kernel's on and off costs, margin * (unit_cost * hashrate), must be finite."""
+        """The kernel's on and off costs, `EconomicsConfig.costs`, must be finite."""
         econ = self.economics
-        for margin in (econ.margin_on, econ.margin_off):
-            if not math.isfinite(margin * (unit_cost * hashrate)):
+        for margin, cost in zip((econ.margin_on, econ.margin_off), econ.costs(unit_cost, hashrate)):
+            if not math.isfinite(cost):
                 raise ConfigError(
                     f"{path}: a miner's cost overflows: margin {margin!r} * (unit_cost "
                     f"{unit_cost!r} * hashrate {hashrate!r})"

@@ -120,14 +120,13 @@ class NetworkState:
     that cumsum with every other hashrate zeroed.
     The proof-of-mining credit is counted from `toggles`: each miner's
     ascending heights at which its active status changed, so an odd count
-    means active (a miner active at genesis starts at `[0]`).  A flip at
-    height `at` cancels a toggle already at `at`, and is stored otherwise: a
-    block's flips take effect at the next height, above every stored toggle,
-    a stall quantum's at its own height.  Duty phases are not recorded: a miner
-    cycles iff its duty cycle has an off-phase, and with `cycles[i]` =
-    (on, period) it is available at height h if it is active there and
-    h % period < on.  `_compact` drops the toggles that no window
-    still to come reaches.
+    means active (a miner active at genesis starts at `[0]`).  A flip takes
+    effect at `height` (a block's pass runs after the height has moved past
+    the block); it cancels a toggle already there and is appended otherwise,
+    and an append past `_KEEP` drops the list's on/off pairs that no window
+    still to come reaches.  Duty phases are not recorded: a miner cycles iff
+    its duty cycle has an off-phase, and with `cycles[i]` = (on, period) it is
+    available at height h if it is active there and h % period < on.
     A miner's dwell is the decision pass from which it may flip again; `due`
     maps each such pass still to come to its miners.  The miners out of their
     dwell sit in two lists: `ready_active` ordered by off_cost / hashrate,
@@ -136,7 +135,7 @@ class NetworkState:
     off_cost)`, held in one of the two lists or in `due`; a flip moves it to
     `due`.  Its state is held once, as a byte in `flags`, which the decision
     pass reads and writes as a Python int; `active` is a numpy bool view of the
-    same memory, which `_refresh` reads (`copy.deepcopy` copies the two apart).
+    same memory, which `_refresh` reads; a deep copy must re-view its `flags`.
     The flag picks the list that a miner coming out of its dwell goes to,
     unless the pass flips it at once.
     """
@@ -166,10 +165,9 @@ class NetworkState:
     toggles: list[list[int]]  # per miner, the heights at which its active status changed
     cycles: list[tuple[int, int] | None]  # per miner, (on, on + off) if it cycles, else None
     cycling: tuple[np.ndarray, ...]  # the cycling miners' index, on and period, int64 arrays
-    room: int  # toggles that may still be stored before `_compact` runs
 
 
-_KEEP = 32  # toggles per miner the store may hold before it is compacted
+_KEEP = 32  # toggles a miner's list may hold before an append compacts it
 
 
 def _refresh(state: NetworkState) -> None:
@@ -224,17 +222,6 @@ def _window_count(state: NetworkState, i: int, window: int) -> int:
     return sum(offs) - sum(ons) + b * now - lo * was
 
 
-def _compact(state: NetworkState, window: int) -> None:
-    """Drop the on/off toggle pairs that end before every window still to come, and
-    let the store grow to `_KEEP` per miner, or twice what it keeps, before the next call."""
-    lo = state.height - window
-    kept = 0
-    for t in state.toggles:
-        del t[: bisect_right(t, lo) & ~1]
-        kept += len(t)
-    state.room = max(_KEEP * len(state.toggles), 2 * kept) - kept
-
-
 _MARGIN = 1e-9  # relative slack of the candidate test, far above revenue_rate's rounding
 # with every share and 1 / total within 2**±200 (`NetworkState.exact_totals`), the
 # reward, reward * price and reward * price * 3600 / T within these keep each
@@ -279,15 +266,15 @@ def _decision_pass(
     x leaves the normal range, so the test runs only at the totals in
     `state.exact_totals` and while the reward is 0 or the reward,
     reward * price and reward * price * 3600 / T lie within 2**-800..2**800
-    (see `_RATE_MIN`).  Otherwise, and in a stall quantum, every ready active
-    miner and every expiring miner is judged, and the ready inactive ones
-    unless even the lowest on_cost among them is above revenue_rate(1, 1, ...):
-    a share is at most 1, so no inactive miner earns more (in a stall, with
-    the total at 0, each earns exactly that).
+    (see `_RATE_MIN`).  Otherwise, and in a stall quantum, every ready or
+    expiring active miner is judged.  A share is at most 1, so no inactive
+    miner earns more than `rate` = revenue_rate(1, 1, ...) (in a stall, with
+    the total at 0, each earns exactly that): an expiring inactive one is
+    judged only if its on_cost is at most `rate`, and outside the exact test
+    the ready ones only if the lowest on_cost among them is.
 
     The flipped miners, in index order, are re-armed; then one loop flips each
-    one's byte flag and stores its toggle by `NetworkState`'s one rule, at
-    `at` = b + 1 after a block and at b in a stall quantum.
+    one's byte flag and stores its toggle by `NetworkState`'s one rule.
     """
     p = state.passes
     state.passes = p + 1
@@ -296,7 +283,7 @@ def _decision_pass(
     t = config.retarget.target_interval
     lo_total, hi_total = state.exact_totals
     rp = block_reward * price
-    rate = rp * (3600.0 / t)
+    rate = rp * (3600.0 / t)  # revenue_rate(1, 1, ...), bit for bit
     exact = block_reward == 0.0 or (  # a zero reward makes every revenue and x exactly 0
         _RATE_MIN <= block_reward <= _RATE_MAX
         and _RATE_MIN <= rp <= _RATE_MAX
@@ -311,11 +298,9 @@ def _decision_pass(
         m = bisect_right(on, hi, key=_OFF_KEY)
         k = bisect_right(off, hi, key=_ON_KEY)
     else:  # a stall, or magnitudes at which rounding may leave the margin
-        lo, hi = -math.inf, math.inf  # every expiring miner is judged
+        lo, hi = -math.inf, math.inf  # every expiring active miner is judged
         j, m = 0, len(on)
-        # an inactive miner's share h / (h + total) is at most 1
-        top = revenue_rate(1.0, 1.0, block_reward, price, t)
-        k = len(off) if off and min(map(_ON_COST, off)) <= top else 0
+        k = len(off) if off and min(map(_ON_COST, off)) <= rate else 0
     total = max(total_hash, 1e-300)
     leave, stay = on[m:], []  # above x * (1 + margin) an active miner leaves for certain
     for e in on[j:m]:
@@ -337,7 +322,7 @@ def _decision_pass(
                 leave.append(e)
             else:
                 insort(on, e, key=_OFF_KEY)
-        elif e[1] <= hi and flips(
+        elif e[1] <= hi and e[4] <= rate and flips(
             False, revenue_rate(h, h + total_hash, block_reward, price, t), e[4], e[5]
         ):
             enter.append(e)
@@ -345,10 +330,9 @@ def _decision_pass(
             insort(off, e, key=_ON_KEY)
     if not leave and not enter:
         return
-    b = state.refresh_at = state.height
-    at = b + 1 if total_hash else b
+    at = state.refresh_at = state.height
     back = sorted(leave + enter, key=_INDEX)  # the flipped miners, in index order
-    toggles = state.toggles
+    toggles, lo = state.toggles, at - config.pom.window
     _arm(state.due, back, p + 1 + config.economics.dwell, draws.jitter(len(back)))
     for e in back:
         i = e[2]
@@ -358,9 +342,8 @@ def _decision_pass(
             t.pop()
         else:
             t.append(at)
-    state.room -= len(back)
-    if state.room < 0:
-        _compact(state, config.pom.window)
+            if len(t) > _KEEP:  # drop the on/off pairs ending by lo, before every window
+                del t[: bisect_right(t, lo) & ~1]
 
 
 def _arm(due: defaultdict, entries: list, first: int, offsets) -> None:
@@ -433,8 +416,8 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
     )  # built positionally, at about half the cost of a keyword call
 
     state.difficulty, state.ema = retarget(rc, state.floor, d, state.ema, interval)
+    state.height += 1  # the pass's flips take effect from the next block on
     _decision_pass(state, config, draws, raw, price, total)
-    state.height += 1
     return record
 
 
@@ -464,8 +447,7 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
     cycles = [(m.duty[0], sum(m.duty)) if m.duty and m.duty[1] else None for m in agents]
     cycling = np.array([(i, *c) for i, c in enumerate(cycles) if c], np.int64).reshape(-1, 3)
     _, r_max = schedule_max(config.schedule)
-    on_cost = (config.economics.margin_on * (unit_cost * hashrate)).tolist()
-    off_cost = (config.economics.margin_off * (unit_cost * hashrate)).tolist()
+    on_cost, off_cost = map(np.ndarray.tolist, config.economics.costs(unit_cost, hashrate))
     entries = [
         (c_off / h, c_on / h, i, h, c_on, c_off)
         for i, h, c_on, c_off in zip(range(n), hashrate.tolist(), on_cost, off_cost)
@@ -495,7 +477,6 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> NetworkState:
         toggles=[[0] if a else [] for a in flags],
         cycles=cycles,
         cycling=tuple(cycling.T.copy()),
-        room=_KEEP * n - sum(flags),
     )
     # staggered start: every miner goes through the re-arm rule from pass 0,
     # its jitter drawn from `rng` in one call

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import operator
+from bisect import bisect_right
 from collections import Counter, deque
 from functools import partial
 from itertools import accumulate
@@ -314,6 +315,14 @@ def checking_toggles():
     return mock.patch.object(simulator, "_decision_pass", checked)
 
 
+def clone(state):
+    """A deep copy of `state`.  `copy.deepcopy` copies `active` apart from `flags`, so
+    the copy's `active` is pointed back at its own `flags`, as `initial_state` builds it."""
+    twin = copy.deepcopy(state)
+    twin.active = np.frombuffer(twin.flags, np.bool_)
+    return twin
+
+
 def available(state):
     """`state.idx`, the available miners, as a mask over all of them."""
     mask = np.zeros(len(state.ids), dtype=bool)
@@ -356,13 +365,14 @@ class TestWinnerAvailability:
         cfg = make_config(explicit_population=miners, constant_reward=True)
         state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
         for _ in range(4):
-            probe = copy.deepcopy(state)  # the availability this block draws over
+            probe = clone(state)  # the availability this block draws over
+            assert np.shares_memory(probe.active, np.frombuffer(probe.flags, np.bool_))
             step(probe, cfg, Draws(0, cfg.economics.dwell))
             avail = available(probe)
             cum = (probe.hashrate * avail).cumsum()
             bounds = cum[avail] / probe.total
             for u in [0.0, math.nextafter(1.0, 0.0), 1.0, *bounds.tolist()]:
-                rec = step(copy.deepcopy(state), cfg, _FixedDraw(0, cfg.economics.dwell, u))
+                rec = step(clone(state), cfg, _FixedDraw(0, cfg.economics.dwell, u))
                 w = int(cum.searchsorted(u * rec.total_hash, "right"))
                 if w == len(cum):
                     w = int(cum.searchsorted(cum[-1]))
@@ -495,23 +505,14 @@ class TestDutyCycle:
 
     def test_window_count_is_a_dense_recount_with_or_without_compaction(self, tmp_path):
         # every miner's count, after every block, against the availability each block
-        # was drawn from; compaction after every pass, and never, changes no byte
+        # was drawn from; compaction on every append (`_KEEP` 0), and never, changes no byte
         cfg = dataclasses.replace(duty_population(PomCredit(7, 3), stalls=True), horizon=207)
         window, n = cfg.pom.window, len(cfg.explicit_population)
-        decision_pass, compact = simulator._decision_pass, simulator._compact
-
-        def compacting(state, config, *args):
-            decision_pass(state, config, *args)
-            compact(state, config.pom.window)
-
         outputs, stored = [], []
-        for patch in (
-            mock.patch.object(simulator, "_decision_pass", compacting),
-            mock.patch.object(simulator, "_compact", lambda state, window: None),
-        ):
+        for keep in (0, 2**62):
             state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
             seen, records = [], []
-            with patch:
+            with mock.patch.object(simulator, "_KEEP", keep):
                 for _ in range(cfg.horizon):
                     records.append(step(state, cfg, draws))
                     seen.append(available(state).tolist())
@@ -550,28 +551,26 @@ class TestDutyCycle:
             assert f(h + 1) - f(h) == (h % period < on)
 
     def test_the_toggle_store_stays_within_its_bound(self):
-        # the cliff shape: 2,000 miners toggle 105,554 times in 3,000 blocks, so the store
-        # reaches its bound of `_KEEP` toggles per miner and is compacted
+        # the cliff shape: 2,000 miners toggle 105,554 times in 3,000 blocks, so their
+        # lists reach `_KEEP` toggles and are compacted by the appends that pass it
         cfg = dataclasses.replace(
             load_config("configs/dynamics.json"),
             horizon=3000,
             seed=7,
             population=PopulationSpec(n_small=1936, n_large=64),
         )
-        compact, calls = simulator._compact, []
-
-        def counted(state, window):
-            calls.append(state.height)
-            compact(state, window)
-
+        keep, window = simulator._KEEP, cfg.pom.window
         state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
-        stored = []
-        with mock.patch.object(simulator, "_compact", counted):
-            for _ in range(cfg.horizon):
-                step(state, cfg, draws)
-                stored.append(sum(map(len, state.toggles)))
-        assert calls  # the bound was reached and held
-        assert max(stored) <= simulator._KEEP * 2000
+        stored, longest = [], 0
+        for _ in range(cfg.horizon):
+            step(state, cfg, draws)
+            stored.append(sum(map(len, state.toggles)))
+            longest = max(longest, *map(len, state.toggles))
+            # a list past `_KEEP` holds no on/off pair that ended at or before height - window
+            lo = state.height - window
+            assert all(len(t) <= keep or bisect_right(t, lo) < 2 for t in state.toggles)
+        assert longest == keep  # the lists reached the bound and were held at it
+        assert max(stored) <= keep * 2000
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1074,11 +1073,18 @@ class TestDecisionPass:
         assert state.active[0] == (active != bool(flipped))
         assert len(filed) == 1 - flipped
 
-    @pytest.mark.parametrize("reward,total", [(4.2, 0.0), (1e-300, 10.0)],
-                             ids=["stall-quantum", "reward-out-of-range"])
-    def test_outside_the_exact_test_every_expiry_is_judged(self, reward, total, monkeypatch):
+    @pytest.mark.parametrize(
+        "reward,total,inactive",
+        [(4.2, 0.0, [False]), (1e-300, 10.0, [])],
+        ids=["stall-quantum", "reward-out-of-range"],
+    )
+    def test_outside_the_exact_test_every_expiry_under_the_ceiling_is_judged(
+        self, reward, total, inactive, monkeypatch
+    ):
         # keys far on both sides of x: with the exact test none of these would be
-        # judged; in a stall quantum or below 2**-800 each one is
+        # judged; in a stall quantum or below 2**-800 each active one is, and each
+        # inactive one whose on_cost is at most revenue_rate(1, 1, ...): m3's on_cost
+        # of 3.3e6 is above that in both cases, m4's 4.4e-9 only at the reward 1e-300
         miners = [MinerAgent(id=f"m{i}", hashrate=h, unit_cost=c, active=a)
                   for i, (h, c, a) in enumerate([(1.0, 1.0, True), (2.0, 1e-9, True),
                                                  (7.0, 5.0, True), (3.0, 1e6, False),
@@ -1088,8 +1094,23 @@ class TestDecisionPass:
         # pass 1 is quiet and exact, so it judges nobody; every dwell ends at pass 2
         seen = check_against_decide_all(cfg, state, [1] * 5, 0, [(1.0, 10.0), (reward, total)])
         assert seen[0] == (0, 5)
-        assert sorted(args[0] for args in judged) == [False, False, True, True, True]
+        assert sorted(args[0] for args in judged) == [*inactive, True, True, True]
         assert len(filed) == 5 - seen[1][0]
+
+    @given(
+        reward=st.floats(0.0, allow_infinity=False),
+        price=st.floats(5e-324, allow_infinity=False),
+        target=st.floats(5e-324, allow_infinity=False),
+        h=st.floats(5e-324, allow_infinity=False),
+        total=st.floats(0.0, allow_infinity=False),
+    )
+    def test_no_inactive_miner_earns_more_than_the_ceiling(self, reward, price, target, h, total):
+        # `_decision_pass` files unjudged an expiring inactive miner whose on_cost is
+        # above rate = reward * price * (3600 / T): that is revenue_rate(1, 1, ...) bit
+        # for bit, and a share h / (h + total) is at most 1
+        rate = reward * price * (3600.0 / target)
+        assert rate.hex() == revenue_rate(1.0, 1.0, reward, price, target).hex()
+        assert not revenue_rate(h, h + total, reward, price, target) > rate
 
     @pytest.mark.parametrize("above", [False, True], ids=["at-the-bound", "one-ulp-above"])
     def test_only_keys_past_the_upper_bound_leave_unjudged(self, above, monkeypatch):
