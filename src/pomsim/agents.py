@@ -68,11 +68,12 @@ class MinerAgent:
     id: str
     hashrate: float
     unit_cost: float
-    active: bool = True
-    dwell_remaining: int = 0
+    # run state (as is `history`), not configuration: JSON does not carry it
+    active: bool = field(default=True, metadata={"json": False})
+    dwell_remaining: int = field(default=0, metadata={"json": False})
     # forced (on_blocks, off_blocks) duty cycle; None or an off-phase of 0: always available
     duty: Optional[tuple[int, int]] = None
-    history: deque = field(default_factory=deque)
+    history: deque = field(default_factory=deque, metadata={"json": False})
 
     def __post_init__(self):
         # `blocks.csv` writes ids unquoted

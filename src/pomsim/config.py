@@ -74,7 +74,8 @@ class SimConfig:
     difficulty_map: DifficultyMap = field(default_factory=fit_difficulty_map)
     retarget: RetargetConfig = field(default_factory=RetargetConfig)
     population: PopulationSpec = field(default_factory=PopulationSpec)
-    explicit_population: Optional[list[MinerAgent]] = None
+    # a variant form of `population` in JSON, read by hand
+    explicit_population: Optional[list[MinerAgent]] = field(default=None, metadata={"json": False})
     pom: PomCredit = field(default_factory=PomCredit)
     price: PricePath = field(default_factory=lambda: PricePath(constant=30.0))
     economics: EconomicsConfig = field(default_factory=EconomicsConfig)
@@ -148,23 +149,18 @@ class SimConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-# fields that JSON does not carry: the explicit population is a variant of
-# `population`, and a miner's run state is not configuration
-_HIDDEN = {
-    SimConfig: ("explicit_population",),
-    MinerAgent: ("active", "dwell_remaining", "history"),
-}
 _EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
 @cache
 def _schema(cls) -> tuple:
-    """(field name, type, has a default) for each field JSON carries."""
+    """(field name, type, has a default) for each field JSON carries: all but those
+    declared with `metadata={"json": False}`."""
     types = get_type_hints(cls)
     return tuple(
         (f.name, types[f.name], f.default is not MISSING or f.default_factory is not MISSING)
         for f in fields(cls)
-        if f.name not in _HIDDEN.get(cls, ())
+        if f.metadata.get("json", True)
     )
 
 

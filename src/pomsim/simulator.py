@@ -283,7 +283,7 @@ def _decision_pass(
     t = config.retarget.target_interval
     lo_total, hi_total = state.exact_totals
     rp = block_reward * price
-    rate = rp * (3600.0 / t)  # revenue_rate(1, 1, ...), bit for bit
+    rate = revenue_rate(1.0, 1.0, block_reward, price, t)
     exact = block_reward == 0.0 or (  # a zero reward makes every revenue and x exactly 0
         _RATE_MIN <= block_reward <= _RATE_MAX
         and _RATE_MIN <= rp <= _RATE_MAX

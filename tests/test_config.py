@@ -223,6 +223,21 @@ HARDENING = [
     ("overflowing-large-hash-bound",
      _example(population={**EXAMPLE_POPULATION, "large_hash": [5.0, 1e300],
                           "large_cost": [0.6, 1e10]}), "$.population"),
+    ("partial-price-step", _example(price={"initial": 30.0, "factor": 0.5}), "$.price"),
+    ("negative-horizon", _example(horizon=-1), "$.horizon"),
+    ("zero-anchor-hashrate", _example(anchor_hashrate=0), "$.anchor_hashrate"),
+    ("zero-rate-constant", _example(rate_constant=0), "$.rate_constant"),
+    ("zero-floor", _example(difficulty_map={"slope": 0.04, "intercept": 0.1, "floor": 0}),
+     "$.difficulty_map"),
+    ("zero-floor-of-a-fit",
+     _example(difficulty_map={"anchors": [[40, 1.75], [51, 2.2]], "floor": 0}), "$.difficulty_map"),
+    ("one-anchor", _example(difficulty_map={"anchors": [[40, 1.75]]}), "$.difficulty_map"),
+    ("negative-class-count", _example(population={**EXAMPLE_POPULATION, "n_small": -1}),
+     "$.population"),
+    ("zero-small-hash-bound", _example(population={**EXAMPLE_POPULATION, "small_hash": [0, 2]}),
+     "$.population"),
+    ("zero-large-hash-bound", _example(population={**EXAMPLE_POPULATION, "large_hash": [0, 24]}),
+     "$.population"),
 ]
 
 

@@ -37,7 +37,7 @@ SEEDS = (0, 1, 2)
 HORIZON = 1000
 
 
-def _duty_population():
+def duty_miners():
     # mixed duty cycles and costs: decisions, dwell and the duty mask all bite.
     # full0 costs nothing and never leaves: the stall loop does not advance
     # the height, so a network of only off-phase duty miners would never
@@ -75,7 +75,7 @@ def cases():
         out.append((f"cliff-s{seed}", cliff))
     for seed in SEEDS:
         duty = dataclasses.replace(
-            dynamics, horizon=HORIZON, seed=seed, explicit_population=_duty_population()
+            dynamics, horizon=HORIZON, seed=seed, explicit_population=duty_miners()
         )
         out.append((f"duty-s{seed}", duty))
     return out
@@ -105,14 +105,20 @@ class SingleGenerator:
         return self._rng.integers(0, self._dwell, n).tolist() if self._dwell else [0] * n
 
 
+def csv_lines(records) -> list[str]:
+    """The lines of `blocks.csv` holding these records, as `write_series_csv` writes them
+    (a list, so that a failed comparison names the first line that differs)."""
+    out = io.StringIO(newline="")
+    write_rows(out, BlockRecord._fields, records)
+    return out.getvalue().splitlines(keepends=True)
+
+
 def legacy_digest(config) -> str:
     rng = np.random.default_rng(config.seed)
     state = initial_state(config, rng)
     source = SingleGenerator(rng, config.economics.dwell)
     records = [step(state, config, source) for _ in range(config.horizon)]
-    out = io.StringIO(newline="")
-    write_rows(out, BlockRecord._fields, records)
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return hashlib.sha256("".join(csv_lines(records)).encode("utf-8")).hexdigest()
 
 
 LEGACY = {

@@ -1,19 +1,19 @@
 import copy
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import operator
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from functools import partial
-from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from pomsim.agents import (
@@ -21,14 +21,10 @@ from pomsim.agents import (
     MinerAgent,
     PomCredit,
     PopulationSpec,
-    decide,
-    expected_revenue_rate,
-    pom_multiplier,
     revenue_rate,
 )
 from pomsim.config import PricePath, config_from_dict, load_config
 from pomsim import simulator
-from pomsim.difficulty import hash_to_difficulty
 from pomsim.errors import ConfigError, DomainError, InternalError, ParameterError, PomSimError
 from pomsim.metrics import EquilibriumSummary, equilibrium_summary
 from pomsim.simulator import (
@@ -46,27 +42,23 @@ from pomsim.simulator import (
 )
 from pomsim.reward_curve import calibrate_schedule
 
+import dense_model
+from test_golden_traces import CASES, GOLDEN, csv_lines, duty_miners
+
 SCHEDULE = calibrate_schedule(1.75, 2.20, 2.37, 9.0)
+DYNAMICS = load_config("configs/dynamics.json")
+NO_EXPLAIN = set(Phase) - {Phase.explain}  # explaining a kernel-model failure takes a minute
 CONFIG_PATH = "configs/example.json"
 
 
 def explicit_miner(mid, hashrate, unit_cost=0.0, duty=None):
-    return MinerAgent(
-        id=mid, hashrate=hashrate, unit_cost=unit_cost, duty=duty,
-        history=deque(maxlen=50),
-    )
+    return MinerAgent(id=mid, hashrate=hashrate, unit_cost=unit_cost, duty=duty)
 
 
 def make_config(**kw):
     defaults = dict(schedule=SCHEDULE, horizon=500, seed=0)
     defaults.update(kw)
     return SimConfig(**defaults)
-
-
-def sequential_sum(hashrates):
-    """The kernel's network total: the sequential sum of the available hashrates, in
-    index order (0 if there are none), taken in pure Python."""
-    return [0.0, *accumulate(hashrates)][-1]
 
 
 class TestDeterminism:
@@ -167,7 +159,7 @@ class TestDegenerateRuns:
     def test_an_overflowing_summary_is_a_domain_error(self):
         # a lone miner of hashrate 1e-300: intervals near 1e298 s, whose stddev overflows
         cfg = dataclasses.replace(
-            load_config("configs/dynamics.json"),
+            DYNAMICS,
             horizon=300,
             explicit_population=[explicit_miner("m0", 1e-300, unit_cost=0.5)],
         )
@@ -198,21 +190,6 @@ class TestDegenerateRuns:
 
 
 class TestInvariants:
-    def test_reward_bounds_and_attribution(self):
-        cfg = make_config(horizon=2000)
-        series = run(cfg)
-        _, r_max = schedule_max(cfg.schedule)
-        ids = set()
-        for i, r in enumerate(series.records):
-            assert r.height == i
-            assert 0.0 <= r.credited_reward <= r.raw_reward + 1e-12
-            assert r.raw_reward <= r_max + 1e-9
-            assert r.credited_reward == pytest.approx(r.raw_reward * r.pom_multiplier)
-            assert r.active_miner_count >= 1
-            assert 0.0 <= r.large_miner_share <= 1.0
-            ids.add(r.winner)
-        assert ids  # at least one winner recorded
-
     def test_map_consistency_at_equilibrium(self):
         # constant reward keeps the network stable, so difficulty should settle
         # where solves arrive at the target rate: D = kappa * H * target.  The
@@ -230,21 +207,6 @@ class TestInvariants:
         cutoff_run = run(cfg)
         const_run = run(dataclasses.replace(cfg, constant_reward=True))
         assert cutoff_run.summary.mean_hashrate < const_run.summary.mean_hashrate
-
-    def test_the_large_share_never_exceeds_one(self):
-        # numpy's pairwise sums gave the large miners 1.1e17 + 32 of a total of
-        # 1.1e17 + 16, a share of 1.0000000000000002; the sequential sums give
-        # 1.1e17 for both
-        hs = [3.0, 3e16, 1e16, 7.0, 3e16, 1e16, 3e16, 1.0, 7.0]
-        cfg = make_config(
-            horizon=3,
-            large_threshold=2.0,
-            constant_reward=True,
-            explicit_population=[explicit_miner(f"m{i}", h) for i, h in enumerate(hs)],
-        )
-        series = run(cfg)
-        assert [r.large_miner_share for r in series.records] == [1.0] * 3
-        assert series.summary.initial_large_share == 1.0
 
     # integers at and past the int64 and uint64 edges, for every integer field
     # but the population counts (a huge count only exhausts memory)
@@ -280,13 +242,7 @@ class TestInvariants:
             series = run(cfg)
         except PomSimError:
             return
-        clock = 0.0
-        for i, r in enumerate(series.records):
-            assert r.height == i and r.timestamp > clock
-            clock = r.timestamp
-            assert 0.0 <= r.credited_reward <= r.raw_reward
-            assert 0.0 <= r.pom_multiplier <= 1.0 and 0.0 <= r.large_miner_share <= 1.0
-            assert r.active_miner_count >= 1
+        assert_invariants(series.records, series.summary.r_max)
         summary = dataclasses.astuple(series.summary)
         assert all(math.isfinite(v) for v in summary)
 
@@ -382,25 +338,18 @@ class TestWinnerAvailability:
             step(state, cfg, draws)
 
     def test_stall_heavy_run_keeps_invariants(self):
-        # 2,000 miners overshoot the cutoff: mass exits, stall quanta, re-entry
+        # the cliff-s0 trace, whose records `TestDenseModel` checks: 2,000 miners
+        # overshoot the cutoff, with mass exits, stall quanta and re-entry
         cfg = dataclasses.replace(
-            load_config("configs/dynamics.json"),
+            DYNAMICS,
             horizon=300,
             population=PopulationSpec(n_small=1936, n_large=64),
         )
         state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
-        index = {mid: i for i, mid in enumerate(state.ids)}
-        clock = 0.0
         with checking_toggles():  # after every pass, stall quanta included
             for _ in range(cfg.horizon):
                 rec = step(state, cfg, draws)
-                assert available(state)[index[rec.winner]]  # the availability it was drawn from
                 assert rec.total_hash == state.total == state.cum[-1]  # one sum, bit for bit
-                assert rec.credited_reward <= rec.raw_reward
-                assert 0.0 <= rec.pom_multiplier <= 1.0
-                assert 0.0 <= rec.large_miner_share <= 1.0
-                assert rec.timestamp > clock
-                clock = rec.timestamp
         assert state.passes > state.height  # a pass per block and per stall quantum: it stalled
         # the pass writes the byte flags; `active` is the same memory, so `_refresh` reads them
         assert np.shares_memory(state.active, np.frombuffer(state.flags, np.bool_))
@@ -409,23 +358,14 @@ class TestWinnerAvailability:
 
 
 def duty_population(credit, stalls):
-    """Two full-time miners and three duty miners, under `credit`.  full0 costs
-    nothing and never leaves, so the network never stalls.  With `stalls` full0
-    pays too and every hashrate is tripled: genesis difficulty lies past the
-    cutoff, and at seed 2 the network stalls and recovers three times."""
+    """The golden traces' duty miners under `credit`.  full0 costs nothing and never
+    leaves, so the network never stalls.  With `stalls` full0 pays too and every
+    hashrate is tripled: genesis difficulty lies past the cutoff, and at seed 2 the
+    network stalls and recovers three times."""
     scale, cost0, seed = (3.0, 0.8, 2) if stalls else (1.0, 0.0, 0)
-    return dataclasses.replace(
-        load_config("configs/dynamics.json"),
-        seed=seed,
-        pom=credit,
-        explicit_population=[
-            explicit_miner("full0", 12.0 * scale, unit_cost=cost0),
-            explicit_miner("full1", 6.0 * scale, unit_cost=1.5),
-            explicit_miner("duty0", 10.0 * scale, unit_cost=0.5, duty=(5, 5)),
-            explicit_miner("duty1", 4.0 * scale, unit_cost=1.0, duty=(3, 7)),
-            explicit_miner("duty2", 20.0 * scale, unit_cost=2.0, duty=(40, 10)),
-        ],
-    )
+    miners = [dataclasses.replace(m, hashrate=m.hashrate * scale) for m in duty_miners()]
+    miners[0].unit_cost = cost0
+    return dataclasses.replace(DYNAMICS, seed=seed, pom=credit, explicit_population=miners)
 
 
 class TestDutyCycle:
@@ -446,12 +386,12 @@ class TestDutyCycle:
             else:
                 assert r.active_miner_count == 2
 
-    def test_a_duty_cycle_without_an_off_phase_is_always_on(self, tmp_path):
+    def test_a_duty_cycle_without_an_off_phase_is_always_on(self):
         # [5, 0] and [1, 0] have phase edges every 5 blocks and every block, but
         # never take their miner out: the same bytes and no refresh at those edges
         def population(duty5, duty1):
             return dataclasses.replace(
-                load_config("configs/dynamics.json"),
+                DYNAMICS,
                 horizon=1000,
                 constant_reward=True,
                 explicit_population=[
@@ -470,8 +410,7 @@ class TestDutyCycle:
                 refresh(state)
 
             with mock.patch.object(simulator, "_refresh", counted):
-                write_series_csv(run(cfg), tmp_path / "blocks.csv")
-            outputs.append((tmp_path / "blocks.csv").read_bytes())
+                outputs.append(csv_lines(run(cfg).records))
             refreshes.append(len(calls))
         assert outputs[0] == outputs[1]
         assert refreshes == [1, 1]  # genesis only: nobody flips at a constant reward
@@ -485,27 +424,22 @@ class TestDutyCycle:
     def test_credit_is_the_scalar_rule_over_the_winners_availability(self, credit, stalls):
         # with `stalls` the network stalls and recovers three times; its stall
         # quanta flip miners at one height, where a second flip cancels the first
-        cfg = duty_population(credit, stalls)
-        window = cfg.pom.window
+        window = credit.window
+        cfg = dataclasses.replace(duty_population(credit, stalls), horizon=window + 100)
         state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
-        seen, mults = [], []
         with checking_toggles():
-            for _ in range(window + 100):
-                rec = step(state, cfg, draws)
-                seen.append(available(state))  # the availability this block was drawn from
-                w = state.ids.index(rec.winner)
-                # the blocks before this one, at most a window of them (none at genesis)
-                history = deque((avail[w] for avail in seen[:-1]), maxlen=window)
-                agent = MinerAgent(id=rec.winner, hashrate=1.0, unit_cost=0.0, history=history)
-                assert rec.pom_multiplier == pom_multiplier(agent, cfg.pom)
-                mults.append(rec.pom_multiplier)
+            records = [step(state, cfg, draws) for _ in range(cfg.horizon)]
+        # the model's credit counts each block's availability, kept whole
+        assert csv_lines(records) == csv_lines(list(dense_model.blocks(cfg)))
+        mults = [r.pom_multiplier for r in records]
         assert mults[:window] == [1.0] * window
         assert min(mults[window:]) < 1.0
         assert (state.passes > state.height) == stalls  # each stall quantum is a pass
 
-    def test_window_count_is_a_dense_recount_with_or_without_compaction(self, tmp_path):
+    def test_window_count_is_a_dense_recount_with_or_without_compaction(self):
         # every miner's count, after every block, against the availability each block
-        # was drawn from; compaction on every append (`_KEEP` 0), and never, changes no byte
+        # was drawn from; compaction on every append (`_KEEP` 0), and never, gives the
+        # dense model's bytes
         cfg = dataclasses.replace(duty_population(PomCredit(7, 3), stalls=True), horizon=207)
         window, n = cfg.pom.window, len(cfg.explicit_population)
         outputs, stored = [], []
@@ -520,12 +454,9 @@ class TestDutyCycle:
                     dense = [sum(a[i] for a in seen[max(b - window, 0):b]) for i in range(n)]
                     assert [simulator._window_count(state, i, window) for i in range(n)] == dense
             assert state.passes > state.height  # it stalled
-            path = tmp_path / f"{len(outputs)}.csv"
-            write_series_csv(simulator.RunSeries("", records, None), path)
-            outputs.append(path.read_bytes())
+            outputs.append(csv_lines(records))
             stored.append(sum(map(len, state.toggles)))
-        write_series_csv(run(cfg), tmp_path / "run.csv")
-        assert outputs[0] == outputs[1] == (tmp_path / "run.csv").read_bytes()
+        assert outputs[0] == outputs[1] == csv_lines(list(dense_model.blocks(cfg)))
         assert stored[0] < stored[1]  # compaction dropped toggles
 
     # duty cycles (on, off), with no off-phase and with periods at the int64 edge
@@ -554,7 +485,7 @@ class TestDutyCycle:
         # the cliff shape: 2,000 miners toggle 105,554 times in 3,000 blocks, so their
         # lists reach `_KEEP` toggles and are compacted by the appends that pass it
         cfg = dataclasses.replace(
-            load_config("configs/dynamics.json"),
+            DYNAMICS,
             horizon=3000,
             seed=7,
             population=PopulationSpec(n_small=1936, n_large=64),
@@ -571,64 +502,6 @@ class TestDutyCycle:
             assert all(len(t) <= keep or bisect_right(t, lo) < 2 for t in state.toggles)
         assert longest == keep  # the lists reached the bound and were held at it
         assert max(stored) <= keep * 2000
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        miners=st.lists(
-            st.tuples(
-                st.floats(0.5, 20.0),
-                st.floats(0.0, 2.0),
-                st.none() | st.tuples(st.integers(1, 60), st.integers(0, 60)),
-            ),
-            min_size=1,
-            max_size=8,
-        ),
-        horizon=st.integers(1, 200),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_block_aggregates_are_a_dense_recount_of_availability(self, miners, horizon, seed):
-        cfg = dataclasses.replace(
-            load_config("configs/dynamics.json"),
-            horizon=horizon,
-            seed=seed,
-            explicit_population=[
-                explicit_miner(f"m{i}", h, unit_cost=c, duty=duty)
-                for i, (h, c, duty) in enumerate(miners)
-            ],
-        )
-        passes = []  # each decision pass's state.active, taken as it starts
-
-        def recorded(state, *args):
-            passes.append(state.active.copy())
-            return decision_pass(state, *args)
-
-        decision_pass = simulator._decision_pass
-        state, draws = initial_state(cfg, np.random.default_rng(seed)), draws_for(cfg)
-        with (
-            mock.patch.object(simulator, "_decision_pass", recorded),
-            mock.patch.object(simulator, "_MAX_STALL_QUANTA", 1000),
-        ):
-            for _ in range(horizon):
-                try:
-                    rec = step(state, cfg, draws)
-                except InternalError as exc:  # a stall that does not end soon
-                    assert "network stalled" in str(exc)
-                    break
-                # the block's pass is the step's last, and no flip came between it and the draw
-                active = passes[-1]
-                avail = np.array([
-                    bool(active[i]) and (duty is None or rec.height % sum(duty) < duty[0])
-                    for i, (_, _, duty) in enumerate(miners)
-                ])
-                hs = [h for (h, _, _), a in zip(miners, avail) if a]
-                total = sequential_sum(hs)
-                large = sequential_sum(h if h > cfg.large_threshold else 0.0 for h in hs)
-                assert rec.active_miner_count == np.count_nonzero(avail)
-                assert rec.total_hash == total
-                assert rec.large_miner_share == large / total
-                assert 0.0 <= rec.large_miner_share <= 1.0
-                assert avail[state.ids.index(rec.winner)]
-
 
 class TestStallRecovery:
     def test_network_restarts_after_total_exit(self):
@@ -649,7 +522,7 @@ class TestStallRecovery:
     def test_a_block_that_does_not_advance_the_clock_is_an_error(self):
         # intervals near 1e-300 s are lost in a clock of thousands of seconds
         cfg = dataclasses.replace(
-            load_config("configs/dynamics.json"), horizon=300, rate_constant=1e300
+            DYNAMICS, horizon=300, rate_constant=1e300
         )
         with pytest.raises(InternalError, match=r"^block interval .* s does not advance the "
                            r"clock 7050\.0 s at height 29$"):
@@ -658,7 +531,7 @@ class TestStallRecovery:
     def test_an_infinite_block_interval_is_an_error(self):
         # a solve-rate constant this small makes the genesis block's interval inf
         cfg = dataclasses.replace(
-            load_config("configs/dynamics.json"), horizon=1, rate_constant=1e-320
+            DYNAMICS, horizon=1, rate_constant=1e-320
         )
         with pytest.raises(InternalError, match=r"^block interval inf s does not advance the "
                            r"clock 0\.0 s at height 0$"):
@@ -666,7 +539,7 @@ class TestStallRecovery:
 
     def test_a_solve_rate_that_underflows_is_an_error(self):
         # kappa * 5e-324 underflows to 0, so the genesis block's interval is inf
-        base = load_config("configs/dynamics.json")
+        base = DYNAMICS
         cfg = dataclasses.replace(
             base, horizon=5, explicit_population=[explicit_miner("m0", 5e-324)]
         )
@@ -683,7 +556,7 @@ class TestStallRecovery:
         # network cannot restart
         monkeypatch.setattr(simulator, "_MAX_STALL_QUANTA", 100)
         cfg = dataclasses.replace(
-            load_config("configs/dynamics.json"),
+            DYNAMICS,
             seed=0,
             explicit_population=[
                 explicit_miner("f0", 10.0, unit_cost=1.0),
@@ -699,41 +572,6 @@ class TestStallRecovery:
         assert "within 100 quanta at height 249, clock " in msg
         assert ", difficulty 1e-06, price 30.0;" in msg
         assert msg.endswith("3 active miner(s) held off only by their duty phase")
-
-
-class TestVectorizedDecisions:
-    def test_matches_scalar_decide(self):
-        rng = np.random.default_rng(3)
-        agents = [
-            explicit_miner(f"m{i}", float(h), float(c))
-            for i, (h, c) in enumerate(zip(rng.uniform(0.5, 20, 30), rng.uniform(0.0, 3.0, 30)))
-        ]
-        for i, m in enumerate(agents):
-            m.active = bool(i % 3)
-        cfg = make_config(
-            explicit_population=agents, economics=EconomicsConfig(dwell=0)
-        )
-        state = initial_state(cfg, np.random.default_rng(cfg.seed))
-        total = sequential_sum(state.hashrate[state.active].tolist())
-        block_reward, price = 4.2, 30.0
-
-        expected = []
-        for m in agents:  # an inactive miner is judged by its share after joining
-            rev = expected_revenue_rate(m, total, block_reward, price, 120.0)
-            expected.append(
-                decide(m, rev, cfg.economics.margin_on, cfg.economics.margin_off, dwell=0).active
-            )
-
-        _decision_pass(state, cfg, Draws(99, 0), block_reward, price, total)
-        assert list(state.active) == expected
-
-
-def decide_all(active, ready, revenue, on_cost, off_cost):
-    """The dense entry/exit rule over the whole population, in place; returns the flips."""
-    flips = np.where(active, revenue < off_cost, revenue >= on_cost)
-    flips &= ready
-    active ^= flips
-    return flips
 
 
 OFF_KEY, ON_KEY, INDEX = (operator.itemgetter(k) for k in range(3))  # of a miner's entry
@@ -763,73 +601,47 @@ def set_dwell(state, left):
     state.ready_inactive.sort(key=ON_KEY)
 
 
-def ready_miners(state):
-    """The miners that may flip at the next decision pass, after checking the lists."""
+def ready_passes(state):
+    """Each miner's next pass at which it may flip (its key in `due`), after checking the lists."""
     on, off = state.ready_active, state.ready_inactive
     assert on == sorted(on, key=OFF_KEY) and off == sorted(off, key=ON_KEY)
     assert all(state.active[INDEX(e)] for e in on) and not any(state.active[INDEX(e)] for e in off)
-    entries(state)
-    return sorted(map(INDEX, on + off + state.due.get(state.passes, [])))
+    ready = {INDEX(e): state.passes for e in on + off}
+    ready.update((INDEX(e), p) for p, es in state.due.items() for e in es)
+    return [ready[INDEX(e)] for e in entries(state)]
 
 
 def costs(state):
-    """The (on_cost, off_cost) arrays of the population."""
+    """The (on_cost, off_cost) lists of the population."""
     held = entries(state)
-    return np.array([e[4] for e in held]), np.array([e[5] for e in held])
+    return [e[4] for e in held], [e[5] for e in held]
 
 
-def check_against_decide_all(cfg, state, left, seed, conditions):
-    """Run `_decision_pass` under each (block_reward, total) and the dense rule beside it.
-
-    Returns, per pass, the number of flips and of miners whose dwell ran out.
-    """
-    h, target, dwell = state.hashrate, cfg.retarget.target_interval, cfg.economics.dwell
-    on_cost, off_cost = costs(state)
-    left = np.array(left)
+def check_against_dense_pass(cfg, state, left, seed, conditions):
+    """Run `_decision_pass` and the dense model's pass under each (block_reward, total),
+    from miner i ready `left[i]` passes on, each with its own `Draws(seed, dwell)`.
+    Returns, per pass, the number of flips and of miners whose dwell ran out."""
+    dwell = cfg.economics.dwell
     set_dwell(state, left)
-    active = state.active.copy()
-    draws, jitter_ref = _RecordedJitter(seed, dwell), _children(seed)[2]
-    jitters = []  # the jitter values the dense pass drew, in order
+    pop = dense_model.Population(
+        state.hashrate.tolist(), *costs(state), state.active.tolist(),
+        [state.passes + int(k) for k in left], dwell, cfg.retarget.target_interval, state.passes,
+    )
+    draws, model_draws = Draws(seed, dwell), Draws(seed, dwell)
     seen = []
     for block_reward, total in conditions:
+        expired = pop.ready.count(pop.passes + 1)  # ready from the pass after this one
         _decision_pass(state, cfg, draws, block_reward, 30.0, total)
-
-        # the dense pass: a dwell countdown on every miner, the rule on all of them
-        busy = left > 0
-        left -= busy
-        expired = int(np.count_nonzero(busy & (left == 0)))
-        prospective = np.where(active, max(total, 1e-300), total + h)
-        rev = revenue_rate(h, prospective, block_reward, 30.0, target)
-        flips = decide_all(active, ~busy, rev, on_cost, off_cost)
-        if flips.any() and dwell > 0:
-            drawn = [int(jitter_ref.integers(dwell)) for _ in range(np.count_nonzero(flips))]
-            left[flips] = dwell + np.array(drawn)
-            jitters += drawn
-
-        assert list(state.active) == list(active)
-        assert ready_miners(state) == list(np.flatnonzero(left == 0))
-        assert draws.jitters == jitters
-        seen.append((int(np.count_nonzero(flips)), expired))
+        flipped = dense_model.decision_pass(pop, model_draws, block_reward, 30.0, total)
+        assert state.active.tolist() == pop.active
+        assert ready_passes(state) == [max(p, state.passes) for p in pop.ready]
+        seen.append((len(flipped), expired))
     return seen
 
 
 def _children(seed):
     """Generators on the seed's three child seeds: the interval, winner and jitter streams."""
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3)]
-
-
-class _RecordedJitter(Draws):
-    """A `Draws` that keeps the jitter values it draws (none while dwell is 0)."""
-
-    def __init__(self, seed, dwell):
-        super().__init__(seed, dwell)
-        self.dwell, self.jitters = dwell, []
-
-    def jitter(self, n):
-        out = super().jitter(n)
-        if self.dwell:
-            self.jitters += out
-        return out
 
 
 class TestDraws:
@@ -879,9 +691,9 @@ OUTSIDE_THE_NORMAL_RANGE = {
 
 
 class TestDecisionPass:
-    """`_decision_pass` judges only candidates, and flips what `decide_all` would."""
+    """`_decision_pass` judges only candidates, and flips what the dense model's pass would."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
     @given(data=st.data())
     def test_matches_decide_all_over_the_whole_population(self, data):
         n = data.draw(st.integers(1, 12), label="miners")
@@ -914,7 +726,7 @@ class TestDecisionPass:
              base_total * data.draw(st.sampled_from([1.0, 1.0, 0.98, 1.02, 0.0])))
             for _ in range(data.draw(st.integers(1, 40), label="passes"))
         ]
-        check_against_decide_all(cfg, state, [m[3] for m in miners], seed, conditions)
+        check_against_dense_pass(cfg, state, [m[3] for m in miners], seed, conditions)
 
     @pytest.mark.parametrize("dwell", [0, 3])
     def test_many_flips_and_expiries_in_one_pass(self, dwell):
@@ -932,7 +744,7 @@ class TestDecisionPass:
         total = 400.0
         unit = revenue_rate(1.0, total, 1.0, 30.0, cfg.retarget.target_interval)  # x at reward 1
         conditions = [(x / unit, total) for x in [0.6, 1.4, 0.9, 1.1, 0.7, 1.3] * 4]
-        seen = check_against_decide_all(
+        seen = check_against_dense_pass(
             cfg, state, rng.integers(0, 2 * dwell + 1, 300), 5, conditions
         )
         assert max(f for f, _ in seen) >= 50
@@ -953,7 +765,7 @@ class TestDecisionPass:
         agents = [MinerAgent(id="m", hashrate=hashrate, unit_cost=unit_cost)]
         cfg = make_config(explicit_population=agents, economics=EconomicsConfig(dwell=0))
         state = initial_state(cfg, np.random.default_rng(0))
-        seen = check_against_decide_all(cfg, state, [left], 0, [(reward, total)] * (left + 1))
+        seen = check_against_dense_pass(cfg, state, [left], 0, [(reward, total)] * (left + 1))
         assert seen == [(0, 0)] * (left - 1) + [(0, 1)] * (left > 0) + [(1, 0)]
 
     @staticmethod
@@ -981,12 +793,12 @@ class TestDecisionPass:
             passes=1,
         )
         on_cost, off_cost = costs(state)
-        total = sequential_sum(state.hashrate[state.active].tolist())
+        total = state.total  # of the active miners
         if active:  # 1e-10 below the exit threshold
             block_reward = self._reward_for(state, cfg, 0, off_cost[0] * (1 - 1e-10), total)
         else:  # 1e-10 above the entry threshold
             block_reward = self._reward_for(state, cfg, 0, on_cost[0] * (1 + 1e-10), total + 2.0)
-        _decision_pass(state, cfg, Draws(0, 0), block_reward, 30.0, total)
+        assert check_against_dense_pass(cfg, state, [0, 0], 0, [(block_reward, total)]) == [(1, 0)]
         assert state.active[0] != active
 
     @staticmethod
@@ -1047,7 +859,7 @@ class TestDecisionPass:
         key = entries(state)[0][0 if active else 1]
         reward, total = self._conditions_with_bound_at(cfg, key / scale)
         calls, stored = self._count_judged(monkeypatch), self._count_filed(monkeypatch)
-        seen = check_against_decide_all(cfg, state, [1], 0, [(reward, total)] * 2)
+        seen = check_against_dense_pass(cfg, state, [1], 0, [(reward, total)] * 2)
         # pass 1 judges nobody: the lists are empty and nobody's dwell ends there
         assert seen == [(0, 1), (1 - filed, 0)]
         assert len(calls) == judged
@@ -1065,7 +877,7 @@ class TestDecisionPass:
         reward, total = self._conditions_with_bound_at(cfg, key)
         reward *= where
         judged, filed = self._count_judged(monkeypatch), self._count_filed(monkeypatch)
-        seen = check_against_decide_all(cfg, state, [1], 0, [(reward, total)] * 2)
+        seen = check_against_dense_pass(cfg, state, [1], 0, [(reward, total)] * 2)
         assert seen[0] == (0, 1) and judged == [judged[0]]
         rev = revenue_rate(2.0, total if active else 2.0 + total, reward, 30.0, t)
         assert judged[0][:2] == (active, rev)
@@ -1092,7 +904,7 @@ class TestDecisionPass:
         cfg, state = self._expiring_state(miners)
         judged, filed = self._count_judged(monkeypatch), self._count_filed(monkeypatch)
         # pass 1 is quiet and exact, so it judges nobody; every dwell ends at pass 2
-        seen = check_against_decide_all(cfg, state, [1] * 5, 0, [(1.0, 10.0), (reward, total)])
+        seen = check_against_dense_pass(cfg, state, [1] * 5, 0, [(1.0, 10.0), (reward, total)])
         assert seen[0] == (0, 5)
         assert sorted(args[0] for args in judged) == [*inactive, True, True, True]
         assert len(filed) == 5 - seen[1][0]
@@ -1106,10 +918,8 @@ class TestDecisionPass:
     )
     def test_no_inactive_miner_earns_more_than_the_ceiling(self, reward, price, target, h, total):
         # `_decision_pass` files unjudged an expiring inactive miner whose on_cost is
-        # above rate = reward * price * (3600 / T): that is revenue_rate(1, 1, ...) bit
-        # for bit, and a share h / (h + total) is at most 1
-        rate = reward * price * (3600.0 / target)
-        assert rate.hex() == revenue_rate(1.0, 1.0, reward, price, target).hex()
+        # above rate = revenue_rate(1, 1, ...): a share h / (h + total) is at most 1
+        rate = revenue_rate(1.0, 1.0, reward, price, target)
         assert not revenue_rate(h, h + total, reward, price, target) > rate
 
     @pytest.mark.parametrize("above", [False, True], ids=["at-the-bound", "one-ulp-above"])
@@ -1127,7 +937,7 @@ class TestDecisionPass:
             cfg, math.nextafter(key, -math.inf) if above else key
         )
         judged = self._count_judged(monkeypatch)
-        assert check_against_decide_all(cfg, state, [0, 0, 0], 0, [(reward, total)]) == [(2, 0)]
+        assert check_against_dense_pass(cfg, state, [0, 0, 0], 0, [(reward, total)]) == [(2, 0)]
         assert len(judged) == (0 if above else 1)
         assert list(state.active) == [True, False, False]
 
@@ -1145,7 +955,7 @@ class TestDecisionPass:
             passes=1,
         )
         calls = self._count_judged(monkeypatch)
-        assert check_against_decide_all(cfg, state, [0, 0, 0], 0, [(reward, total)]) == [(flipped, 0)]
+        assert check_against_dense_pass(cfg, state, [0, 0, 0], 0, [(reward, total)]) == [(flipped, 0)]
         assert len(calls) == judged
 
     def test_a_dwell_expiry_brings_the_miner_into_the_bounds(self):
@@ -1153,16 +963,13 @@ class TestDecisionPass:
             [MinerAgent(id="m", hashrate=2.0, unit_cost=1.0),
              MinerAgent(id="big", hashrate=20.0, unit_cost=0.0)],
             passes=1,
-            left=[1, 0],  # m is still in its dwell at pass 1
         )
-        draws, total, off_cost = Draws(0, 0), 22.0, costs(state)[1]
-        stay = self._reward_for(state, cfg, 0, off_cost[0] * 2.0, total)
-        leave = self._reward_for(state, cfg, 0, off_cost[0] * 0.5, total)
-        _decision_pass(state, cfg, draws, leave, 30.0, total)  # pass 1: only big is ready
-        assert state.active[0]
-        _decision_pass(state, cfg, draws, stay, 30.0, total)  # pass 2: m is ready and stays
-        assert state.active[0]
-        _decision_pass(state, cfg, draws, leave, 30.0, total)  # pass 3: m leaves
+        off_cost = costs(state)[1]
+        stay = self._reward_for(state, cfg, 0, off_cost[0] * 2.0, 22.0)
+        leave = self._reward_for(state, cfg, 0, off_cost[0] * 0.5, 22.0)
+        # m is in its dwell at pass 1, where only big is ready; it stays at pass 2 and leaves at 3
+        conditions = [(leave, 22.0), (stay, 22.0), (leave, 22.0)]
+        assert check_against_dense_pass(cfg, state, [1, 0], 0, conditions) == [(0, 1), (0, 0), (1, 0)]
         assert not state.active[0]
 
     def test_with_no_dwell_a_flipped_miner_is_judged_in_its_new_state(self):
@@ -1171,29 +978,22 @@ class TestDecisionPass:
              MinerAgent(id="big", hashrate=20.0, unit_cost=0.0)],
             passes=1,
         )
-        draws, (on_cost, off_cost) = Draws(0, 0), costs(state)
+        on_cost, off_cost = costs(state)
         leave = self._reward_for(state, cfg, 0, off_cost[0] * 0.5, 22.0)
         enter = self._reward_for(state, cfg, 0, on_cost[0] * 2.0, 22.0)
-        _decision_pass(state, cfg, draws, leave, 30.0, 22.0)  # m leaves
-        assert not state.active[0]
-        _decision_pass(state, cfg, draws, leave, 30.0, 20.0)  # the pass after a flip
-        assert not state.active[0]
-        _decision_pass(state, cfg, draws, enter, 30.0, 20.0)  # m is ready at once and enters
+        # m leaves; it stays out at the pass after, then is ready at once and enters
+        conditions = [(leave, 22.0), (leave, 20.0), (enter, 20.0)]
+        assert check_against_dense_pass(cfg, state, [0, 0], 0, conditions) == [(1, 0), (0, 0), (1, 0)]
         assert state.active[0]
 
     def test_quiet_network_skips_its_passes(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return revenue_rate(*args)
+        calls = self._count_judged(monkeypatch)
 
         def judged(constant_reward):
             calls.clear()
             run(make_config(horizon=300, constant_reward=constant_reward))
             return len(calls)
 
-        monkeypatch.setattr(simulator, "revenue_rate", counted)
         # constant reward: nobody's threshold is near x, so no miner is judged;
         # at the cutoff miners flip, and so are judged
         assert judged(True) < 300 // 3
@@ -1248,39 +1048,98 @@ class TestLargeMinerRule:
         assert self.shares([h * k for h in hs], threshold=5.0 * k) == pytest.approx(s)
 
 
-    # the nine-miner case whose pairwise sums gave a share above 1 (at threshold 2)
-    NINE = [3.0, 3e16, 1e16, 7.0, 3e16, 1e16, 3e16, 1.0, 7.0]
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        case=st.one_of(
-            st.tuples(st.lists(st.floats(1.0, 1e200), min_size=1, max_size=12), st.just(0.5)),
-            st.tuples(st.lists(st.floats(5e-324, 1.0), min_size=1, max_size=12), st.just(1.0)),
-            st.tuples(
-                st.lists(st.floats(5e-324, 1e200), min_size=1, max_size=12),
-                st.floats(5e-324, 1e200),
-            ),
-            st.just((NINE, 2.0)),
-        ),
-        data=st.data(),
+def outcomes(blocks):
+    """The records `blocks` yields, then the type of the `PomSimError` that ends it, or None."""
+    try:
+        yield from blocks
+    except PomSimError as exc:
+        yield type(exc)
+    else:
+        yield None
+
+
+def assert_invariants(records, r_max):
+    """The simulator's invariants on every record of one run."""
+    clock = 0.0
+    for i, r in enumerate(records):
+        assert r.height == i and r.timestamp > clock
+        clock = r.timestamp
+        assert 0.0 <= r.credited_reward <= r.raw_reward <= r_max + 1e-9
+        assert r.credited_reward == r.raw_reward * r.pom_multiplier
+        assert 0.0 <= r.pom_multiplier <= 1.0 and 0.0 <= r.large_miner_share <= 1.0
+        assert r.active_miner_count >= 1
+
+
+# each population's hashrates: 0.5..20 MHash/s, a log-spread over 1e-4..3e4,
+# or from the least subnormal to 1e200, subnormal ones often
+_HASHRATES = (
+    st.floats(0.5, 20.0),
+    st.floats(-4.0, 4.5).map(lambda e: 10.0**e),
+    st.floats(5e-324, 2.0**-1022, exclude_max=True) | st.floats(5e-324, 1e200),
+)
+
+
+@st.composite
+def explicit_populations(draw):
+    """configs/dynamics.json with a random explicit population, aimed at flips: unit
+    costs up to three times the revenue of 1 MHash/s at the anchor (202.5: the peak
+    reward 9 at 40 MHash/s and price 30), short dwells, price steps down to x1e-6."""
+    hashrates = draw(st.sampled_from(_HASHRATES))
+    miners = draw(st.lists(st.tuples(
+        hashrates,
+        st.floats(0.0, 2.0) | st.floats(0.0, 600.0),
+        st.booleans(),
+        st.none() | st.tuples(st.integers(1, 60), st.integers(0, 60)),
+    ), min_size=1, max_size=9), label="(hashrate, unit_cost, active, duty)")
+    horizon, window = draw(st.integers(1, 200)), draw(st.integers(1, 60))
+    step_price = st.builds(
+        lambda e, at: PricePath(initial=30.0, factor=10.0**e, at_block=at),
+        st.floats(-6.0, math.log10(3.0)), st.integers(0, horizon),
     )
-    def test_the_large_share_is_the_zero_padded_sequential_sum(self, case, data):
-        # all large, none large, or mixed from subnormal to 1e200, under random masks
-        hs, threshold = case
-        miners = [explicit_miner(f"m{i}", h) for i, h in enumerate(hs)]
-        cfg = make_config(explicit_population=miners, large_threshold=threshold)
-        state = initial_state(cfg, np.random.default_rng(0))
-        h = state.hashrate
-        padded = np.where(h > threshold, h, 0.0)
-        for _ in range(3):
-            mask = data.draw(st.lists(st.booleans(), min_size=len(hs), max_size=len(hs)))
-            state.active[:] = mask
-            simulator._refresh(state)
-            idx, total = state.idx, state.total
-            assert idx.tolist() == [i for i, a in enumerate(mask) if a]
-            expected = float(padded[idx].cumsum()[-1]) / total if len(idx) else 0.0
-            assert state.large_share.hex() == expected.hex()
-            assert 0.0 <= state.large_share <= 1.0
+    h0 = sum(h for h, _, active, _ in miners if active)
+    return dataclasses.replace(
+        DYNAMICS,
+        horizon=horizon,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        explicit_population=[MinerAgent(id=f"m{i}", hashrate=h, unit_cost=c, active=a, duty=d)
+                             for i, (h, c, a, d) in enumerate(miners)],
+        economics=EconomicsConfig(dwell=draw(st.sampled_from([0, 1, 2, 5, 30]))),
+        pom=PomCredit(window, draw(st.integers(1, window))),
+        price=draw(st.just(PricePath(constant=30.0)) | step_price),
+        constant_reward=draw(st.booleans()),
+        large_threshold=draw(st.just(5.0) | hashrates),
+        # below about 1e-300 the default kappa * total leaves block 0's interval inf
+        rate_constant=1e300 if 0.0 < h0 < 1e-290 else None,
+    )
+
+
+class TestDenseModel:
+    """The kernel gives the bytes of `dense_model`, which keeps none of its bookkeeping."""
+
+    @pytest.mark.parametrize("name,config", CASES, ids=[name for name, _ in CASES])
+    def test_the_pinned_cases(self, name, config):
+        records = list(dense_model.blocks(config))
+        text = "".join(csv_lines(records))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name]
+        assert_invariants(records, schedule_max(config.schedule)[1])
+
+    @settings(max_examples=200, deadline=None, phases=NO_EXPLAIN)
+    @example(make_config(  # numpy's pairwise sums gave these large miners a share above 1
+        horizon=3, large_threshold=2.0, constant_reward=True, explicit_population=[
+            explicit_miner(f"m{i}", h)
+            for i, h in enumerate([3.0, 3e16, 1e16, 7.0, 3e16, 1e16, 3e16, 1.0, 7.0])
+        ],
+    ))
+    @given(explicit_populations())
+    def test_random_explicit_populations(self, cfg):
+        state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
+        with mock.patch.object(simulator, "_MAX_STALL_QUANTA", 1000):
+            *records, error = outcomes(step(state, cfg, draws) for _ in range(cfg.horizon))
+        *model, model_error = outcomes(dense_model.blocks(cfg, max_stall_quanta=1000))
+        assert csv_lines(records) == csv_lines(model)
+        assert error == model_error
+        assert_invariants(records, schedule_max(cfg.schedule)[1])
 
 
 class TestConfigDigest:
