@@ -359,8 +359,7 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
     Draws, in order: in each stall quantum and after the block, the dwell
     jitter of the miners the decision pass flipped (`draws.jitter`); for the
     block, its interval (`draws.interval`, scaled by d / (kappa * total)), then
-    its winner (`draws.uniform`).  A source with these three methods may stand
-    in for `Draws`.
+    its winner (`draws.uniform`).
 
     If no miner is available the step advances time in stall quanta,
     decaying difficulty and re-running decisions until someone re-enters.
@@ -375,12 +374,18 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
             break
         stalls += 1
         if stalls > _MAX_STALL_QUANTA:
+            held = np.count_nonzero(state.active)  # none is available
+            why = f"{held} active miner(s) held off only by their duty phase"
+            if not held:  # each miner, inactive, would hold the whole network
+                r = _block_reward(config, state.difficulty, state.r_max)
+                lone = revenue_rate(1.0, 1.0, r, price, rc.target_interval)
+                cheapest = min(map(_ON_COST, chain(state.ready_inactive, *state.due.values())))
+                why = (f"no miner is active: reward {r!r}, a lone miner earns {lone!r}, "
+                       f"cheapest on-cost {cheapest!r}")
             raise InternalError(
                 f"network stalled: no miner re-entered within {_MAX_STALL_QUANTA} quanta "
                 f"at height {state.height}, clock {state.clock!r} s, difficulty "
-                f"{state.difficulty!r}, price {price!r}; "
-                f"{np.count_nonzero(state.active)} active miner(s) "  # none is available
-                "held off only by their duty phase"
+                f"{state.difficulty!r}, price {price!r}; {why}"
             )
         quantum = rc.target_interval * rc.clamp
         state.clock += quantum

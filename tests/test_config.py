@@ -2,12 +2,14 @@ import copy
 import dataclasses
 import json
 import math
+from collections import deque
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pomsim.agents import MinerAgent
 from pomsim.config import config_from_dict, load_config, schedule_from_dict, schedule_from_json
 from pomsim.errors import ConfigError
 from pomsim.simulator import SimConfig
@@ -252,6 +254,18 @@ def test_an_empty_explicit_population_is_rejected_when_the_config_is_built():
     cfg = config_from_dict(_example())
     with pytest.raises(ConfigError, match=r"^\$\.population\.explicit: must contain at least one"):
         dataclasses.replace(cfg, explicit_population=[])
+
+
+@pytest.mark.parametrize("state", [dict(dwell_remaining=5), dict(history=deque([False] * 50))],
+                         ids=["dwell_remaining", "history"])
+def test_run_state_that_a_run_does_not_read_is_rejected(state):
+    # every miner starts from the staggered start with a toggle list of [0] or []
+    cfg = config_from_dict(_example())
+    miners = [MinerAgent(id="a", hashrate=1.0, unit_cost=0.5, history=deque(maxlen=50)),
+              MinerAgent(id="b", hashrate=1.0, unit_cost=0.5, **state)]
+    dataclasses.replace(cfg, explicit_population=miners[:1])  # an empty history is no state
+    with pytest.raises(ConfigError, match=r"^\$\.population\.explicit\[1\]: dwell_remaining "):
+        dataclasses.replace(cfg, explicit_population=miners)
 
 
 # one config per variant form: landmarks, anchors and a population spec; a

@@ -1,40 +1,43 @@
-"""Golden traces: the SHA-256 of `blocks.csv` is pinned per (config, seed).
+"""Golden traces: the SHA-256 of `blocks.csv` is pinned per (config, seed), and the
+kernel gives the dense model's lines on every case.
 
 Any change to the simulator that moves a single bit of output, or a single
 draw of the seeded generators, fails here.  To re-pin on purpose, run
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-and paste each printed table over `GOLDEN` and `LEGACY`, saying in the change
-why the traces moved.  The script exits 1 while `LEGACY` is unreproduced.
+and paste the printed table over `GOLDEN`, saying in the change why the traces
+moved.  The script exits 1 if the kernel and `dense_model` disagree on any case,
+so a table it prints with exit status 0 is the model's too.
 
-`LEGACY` holds today's kernel driven by `SingleGenerator`: one generator,
-seeded with the seed, makes every draw, lazily, in the order the kernel
-asks for them, as every draw was made before the kernel's draws were split
-into one stream per purpose.  The kernel is the same under both sources,
-so `GOLDEN` and `LEGACY` differ only by the draw source.  A re-pin that
-moves the kernel's arithmetic re-derives both tables; the kernel from before
-the split, given the same arithmetic, gave the current `LEGACY` table too.
+Each case has three tests: the kernel's digest is pinned here, the dense model's
+lines equal the kernel's in `test_simulator.TestDenseModel`, and the two agree,
+unpinned, at two further seeds of the case.
 """
 
 import dataclasses
+import functools
 import hashlib
 import io
 import sys
-import tempfile
 from pathlib import Path
+from unittest import mock
 
-import numpy as np
 import pytest
 
+from pomsim import simulator
 from pomsim.agents import MinerAgent, PopulationSpec
 from pomsim.config import load_config
-from pomsim.simulator import BlockRecord, initial_state, run, step, write_rows, write_series_csv
+from pomsim.simulator import BlockRecord, run, schedule_max, write_rows
+
+import dense_model
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+# example.json is dynamics.json with every default written out: the same traces
+CONFIGS = [p for p in sorted((ROOT / "configs").glob("*.json")) if p.stem != "example"]
 SEEDS = (0, 1, 2)
 HORIZON = 1000
+STALL_QUANTA = 1000  # the cap on both sides: a healthy run stalls for a few quanta at most
 
 
 def duty_miners():
@@ -81,30 +84,6 @@ def cases():
     return out
 
 
-def trace_digest(config, directory: Path) -> str:
-    path = directory / "blocks.csv"
-    write_series_csv(run(config), path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-class SingleGenerator:
-    """A draw source for `step` that takes each draw, when the kernel asks for it, from
-    `rng`, the generator `initial_state` drew the population and the staggered start
-    from: one generator for every draw, in the kernel's order."""
-
-    def __init__(self, rng, dwell):
-        self._rng, self._dwell = rng, dwell
-
-    def interval(self):
-        return self._rng.standard_exponential()
-
-    def uniform(self):
-        return self._rng.random()
-
-    def jitter(self, n):
-        return self._rng.integers(0, self._dwell, n).tolist() if self._dwell else [0] * n
-
-
 def csv_lines(records) -> list[str]:
     """The lines of `blocks.csv` holding these records, as `write_series_csv` writes them
     (a list, so that a failed comparison names the first line that differs)."""
@@ -113,40 +92,36 @@ def csv_lines(records) -> list[str]:
     return out.getvalue().splitlines(keepends=True)
 
 
-def legacy_digest(config) -> str:
-    rng = np.random.default_rng(config.seed)
-    state = initial_state(config, rng)
-    source = SingleGenerator(rng, config.economics.dwell)
-    records = [step(state, config, source) for _ in range(config.horizon)]
-    return hashlib.sha256("".join(csv_lines(records)).encode("utf-8")).hexdigest()
+def assert_invariants(records, r_max):
+    """The simulator's invariants on every record of one run."""
+    clock = 0.0
+    for i, r in enumerate(records):
+        assert r.height == i and r.timestamp > clock
+        clock = r.timestamp
+        assert 0.0 <= r.credited_reward <= r.raw_reward <= r_max + 1e-9
+        assert r.credited_reward == r.raw_reward * r.pom_multiplier
+        assert 0.0 <= r.pom_multiplier <= 1.0 and 0.0 <= r.large_miner_share <= 1.0
+        assert r.active_miner_count >= 1
 
 
-LEGACY = {
-    "dynamics-s0-cutoff": "3edd0c2dc1bb4b576437ea0c0556fbff8f73fa608932630fd4bed1a085c394fd",
-    "dynamics-s0-constant": "8f9483e290b3ff981e60cbabbc291ed5c20b2f10ad517c4f861ba50b378dab63",
-    "dynamics-s1-cutoff": "087e421fdeb465f7645fd013052eccd3509dde5bc84397dfb578054c90a6f8ba",
-    "dynamics-s1-constant": "3916b0c916bfc2b3e553000af285cce428cf9cf861c5e13a085632fde208ae3c",
-    "dynamics-s2-cutoff": "7cafd96fc87d57d3a6f161ba43781cf84bd1063f20525f26b643af381563df47",
-    "dynamics-s2-constant": "5f05236db93e329a9fc6d2f2c77b1379516314575a20211448b73f6b9e8a45cc",
-    "example-s0-cutoff": "3edd0c2dc1bb4b576437ea0c0556fbff8f73fa608932630fd4bed1a085c394fd",
-    "example-s0-constant": "8f9483e290b3ff981e60cbabbc291ed5c20b2f10ad517c4f861ba50b378dab63",
-    "example-s1-cutoff": "087e421fdeb465f7645fd013052eccd3509dde5bc84397dfb578054c90a6f8ba",
-    "example-s1-constant": "3916b0c916bfc2b3e553000af285cce428cf9cf861c5e13a085632fde208ae3c",
-    "example-s2-cutoff": "7cafd96fc87d57d3a6f161ba43781cf84bd1063f20525f26b643af381563df47",
-    "example-s2-constant": "5f05236db93e329a9fc6d2f2c77b1379516314575a20211448b73f6b9e8a45cc",
-    "price_step-s0-cutoff": "f4f6d0cf082ae3b2a3bd880fd1d15581ea5f4cc4546e1dacd4f1e5c22ebfde3d",
-    "price_step-s0-constant": "34ec0d89b8fc2a1cfff7378b0c7304ae34d8dd7babfad0f6de4d074c722516de",
-    "price_step-s1-cutoff": "e59a98facb8ed6ae0515d2351b1626d11a31555012d1cb74e5373df412778acc",
-    "price_step-s1-constant": "c60c3328099ffc58c63f89e3d711a61853c4846cb921b108ebc37da45d9740c0",
-    "price_step-s2-cutoff": "c131237c2b00c233c1df6429dae1706a643e9e0f9051e82560aab7bd877d6f66",
-    "price_step-s2-constant": "7a5e62086c3fd14a61d248124c4a0bc119a8006b9bd6d6307a052368c74c5001",
-    "cliff-s0": "4f47b277c496066843055db176913b3f7d4fb522187a154ea68045014a7a0252",
-    "cliff-s1": "e271641ace5e198bae75a51bda86108f1b7b18c1adca78f37b14440d20b2e3d2",
-    "cliff-s2": "c3881c66fcf6fc22e3c7c5a2120ea7a3e65e4f32b72bf12602848bbaee91db53",
-    "duty-s0": "dd7d4e18770b4c7c27e88f8bc6b71515c98cfba06bd3880ed35e6eca4802acb9",
-    "duty-s1": "becf1f59d47e1b76a1296b0bc672e0e6065b5ae1e1dcfaae75d57031819fc34e",
-    "duty-s2": "9903397c17c1b0d0fadc2a519fa81c23923c50d10a6f3ef6c94ce874e85cc308",
-}
+def traces(config):
+    """The kernel's records and `blocks.csv` lines, then the dense model's, with
+    `_MAX_STALL_QUANTA` at `STALL_QUANTA` on both sides."""
+    with mock.patch.object(simulator, "_MAX_STALL_QUANTA", STALL_QUANTA):
+        records = run(config).records
+    model = list(dense_model.blocks(config, max_stall_quanta=STALL_QUANTA))
+    return records, csv_lines(records), model, csv_lines(model)
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_traces(name):
+    """`traces` of the pinned case `name`, run once for the tests that share it."""
+    return traces(PINNED[name])
+
+
+def digest(lines) -> str:
+    """The SHA-256 of the `blocks.csv` that holds these lines."""
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
 GOLDEN = {
@@ -156,12 +131,6 @@ GOLDEN = {
     "dynamics-s1-constant": "a0e3c518953abd8a60424448e3b820bf55743912402338acb22058f21dca65dd",
     "dynamics-s2-cutoff": "c8770298460aa7f05a4dd82577331881d6b31b1002ebbe7574e9071c283c7191",
     "dynamics-s2-constant": "0f29419f9650ce0efe0b3e77171dc031248ef0d50675a7de4267970a20edf3a7",
-    "example-s0-cutoff": "77e2606a8817378da59e1596641987f5e94fc9420722070972ad1b359f473d12",
-    "example-s0-constant": "c010a449ac2276cc7e9ee20104e5d38ef88e3dbcbb7e9a752d75b4549c8fbac9",
-    "example-s1-cutoff": "c8a2ddb3a5db74c4bda86a2b1caf5fd463ceaf06c5d4a010429ef76aae55afd4",
-    "example-s1-constant": "a0e3c518953abd8a60424448e3b820bf55743912402338acb22058f21dca65dd",
-    "example-s2-cutoff": "c8770298460aa7f05a4dd82577331881d6b31b1002ebbe7574e9071c283c7191",
-    "example-s2-constant": "0f29419f9650ce0efe0b3e77171dc031248ef0d50675a7de4267970a20edf3a7",
     "price_step-s0-cutoff": "43ce012a93ee181d6fd9789bb9dbe67c40e268b274e5604c25333204fdc92aa6",
     "price_step-s0-constant": "3684d6d9ef3f8a726854ef04ebd1ad11dfc9e2e6c02aed3268b4a29e0fbdc6ad",
     "price_step-s1-cutoff": "3115ae327721165debe14db851364f590888eb9a2c962dd0519650c437a61a32",
@@ -178,28 +147,49 @@ GOLDEN = {
 
 
 CASES = cases()
+PINNED = dict(CASES)  # the golden traces' configs, by name
+# each case again at seeds len(SEEDS) and 2 * len(SEEDS) above its own: seeds 3-8,
+# so each adds two trajectories that no other case runs
+UNPINNED = [
+    (f"{name}+{k * len(SEEDS)}", dataclasses.replace(config, seed=config.seed + k * len(SEEDS)))
+    for k in (1, 2)
+    for name, config in CASES
+]
 
 
-@pytest.mark.parametrize("name,config", CASES, ids=[name for name, _ in CASES])
-def test_blocks_csv_digest_is_pinned(name, config, tmp_path):
-    assert trace_digest(config, tmp_path) == GOLDEN[name]
+@pytest.mark.parametrize("name", PINNED)
+def test_blocks_csv_digest_is_pinned(name):
+    records, kernel, _, _ = pinned_traces(name)
+    assert digest(kernel) == GOLDEN[name]
+    assert_invariants(records, schedule_max(PINNED[name].schedule)[1])
 
 
-@pytest.mark.parametrize("name,config", CASES, ids=[name for name, _ in CASES])
-def test_the_single_generator_gives_the_legacy_digest(name, config):
-    assert legacy_digest(config) == LEGACY[name]
+@pytest.mark.parametrize("name,config", UNPINNED, ids=[name for name, _ in UNPINNED])
+def test_the_kernel_gives_the_models_lines_off_the_pinned_seeds(name, config):
+    records, kernel, _, model = traces(config)
+    assert kernel == model
+    assert_invariants(records, schedule_max(config.schedule)[1])
 
 
 def test_every_case_is_pinned():
-    assert sorted(GOLDEN) == sorted(LEGACY) == sorted(name for name, _ in CASES)
+    assert sorted(GOLDEN) == sorted(name for name, _ in CASES)
+
+
+def test_the_example_config_is_dynamics_with_every_default_written_out():
+    # so the example's traces are the dynamics cases', and none is pinned twice
+    example = load_config(ROOT / "configs" / "example.json")
+    dynamics = load_config(ROOT / "configs" / "dynamics.json")
+    assert example == dataclasses.replace(dynamics, horizon=1000, seed=1)
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: trace_digest(config, Path(tmp)) for name, config in CASES}
-    legacy = {name: legacy_digest(config) for name, config in CASES}
-    for title, table in (("GOLDEN", golden), ("LEGACY", legacy)):
-        print(f"{title} = {{", *(f'    "{k}": "{v}",' for k, v in table.items()), "}", sep="\n")
-    moved = [name for name in legacy if legacy[name] != LEGACY[name]]
-    print(f"LEGACY: {len(CASES) - len(moved)} of {len(CASES)} reproduced", *moved, file=sys.stderr)
-    sys.exit(1 if moved else 0)
+    golden, disagree = {}, []
+    for name, config in CASES:
+        _, kernel, _, model = traces(config)
+        golden[name] = digest(kernel)
+        if kernel != model:
+            disagree.append(name)
+    print("GOLDEN = {", *(f'    "{k}": "{v}",' for k, v in golden.items()), "}", sep="\n")
+    print(f"kernel and dense model agree on {len(CASES) - len(disagree)} of {len(CASES)} cases",
+          *disagree, file=sys.stderr)
+    sys.exit(1 if disagree else 0)

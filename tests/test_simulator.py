@@ -1,10 +1,10 @@
 import copy
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import operator
+import re
 from bisect import bisect_right
 from collections import Counter
 from functools import partial
@@ -20,11 +20,11 @@ from pomsim.agents import (
     EconomicsConfig,
     MinerAgent,
     PomCredit,
-    PopulationSpec,
+    generate_population,
     revenue_rate,
 )
 from pomsim.config import PricePath, config_from_dict, load_config
-from pomsim import simulator
+from pomsim import reward_curve, simulator
 from pomsim.errors import ConfigError, DomainError, InternalError, ParameterError, PomSimError
 from pomsim.metrics import EquilibriumSummary, equilibrium_summary
 from pomsim.simulator import (
@@ -43,7 +43,9 @@ from pomsim.simulator import (
 from pomsim.reward_curve import calibrate_schedule
 
 import dense_model
-from test_golden_traces import CASES, GOLDEN, csv_lines, duty_miners
+from test_golden_traces import (
+    GOLDEN, PINNED, assert_invariants, csv_lines, digest, duty_miners, pinned_traces,
+)
 
 SCHEDULE = calibrate_schedule(1.75, 2.20, 2.37, 9.0)
 DYNAMICS = load_config("configs/dynamics.json")
@@ -238,8 +240,9 @@ class TestInvariants:
             cfg = config_from_dict({**base, **data})
         except ConfigError:
             return
-        try:
-            series = run(cfg)
+        try:  # the stalls that end here last at most a few dozen quanta
+            with mock.patch.object(simulator, "_MAX_STALL_QUANTA", 1000):
+                series = run(cfg)
         except PomSimError:
             return
         assert_invariants(series.records, series.summary.r_max)
@@ -337,14 +340,13 @@ class TestWinnerAvailability:
                 assert rec.active_miner_count == np.count_nonzero(avail)
             step(state, cfg, draws)
 
-    def test_stall_heavy_run_keeps_invariants(self):
-        # the cliff-s0 trace, whose records `TestDenseModel` checks: 2,000 miners
-        # overshoot the cutoff, with mass exits, stall quanta and re-entry
-        cfg = dataclasses.replace(
-            DYNAMICS,
-            horizon=300,
-            population=PopulationSpec(n_small=1936, n_large=64),
-        )
+    def test_stall_heavy_run_keeps_invariants(self, monkeypatch):
+        # the cliff-s0 trace, whose records `test_golden_traces` checks against the
+        # dense model: 2,000 miners overshoot the cutoff, with mass exits, stall
+        # quanta and re-entry.  Its stalls last a few quanta, so a stall that
+        # cannot end fails after 1,000 and not after 100,000
+        monkeypatch.setattr(simulator, "_MAX_STALL_QUANTA", 1000)
+        cfg = PINNED["cliff-s0"]
         state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
         with checking_toggles():  # after every pass, stall quanta included
             for _ in range(cfg.horizon):
@@ -481,15 +483,12 @@ class TestDutyCycle:
         for h in (period - 1, on - 1, on):  # the last height of a period and the phase edge
             assert f(h + 1) - f(h) == (h % period < on)
 
-    def test_the_toggle_store_stays_within_its_bound(self):
+    def test_the_toggle_store_stays_within_its_bound(self, monkeypatch):
         # the cliff shape: 2,000 miners toggle 105,554 times in 3,000 blocks, so their
-        # lists reach `_KEEP` toggles and are compacted by the appends that pass it
-        cfg = dataclasses.replace(
-            DYNAMICS,
-            horizon=3000,
-            seed=7,
-            population=PopulationSpec(n_small=1936, n_large=64),
-        )
+        # lists reach `_KEEP` toggles and are compacted by the appends that pass it.
+        # Its longest stall is 8 quanta: one that cannot end fails after 1,000
+        monkeypatch.setattr(simulator, "_MAX_STALL_QUANTA", 1000)
+        cfg = dataclasses.replace(PINNED["cliff-s0"], horizon=3000, seed=7)
         keep, window = simulator._KEEP, cfg.pom.window
         state, draws = initial_state(cfg, np.random.default_rng(cfg.seed)), draws_for(cfg)
         stored, longest = [], 0
@@ -572,6 +571,25 @@ class TestStallRecovery:
         assert "within 100 quanta at height 249, clock " in msg
         assert ", difficulty 1e-06, price 30.0;" in msg
         assert msg.endswith("3 active miner(s) held off only by their duty phase")
+
+    def test_a_stall_with_no_active_miner_names_what_keeps_each_one_out(self, monkeypatch):
+        # the price falls a millionfold at block 50: every miner leaves, and at the
+        # difficulty floor a lone miner earns far less than the cheapest on-cost
+        monkeypatch.setattr(simulator, "_MAX_STALL_QUANTA", 1000)
+        price = PricePath(initial=30.0, factor=1e-6, at_block=50)
+        cfg = dataclasses.replace(DYNAMICS, horizon=300, price=price)
+        with pytest.raises(InternalError) as info:
+            run(cfg)
+        state, why = str(info.value).split("; ")
+        assert state.endswith(", difficulty 1e-06, price 2.9999999999999997e-05")
+        figures = re.fullmatch(r"no miner is active: reward (\S+), a lone miner earns (\S+), "
+                               r"cheapest on-cost (\S+)", why)
+        r, lone, cheapest = map(float, figures.groups())
+        assert r == reward_curve.reward(1e-6, cfg.schedule)  # at the floor
+        assert lone == revenue_rate(1.0, 1.0, r, price.at(50), cfg.retarget.target_interval)
+        miners = generate_population(cfg.population, np.random.default_rng(cfg.seed))
+        assert lone < cheapest == min(cfg.economics.costs(m.unit_cost, m.hashrate)[0]
+                                      for m in miners)
 
 
 OFF_KEY, ON_KEY, INDEX = (operator.itemgetter(k) for k in range(3))  # of a miner's entry
@@ -802,10 +820,11 @@ class TestDecisionPass:
         assert state.active[0] != active
 
     @staticmethod
-    def _conditions_with_bound_at(cfg, key):
-        """A (block_reward, total) at which the pass's x * (1 + margin) is exactly `key`."""
+    def _conditions_with_bound_at(cfg, key, lowest_total=10.0):
+        """A (block_reward, total) at which the pass's x * (1 + margin) is exactly `key`,
+        with the total in [lowest_total, 1.2 * lowest_total]."""
         t = cfg.retarget.target_interval
-        for total in np.linspace(10.0, 12.0, 9).tolist():
+        for total in np.linspace(lowest_total, 1.2 * lowest_total, 9).tolist():
             reward = key / (1.0 + simulator._MARGIN) * total / (30.0 * (3600.0 / t))
             for _ in range(8):  # step the reward by ulps onto the bound
                 hi = reward * 30.0 * (3600.0 / t) / total * (1.0 + simulator._MARGIN)
@@ -843,21 +862,25 @@ class TestDecisionPass:
         return self._ready_state(miners, passes=1, left=[1] * len(miners))
 
     @pytest.mark.parametrize(
-        "active,scale,judged,filed",
-        [(True, 10.0, 0, 0), (True, 0.1, 0, 1), (False, 10.0, 0, 1), (False, 0.1, 1, 0)],
-        ids=["active-above", "active-below", "inactive-above", "inactive-below"],
+        "active,scale,lowest_total,judged,filed",
+        [(True, 10.0, 10.0, 0, 0), (True, 0.1, 10.0, 0, 1), (False, 10.0, 10.0, 0, 1),
+         (False, 10.0, 30.0, 0, 1), (False, 0.1, 10.0, 1, 0)],
+        ids=["active-above", "active-below", "inactive-above", "inactive-above-under-the-ceiling",
+             "inactive-below"],
     )
     def test_an_expiry_outside_the_band_takes_the_lists_test(
-        self, active, scale, judged, filed, monkeypatch
+        self, active, scale, lowest_total, judged, filed, monkeypatch
     ):
         # the key is 10 times x * (1 + margin), or a tenth of it.  Above the band an
         # active miner leaves for certain and is not filed, an inactive one cannot
         # enter and is filed unjudged; below it an active one cannot leave and is
-        # filed unjudged, an inactive one is judged and enters
+        # filed unjudged, an inactive one is judged and enters.  An inactive miner
+        # above the band is under the ceiling `rate` = x * total once the total is
+        # above 10 times its hashrate: there the band alone keeps it unjudged
         cfg, state = self._expiring_state([MinerAgent(id="m", hashrate=2.0, unit_cost=1.0,
                                                       active=active)])
         key = entries(state)[0][0 if active else 1]
-        reward, total = self._conditions_with_bound_at(cfg, key / scale)
+        reward, total = self._conditions_with_bound_at(cfg, key / scale, lowest_total)
         calls, stored = self._count_judged(monkeypatch), self._count_filed(monkeypatch)
         seen = check_against_dense_pass(cfg, state, [1], 0, [(reward, total)] * 2)
         # pass 1 judges nobody: the lists are empty and nobody's dwell ends there
@@ -1059,18 +1082,6 @@ def outcomes(blocks):
         yield None
 
 
-def assert_invariants(records, r_max):
-    """The simulator's invariants on every record of one run."""
-    clock = 0.0
-    for i, r in enumerate(records):
-        assert r.height == i and r.timestamp > clock
-        clock = r.timestamp
-        assert 0.0 <= r.credited_reward <= r.raw_reward <= r_max + 1e-9
-        assert r.credited_reward == r.raw_reward * r.pom_multiplier
-        assert 0.0 <= r.pom_multiplier <= 1.0 and 0.0 <= r.large_miner_share <= 1.0
-        assert r.active_miner_count >= 1
-
-
 # each population's hashrates: 0.5..20 MHash/s, a log-spread over 1e-4..3e4,
 # or from the least subnormal to 1e200, subnormal ones often
 _HASHRATES = (
@@ -1117,12 +1128,13 @@ def explicit_populations(draw):
 class TestDenseModel:
     """The kernel gives the bytes of `dense_model`, which keeps none of its bookkeeping."""
 
-    @pytest.mark.parametrize("name,config", CASES, ids=[name for name, _ in CASES])
-    def test_the_pinned_cases(self, name, config):
-        records = list(dense_model.blocks(config))
-        text = "".join(csv_lines(records))
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name]
-        assert_invariants(records, schedule_max(config.schedule)[1])
+    @pytest.mark.parametrize("name", PINNED)
+    def test_the_pinned_cases(self, name):
+        # the model's lines are the kernel's, so the pinned digest is the model's too
+        _, kernel, records, model = pinned_traces(name)
+        assert model == kernel
+        assert digest(model) == GOLDEN[name]
+        assert_invariants(records, schedule_max(PINNED[name].schedule)[1])
 
     @settings(max_examples=200, deadline=None, phases=NO_EXPLAIN)
     @example(make_config(  # numpy's pairwise sums gave these large miners a share above 1
