@@ -68,8 +68,8 @@ class MinerAgent:
     id: str
     hashrate: float
     unit_cost: float
+    active: bool = True  # at genesis
     # run state (as is `history`), not configuration: JSON does not carry it
-    active: bool = field(default=True, metadata={"json": False})
     dwell_remaining: int = field(default=0, metadata={"json": False})
     # forced (on_blocks, off_blocks) duty cycle; None or an off-phase of 0: always available
     duty: Optional[tuple[int, int]] = None
@@ -111,7 +111,8 @@ def pom_credit(active_blocks, blocks_seen: int, credit: PomCredit) -> float:
     full until a whole window has been seen (no penalty for pre-history)."""
     if blocks_seen < credit.window:
         return 1.0
-    return min(1.0, float(active_blocks) / credit.required)
+    c = float(active_blocks) / credit.required
+    return c if c < 1.0 else 1.0  # min(1.0, c), by its one comparison
 
 
 def expected_revenue_rate(

@@ -111,8 +111,14 @@ def retarget_step(
     if not (observed > 0.0):
         raise DomainError(f"observed interval must be positive, got {observed}")
     ema = rc.smoothing * observed + (1.0 - rc.smoothing) * ema
-    ratio = min(max(rc.target_interval / ema, 1.0 / rc.clamp), rc.clamp)
-    return max(d * ratio, floor), ema
+    # each clamp is the one comparison that max(a, b) (b > a) or min(a, b) (b < a) makes
+    ratio, clamp = rc.target_interval / ema, rc.clamp
+    if 1.0 / clamp > ratio:
+        ratio = 1.0 / clamp
+    if clamp < ratio:
+        ratio = clamp
+    d *= ratio
+    return floor if floor > d else d, ema
 
 
 def retarget(state: RetargetState, observed_interval: float) -> RetargetState:

@@ -19,6 +19,7 @@ import csv
 import math
 import operator
 import os
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -115,7 +116,9 @@ class NetworkState:
     flip).  `cum[k]`, the sequential sum of the first k + 1 available
     hashrates, is the dense cumsum of the hashrates with the unavailable ones
     zeroed at `idx[k]`, bit for bit, since adding a zero changes no sum.  That
-    one sum is the network total, `cum[-1]`.  The large miners' sum runs over
+    one sum is the network total, `cum[-1]`.  Both are taken with numpy and held
+    as `array.array` copies, which `step` bisects for the winner with no numpy
+    call.  The large miners' sum runs over
     the available ones among `large` alone, in index order: the same bits as
     that cumsum with every other hashrate zeroed.
     The proof-of-mining credit is counted from `toggles`: each miner's
@@ -159,8 +162,8 @@ class NetworkState:
     kappa: float  # solve-rate constant, resolved once per run
     refresh_at: float = field(init=False)  # height from which `idx` is out of date
     total: float = field(init=False)  # the available hashrate, `cum[-1]` (0 if none)
-    idx: np.ndarray = field(init=False)  # the available miners, ascending; len() is their count
-    cum: np.ndarray = field(init=False)  # sequential cumsum of their hashrates, in index order
+    idx: array = field(init=False)  # the available miners, ascending; len() is their count
+    cum: array = field(init=False)  # sequential cumsum of their hashrates, in index order ("d")
     large_share: float = field(init=False)  # share of `total` held by large miners
     toggles: list[list[int]]  # per miner, the heights at which its active status changed
     cycles: list[tuple[int, int] | None]  # per miner, (on, on + off) if it cycles, else None
@@ -173,9 +176,10 @@ _KEEP = 32  # toggles a miner's list may hold before an append compacts it
 def _refresh(state: NetworkState) -> None:
     """Take availability at `state.height` anew, with its aggregates and `refresh_at`.
 
-    The total is `cum[-1]`.  The large miners' sum is taken over the large miners
-    alone, which gives the bits of the sum over all of them with the others
-    zeroed, so it is at most the total.
+    `idx` and `cum` are typed-array copies of numpy's results, one memcpy each,
+    so that `step` reads them as Python scalars.  The total is `cum[-1]`.  The
+    large miners' sum is taken over the large miners alone, which gives the bits
+    of the sum over all of them with the others zeroed, so it is at most the total.
     """
     b = state.height
     avail = state.active
@@ -187,9 +191,11 @@ def _refresh(state: NetworkState) -> None:
         avail = avail.copy()
         avail[i] &= live
         state.refresh_at = b + int((np.where(live, on, period) - phase).min())
-    state.idx = idx = avail.nonzero()[0]
-    state.cum = cum = state.hashrate[idx].cumsum()
-    state.total = total = float(cum[-1]) if len(idx) else 0.0
+    idx = avail.nonzero()[0]
+    cum = state.hashrate[idx].cumsum()
+    state.idx = array(idx.dtype.char, idx.tobytes())
+    state.cum = cum = array("d", cum.tobytes())
+    state.total = total = cum[-1] if cum else 0.0
     large_idx, large_h = state.large
     large = large_h[avail[large_idx]].cumsum()
     state.large_share = float(large[-1]) / total if len(large) else 0.0
@@ -301,7 +307,7 @@ def _decision_pass(
         lo, hi = -math.inf, math.inf  # every expiring active miner is judged
         j, m = 0, len(on)
         k = len(off) if off and min(map(_ON_COST, off)) <= rate else 0
-    total = max(total_hash, 1e-300)
+    total = 1e-300 if 1e-300 > total_hash else total_hash  # max(total_hash, 1e-300)
     leave, stay = on[m:], []  # above x * (1 + margin) an active miner leaves for certain
     for e in on[j:m]:
         rev = revenue_rate(e[3], total, block_reward, price, t)
@@ -359,7 +365,8 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
     Draws, in order: in each stall quantum and after the block, the dwell
     jitter of the miners the decision pass flipped (`draws.jitter`); for the
     block, its interval (`draws.interval`, scaled by d / (kappa * total)), then
-    its winner (`draws.uniform`).
+    its winner (`draws.uniform`).  The winner is the available miner at
+    `bisect_right(cum, U * total)`, drawn with no numpy call.
 
     If no miner is available the step advances time in stall quanta,
     decaying difficulty and re-running decisions until someone re-enters.
@@ -408,10 +415,10 @@ def step(state: NetworkState, config: SimConfig, draws: Draws) -> BlockRecord:
     # winner proportional to available hashrate
     u = draws.uniform() * total
     cum = state.cum
-    k = cum.searchsorted(u, "right")
+    k = bisect_right(cum, u)
     if k == len(cum):  # u == total only at a total <= 2**-1022 or a stand-in source's U = 1.0
-        k = cum.searchsorted(total)  # the last available miner
-    widx = int(state.idx[k])
+        k = bisect_left(cum, total)  # the last available miner
+    widx = state.idx[k]
 
     raw = _block_reward(config, d, state.r_max)
     mult = pom_credit(_window_count(state, widx, config.pom.window), state.height, config.pom)

@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pomsim.agents import (
@@ -13,6 +13,7 @@ from pomsim.agents import (
     decide,
     expected_revenue_rate,
     generate_population,
+    pom_credit,
     pom_multiplier,
     revenue_rate,
 )
@@ -161,6 +162,20 @@ class TestPomMultiplier:
             cur = pom_multiplier(miner(history=hist), c)
             assert cur >= prev
             prev = cur
+
+    @given(st.integers(0, 2**64), st.integers(1, 2**64), st.integers(0, 2**64))
+    @example(40, 40, 0)  # exactly the required count: 1.0
+    @example(39, 40, 0)
+    @example(2**53 + 1, 2**53 + 1, 0)  # both round to 2**53: exactly 1.0
+    @example(2**53 + 1, 2**53 + 2, 0)  # float(a) is 2**53 below the required count
+    @example(2**64, 1, 0)
+    def test_the_credit_is_min_by_its_comparison(self, a, required, extra):
+        # `pom_credit` clamps by the one comparison that min(1.0, c) makes, so it gives the
+        # bits of the call, for counts past float's exact integers too
+        credit = PomCredit(window=required + extra, required=required)
+        got = pom_credit(a, credit.window, credit)
+        assert got.hex() == min(1.0, float(a) / required).hex()
+        assert pom_credit(a, credit.window - 1, credit) == 1.0  # the warm-up
 
     def test_invalid_credit_params(self):
         with pytest.raises(ParameterError):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pomsim.agents import MinerAgent
 from pomsim.config import config_from_dict, load_config, schedule_from_dict, schedule_from_json
 from pomsim.errors import ConfigError
-from pomsim.simulator import SimConfig
+from pomsim.simulator import SimConfig, run
 
 
 def minimal(**extra):
@@ -179,6 +179,7 @@ HARDENING = [
     ("infinite-anchor-hashrate", _example(anchor_hashrate=math.inf), "$.anchor_hashrate"),
     ("string-series", _example(price={"series": ["1", "2"]}), "$.price.series[0]"),
     ("integer-miner-id", _example(**_miner(id=7)), "$.population.explicit[0].id"),
+    ("string-active", _example(**_miner(active="no")), "$.population.explicit[0].active"),
     ("step-field-next-to-constant",
      _example(price={"constant": 30.0, "factor": 2.0}), "$.price"),
     ("step-field-next-to-series",
@@ -273,7 +274,7 @@ def test_run_state_that_a_run_does_not_read_is_rejected(state):
 BASES = [
     _example(),
     json.loads((ROOT / "configs" / "price_step.json").read_text(encoding="utf-8")),
-    _example(**_miner(id="a", duty=[5, 5]), rate_constant=0.0004),
+    _example(**_miner(id="a", duty=[5, 5], active=False), rate_constant=0.0004),
     _example(schedule={"a": 0.58, "b": 2.32, "scale": 9.0, "d_co": 2.2, "spread": 0.077},
              difficulty_map={"slope": 0.04, "intercept": 0.1}, price={"series": [1.0, 2.0]}),
 ]
@@ -285,6 +286,22 @@ def test_to_dict_reads_back_to_the_same_config(data):
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
     assert again.to_dict() == cfg.to_dict()
+
+
+def test_the_genesis_active_flag_is_part_of_the_config():
+    # two populations that differ only in one miner's genesis flag run differently, so
+    # the flag is written, read back and digested like every other field
+    on = _example(population={"explicit": [{"hashrate": 10.0, "unit_cost": 0.5},
+                                           {"hashrate": 10.0, "unit_cost": 0.5}]}, horizon=1)
+    off = copy.deepcopy(on)
+    off["population"]["explicit"][1]["active"] = False
+    a, b = config_from_dict(on), config_from_dict(off)
+    assert [m.active for m in a.explicit_population] == [True, True]  # the default
+    assert [m.active for m in b.explicit_population] == [True, False]
+    assert [run(c).records[0].total_hash for c in (a, b)] == [20.0, 10.0]
+    assert a.digest() != b.digest()
+    assert b.to_dict()["population"]["explicit"][1]["active"] is False
+    assert config_from_dict(b.to_dict()) == b
 
 
 # Fuzzed contract: any mutation of a valid config parses, or fails with a

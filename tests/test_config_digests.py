@@ -55,7 +55,9 @@ GOLDEN = {
     "example": "193ccc4e7de2194cdaddf823f4c313051c0334fc19caae8dd2233112285edaeb",
     "price_step": "036338281e852895af62207ee95067e31d7284ad9d1851c175c00fb347a4737a",
     "price-series": "bf282355c0ed7f31fd9df9d8aec5d37300d8004fbbedff97784b940638930903",
-    "explicit-population": "cd820590922df32dddb49171570206727472ccbfdc707f905c370d79b4f1bd3d",
+    # re-pinned when an explicit miner's genesis `active` flag became a JSON field: the
+    # serialized form writes `"active": true` for each of the three miners
+    "explicit-population": "3b54ed40e7fbfa9f9471560644b0bc99154732cc15843d9aa6f7abb75a914cc7",
     "explicit-schedule": "6a8c6a11260d7248966f0df6b2756d4f7b566146129e00a213a8e31cb647185d",
 }
 

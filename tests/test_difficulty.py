@@ -1,9 +1,10 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pomsim.difficulty import (
@@ -132,8 +133,43 @@ def _agree(state, obs):
     return new
 
 
+def _step_by_calls(rc, floor, d, ema, observed):
+    """The controller step with its clamps written as `min` and `max` calls."""
+    ema = rc.smoothing * observed + (1.0 - rc.smoothing) * ema
+    ratio = min(max(rc.target_interval / ema, 1.0 / rc.clamp), rc.clamp)
+    return max(d * ratio, floor), ema
+
+
+# the positive finite floats down to the subnormals, or any float at all: NaN, ±0, ±inf
+_ANY = st.one_of(st.floats(5e-324, 1e308), st.floats())
+
+
 class TestRetargetStep:
     positive = st.floats(1e-12, 1e12)
+
+    @given(_ANY, _ANY, _ANY, _ANY, _ANY, _ANY, _ANY)
+    # target / ema exactly at clamp and at 1 / clamp; d * ratio exactly at the floor
+    @example(1.0, 1.25, 120.0, 1e-6, 2.0, 50.0, 96.0)
+    @example(1.0, 1.25, 120.0, 1e-6, 2.0, 50.0, 150.0)
+    @example(1.0, 1.25, 120.0, 0.5, 0.5, 120.0, 120.0)
+    @example(1.0, 1.25, 120.0, 5e-324, 5e-324, 1.0, 120.0)  # a subnormal on the floor
+    @example(1.0, 1.25, 120.0, 0.0, -0.0, 1.0, 120.0)  # max(-0.0, 0.0) is -0.0
+    @example(0.2, 1e308, 1e308, 1e-6, 1e308, 1e-300, 5e-324)  # d * ratio overflows
+    def test_the_clamps_are_min_and_max_by_their_comparisons(
+        self, smoothing, clamp, target, floor, d, ema, obs
+    ):
+        # the step clamps by the one comparison that max(a, b) (b > a) and min(a, b)
+        # (b < a) make, so it gives the calls' bits at any input, valid or not
+        assume(obs > 0.0)
+        rc = SimpleNamespace(target_interval=target, smoothing=smoothing, clamp=clamp)
+
+        def outcome(step):  # the bits, or the error of a zero ema or clamp
+            try:
+                return tuple(map(float.hex, step(rc, floor, d, ema, obs)))
+            except ZeroDivisionError as exc:
+                return type(exc)
+
+        assert outcome(retarget_step) == outcome(_step_by_calls)
 
     @given(
         st.floats(0.0, 1.0, exclude_min=True),

@@ -358,6 +358,39 @@ class TestWinnerAvailability:
         assert [len(t) % 2 for t in state.toggles] == list(state.flags)
         assert state.active.tolist() == list(map(bool, state.flags))
 
+    @pytest.mark.parametrize("name", ["cliff-s0", "duty-s0"])
+    def test_each_refresh_copies_the_dense_availability(self, name, monkeypatch):
+        # `step` bisects `idx` and `cum` as typed-array copies: after every refresh they
+        # hold the dense mask's miners and their cumsum, element for element and bit for bit
+        monkeypatch.setattr(simulator, "_MAX_STALL_QUANTA", 1000)
+        cfg = PINNED[name]
+        refresh, heights, cycling = simulator._refresh, [], []
+
+        def checked(state):
+            refresh(state)
+            if not heights:  # genesis: the cycling miners are fixed from here on
+                cycling.extend((i, c) for i, c in enumerate(state.cycles) if c)
+            avail = np.frombuffer(state.flags, np.bool_).copy()
+            for i, c in cycling:
+                avail[i] &= state.height % c[1] < c[0]
+            idx = np.flatnonzero(avail)
+            assert (state.idx.typecode, state.cum.typecode) == (idx.dtype.char, "d")
+            assert state.idx.tolist() == idx.tolist()
+            assert [*map(float.hex, state.cum)] == [*map(float.hex, state.hashrate[idx].cumsum())]
+            heights.append(state.height)
+
+        with mock.patch.object(simulator, "_refresh", checked):
+            state = initial_state(cfg, np.random.default_rng(cfg.seed))
+            draws = draws_for(cfg)
+            for _ in range(cfg.horizon):
+                step(state, cfg, draws)
+        assert len(heights) > cfg.horizon // 4  # flips and phase edges: many refreshes
+        twin = clone(state)  # the copies are deep-copied, not shared
+        assert (twin.idx, twin.cum) == (state.idx, state.cum)
+        assert twin.idx is not state.idx and twin.cum is not state.cum
+        twin.cum[0] = math.nan
+        assert state.cum[0] == state.hashrate[state.idx[0]]
+
 
 def duty_population(credit, stalls):
     """The golden traces' duty miners under `credit`.  full0 costs nothing and never
