@@ -8,7 +8,8 @@ for a given (config, seed).
 
 The kernel does work in proportion to what changed: the aggregates over
 the available miners are taken again only when availability changes (a
-flip, or a phase edge of a miner whose duty cycle has an off-phase), the
+flip, or a phase edge of a miner whose duty cycle has an off-phase), and
+the large miners' sum only when the set of available large miners does; the
 proof-of-mining credit is counted from each miner's own list of the heights
 at which it flipped, and a decision pass that can flip nobody is skipped.
 """
@@ -118,9 +119,10 @@ class NetworkState:
     zeroed at `idx[k]`, bit for bit, since adding a zero changes no sum.  That
     one sum is the network total, `cum[-1]`.  Both are taken with numpy and held
     as `array.array` copies, which `step` bisects for the winner with no numpy
-    call.  The large miners' sum runs over
-    the available ones among `large` alone, in index order: the same bits as
-    that cumsum with every other hashrate zeroed.
+    call.  The large miners' sum runs over the available ones among `large`
+    alone, in index order: the same bits as that cumsum with every other
+    hashrate zeroed.  It is kept, as `large_sum` with its mask's bytes as
+    `large_key`, until a refresh's mask differs; a deep copy carries both.
     The proof-of-mining credit is counted from `toggles`: each miner's
     ascending heights at which its active status changed, so an odd count
     means active (a miner active at genesis starts at `[0]`).  A flip takes
@@ -165,6 +167,8 @@ class NetworkState:
     idx: array = field(init=False)  # the available miners, ascending; len() is their count
     cum: array = field(init=False)  # sequential cumsum of their hashrates, in index order ("d")
     large_share: float = field(init=False)  # share of `total` held by large miners
+    large_key: bytes = field(init=False, default=b"")  # the large miners' mask at the last sum
+    large_sum: float = field(init=False, default=0.0)  # their available hashrate, summed for it
     toggles: list[list[int]]  # per miner, the heights at which its active status changed
     cycles: list[tuple[int, int] | None]  # per miner, (on, on + off) if it cycles, else None
     cycling: tuple[np.ndarray, ...]  # the cycling miners' index, on and period, int64 arrays
@@ -176,10 +180,12 @@ _KEEP = 32  # toggles a miner's list may hold before an append compacts it
 def _refresh(state: NetworkState) -> None:
     """Take availability at `state.height` anew, with its aggregates and `refresh_at`.
 
-    `idx` and `cum` are typed-array copies of numpy's results, one memcpy each,
-    so that `step` reads them as Python scalars.  The total is `cum[-1]`.  The
-    large miners' sum is taken over the large miners alone, which gives the bits
-    of the sum over all of them with the others zeroed, so it is at most the total.
+    `idx` and `cum` are typed-array copies of numpy's results, two copies each
+    (`tobytes()`, then the `array`), so that `step` reads them as Python scalars.
+    The total is `cum[-1]`.  The large miners' sum is taken over the large miners
+    alone, which gives the bits of the sum over all of them with the others
+    zeroed, so it is at most the total; it is taken again only when their mask,
+    duty phases applied, differs from `large_key`, and divided by each new total.
     """
     b = state.height
     avail = state.active
@@ -192,13 +198,17 @@ def _refresh(state: NetworkState) -> None:
         avail[i] &= live
         state.refresh_at = b + int((np.where(live, on, period) - phase).min())
     idx = avail.nonzero()[0]
-    cum = state.hashrate[idx].cumsum()
+    cum = np.add.accumulate(state.hashrate[idx])
     state.idx = array(idx.dtype.char, idx.tobytes())
     state.cum = cum = array("d", cum.tobytes())
     state.total = total = cum[-1] if cum else 0.0
     large_idx, large_h = state.large
-    large = large_h[avail[large_idx]].cumsum()
-    state.large_share = float(large[-1]) / total if len(large) else 0.0
+    mask = avail[large_idx]
+    key = mask.tobytes()
+    if key != state.large_key:  # the available large miners changed: sum them again
+        large = np.add.accumulate(large_h[mask])
+        state.large_key, state.large_sum = key, float(large[-1]) if len(large) else 0.0
+    state.large_share = state.large_sum / total if total else 0.0
 
 
 def _on_blocks(t: int, on: int, period: int) -> int:

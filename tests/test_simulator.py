@@ -361,7 +361,9 @@ class TestWinnerAvailability:
     @pytest.mark.parametrize("name", ["cliff-s0", "duty-s0"])
     def test_each_refresh_copies_the_dense_availability(self, name, monkeypatch):
         # `step` bisects `idx` and `cum` as typed-array copies: after every refresh they
-        # hold the dense mask's miners and their cumsum, element for element and bit for bit
+        # hold the dense mask's miners and their cumsum, element for element and bit for bit.
+        # The large miners' sum is kept until their mask changes (at a flip in cliff-s0, at
+        # a phase edge too in duty-s0), yet every refresh's share is the dense one
         monkeypatch.setattr(simulator, "_MAX_STALL_QUANTA", 1000)
         cfg = PINNED[name]
         refresh, heights, cycling = simulator._refresh, [], []
@@ -377,6 +379,10 @@ class TestWinnerAvailability:
             assert (state.idx.typecode, state.cum.typecode) == (idx.dtype.char, "d")
             assert state.idx.tolist() == idx.tolist()
             assert [*map(float.hex, state.cum)] == [*map(float.hex, state.hashrate[idx].cumsum())]
+            large = avail & (state.hashrate > cfg.large_threshold)
+            dense = np.where(large, state.hashrate, 0.0).cumsum()[-1]  # the others zeroed
+            share = dense / state.total if large.any() else 0.0
+            assert state.large_share.hex() == float(share).hex()
             heights.append(state.height)
 
         with mock.patch.object(simulator, "_refresh", checked):
