@@ -1,11 +1,12 @@
 """Miner population: heterogeneous rigs, entry/exit economics, PoM credit.
 
 Agents switch between active and inactive by comparing expected revenue to
-operating cost through a hysteresis band, with a dwell time so a single
-noisy block cannot flap them.  The proof-of-mining credit scales a winner's
-reward by its recent participation.  Each rule is written once
-(`revenue_rate`, `flips`, `pom_credit`); the simulator applies them to the
-population and the scalar forms to one `MinerAgent`.
+operating cost through a hysteresis band; the simulator holds each flip
+for a dwell time, so a single noisy block cannot flap them.  The
+proof-of-mining credit scales a winner's reward by its recent
+participation.  Each rule is written once (`revenue_rate`, `flips`,
+`pom_credit`); the simulator applies them to the population and the scalar
+forms to one `MinerAgent`.
 """
 
 from __future__ import annotations
@@ -69,10 +70,9 @@ class MinerAgent:
     hashrate: float
     unit_cost: float
     active: bool = True  # at genesis
-    # run state (as is `history`), not configuration: JSON does not carry it
-    dwell_remaining: int = field(default=0, metadata={"json": False})
     # forced (on_blocks, off_blocks) duty cycle; None or an off-phase of 0: always available
     duty: Optional[tuple[int, int]] = None
+    # run state, not configuration: JSON does not carry it
     history: deque = field(default_factory=deque, metadata={"json": False})
 
     def __post_init__(self):
@@ -84,8 +84,6 @@ class MinerAgent:
             raise ParameterError(f"hashrate must be positive and finite, got {self.hashrate}")
         if not (0.0 <= self.unit_cost < math.inf):
             raise ParameterError(f"unit_cost must be nonnegative and finite, got {self.unit_cost}")
-        if self.dwell_remaining < 0:
-            raise ParameterError(f"dwell_remaining must be nonnegative, got {self.dwell_remaining}")
         # the kernel holds the period on + off in int64
         on, off = self.duty or (1, 0)  # no duty: always on
         if not (on >= 1 and off >= 0 and on + off < 2**63):
@@ -136,19 +134,14 @@ def decide(
     revenue_rate: float,
     margin_on: float = EconomicsConfig.margin_on,
     margin_off: float = EconomicsConfig.margin_off,
-    dwell: int = EconomicsConfig.dwell,
 ) -> MinerAgent:
-    """`flips` for one miner, with its dwell countdown; returns the updated agent.
+    """`flips` for one miner out of its dwell: the agent flipped, or as it was.
 
-    A flip re-arms the dwell counter to exactly `dwell`: there is no
-    generator here, so this is the low end of the simulator's
-    `dwell + U[0, dwell)` re-arm.
-    """
-    econ = EconomicsConfig(margin_on, margin_off, dwell)  # validates the arguments
-    left = m.dwell_remaining
-    if left == 0 and flips(m.active, revenue_rate, *econ.costs(m.unit_cost, m.hashrate)):
-        return replace(m, active=not m.active, dwell_remaining=dwell)
-    return replace(m, dwell_remaining=max(left - 1, 0))  # the countdown of a miner in its dwell
+    The dwell is the simulator's alone (`dwell + U[0, dwell)` passes after a flip)."""
+    econ = EconomicsConfig(margin_on, margin_off)  # validates the margins
+    if flips(m.active, revenue_rate, *econ.costs(m.unit_cost, m.hashrate)):
+        return replace(m, active=not m.active)
+    return m
 
 
 def pom_multiplier(m: MinerAgent, c: PomCredit) -> float:

@@ -97,10 +97,9 @@ class RetargetState(RetargetConfig):
     floor: float = MIN_DIFFICULTY
 
     def __post_init__(self):
-        if not (self.current_difficulty > 0.0):
-            raise ParameterError(f"difficulty must be positive, got {self.current_difficulty}")
-        if not (self.ema_interval > 0.0):
-            raise ParameterError(f"ema_interval must be positive, got {self.ema_interval}")
+        for name in ("current_difficulty", "ema_interval"):
+            if not (getattr(self, name) > 0.0):
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         super().__post_init__()
 
 
@@ -138,5 +137,6 @@ def rate_constant_from_map(
     hashrate produce blocks at the target interval.
     """
     if not (anchor_hashrate > 0.0 and target_interval > 0.0):
-        raise ParameterError("anchor hashrate and target interval must be positive")
+        raise ParameterError("need anchor_hashrate > 0 and target_interval > 0, got "
+                             f"anchor_hashrate={anchor_hashrate}, target_interval={target_interval}")
     return hash_to_difficulty(anchor_hashrate, m) / (anchor_hashrate * target_interval)

@@ -82,7 +82,7 @@ def blocks(config, max_stall_quanta=100_000):
         return r_max if config.constant_reward else reward(d, config.schedule)
 
     h0 = float(padded_cumsum(available(0))[-1])
-    d = hash_to_difficulty(h0, config.difficulty_map) if h0 > 0 else floor
+    d = hash_to_difficulty(h0, config.difficulty_map)
     clock, ema, kappa = 0.0, rc.target_interval, config.resolved_rate_constant()
     draws, seen = Draws(config.seed, dwell), []  # seen: each block's availability
     for height in range(config.horizon):

@@ -20,13 +20,10 @@ from pomsim.agents import (
 from pomsim.errors import InternalError, ParameterError
 
 
-def miner(hashrate=1.0, unit_cost=0.5, active=True, dwell=0, history=()):
+def miner(hashrate=1.0, unit_cost=0.5, active=True, history=()):
     h = deque(maxlen=50)
     h.extend(history)
-    return MinerAgent(
-        id="m", hashrate=hashrate, unit_cost=unit_cost, active=active,
-        dwell_remaining=dwell, history=h,
-    )
+    return MinerAgent(id="m", hashrate=hashrate, unit_cost=unit_cost, active=active, history=h)
 
 
 class TestRevenueRate:
@@ -85,13 +82,6 @@ class TestDecide:
         m = miner(unit_cost=1.0, active=True)
         out = decide(m, 0.9, margin_on=1.05, margin_off=0.95)
         assert not out.active
-        assert out.dwell_remaining > 0
-
-    def test_dwell_blocks_flip(self):
-        m = miner(unit_cost=1.0, active=True, dwell=3)
-        out = decide(m, 0.0)
-        assert out.active
-        assert out.dwell_remaining == 2
 
     def test_inverted_margins_rejected(self):
         with pytest.raises(ParameterError):

@@ -4,8 +4,10 @@ import filecmp
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -556,3 +558,17 @@ def test_compare_rejects_a_run_whose_last_row_has_no_line_terminator(
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"{blocks}, line {last_line}: no line terminator" in err
+
+
+def test_the_console_script_and_its_version_resolve_to_the_package(capsys):
+    # README runs `pomsim`: pyproject.toml's entry point and dynamic version must name
+    # what the package has
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text("utf-8"))
+    assert pkgutil.resolve_name(project["project"]["scripts"]["pomsim"]) is main
+    assert "version" in project["project"]["dynamic"]
+    version = pkgutil.resolve_name(project["tool"]["setuptools"]["dynamic"]["version"]["attr"])
+    assert version == pomsim.__version__ == "0.1.0"
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "pomsim 0.1.0\n"

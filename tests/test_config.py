@@ -199,6 +199,7 @@ HARDENING = [
     ("landmark-reward-underflow",  # the composed peak search finds only zero reward
      _example(schedule={"landmarks": {**LANDMARKS, "tenth_d": 1e6}}), "$.schedule"),
     ("empty-explicit", _example(population={"explicit": []}), "$.population.explicit"),
+    ("explicit-not-a-list", _example(population={"explicit": {}}), "$.population.explicit"),
     ("overflowing-price-step",  # initial * factor is inf
      _example(price={"initial": 1e308, "factor": 10.0, "at_block": 100}), "$.price"),
     # the kernel holds a duty period and draws the dwell jitter in int64
@@ -257,15 +258,14 @@ def test_an_empty_explicit_population_is_rejected_when_the_config_is_built():
         dataclasses.replace(cfg, explicit_population=[])
 
 
-@pytest.mark.parametrize("state", [dict(dwell_remaining=5), dict(history=deque([False] * 50))],
-                         ids=["dwell_remaining", "history"])
+@pytest.mark.parametrize("state", [dict(history=deque([False] * 50))], ids=["history"])
 def test_run_state_that_a_run_does_not_read_is_rejected(state):
-    # every miner starts from the staggered start with a toggle list of [0] or []
+    # every miner starts from genesis with a toggle list of [0] or []
     cfg = config_from_dict(_example())
     miners = [MinerAgent(id="a", hashrate=1.0, unit_cost=0.5, history=deque(maxlen=50)),
               MinerAgent(id="b", hashrate=1.0, unit_cost=0.5, **state)]
     dataclasses.replace(cfg, explicit_population=miners[:1])  # an empty history is no state
-    with pytest.raises(ConfigError, match=r"^\$\.population\.explicit\[1\]: dwell_remaining "):
+    with pytest.raises(ConfigError, match=r"^\$\.population\.explicit\[1\]: history "):
         dataclasses.replace(cfg, explicit_population=miners)
 
 

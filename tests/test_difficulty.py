@@ -80,6 +80,21 @@ def test_config_and_state_reject_the_same_parameters(field, value):
     assert field in str(from_state.value)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("field", ["current_difficulty", "ema_interval"])
+def test_state_rejects_a_non_positive_difficulty_or_ema(field, value):
+    with pytest.raises(ParameterError, match=f"^{field} must be positive, got {value}$"):
+        RetargetState(**{"current_difficulty": 1.0, "ema_interval": 120.0, field: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("field", ["anchor_hashrate", "target_interval"])
+def test_rate_constant_rejects_a_non_positive_anchor_or_target(field, value):
+    args = {"anchor_hashrate": 40.0, "target_interval": 120.0, field: value}
+    with pytest.raises(ParameterError, match=f"{field}={value}(,|$)"):
+        rate_constant_from_map(fit_difficulty_map(), **args)
+
+
 class TestRetarget:
     def test_fixed_point(self):
         s = make_state()

@@ -24,6 +24,7 @@ from pomsim.agents import (
     revenue_rate,
 )
 from pomsim.config import PricePath, config_from_dict, load_config
+from pomsim.difficulty import hash_to_difficulty
 from pomsim import reward_curve, simulator
 from pomsim.errors import ConfigError, DomainError, InternalError, ParameterError, PomSimError
 from pomsim.metrics import EquilibriumSummary, equilibrium_summary
@@ -555,6 +556,25 @@ class TestStallRecovery:
             series = run(cfg)
         assert len(series.records) == 50
         assert all(r.active_miner_count == 1 for r in series.records)
+
+    def test_an_empty_genesis_network_starts_at_the_maps_difficulty(self, monkeypatch):
+        # no miner is active at genesis: the difficulty is the map's at a total of 0, its
+        # intercept, and the stall decays it until a lone miner's revenue covers its
+        # on-cost.  Started at the map's floor instead, no miner could ever re-enter
+        monkeypatch.setattr(simulator, "_MAX_STALL_QUANTA", 1000)
+        data = json.loads(Path("configs/dynamics.json").read_text())
+        data.update(horizon=50, population={"explicit": [
+            {"id": f"m{i}", "hashrate": 10.0, "unit_cost": 0.5, "active": False} for i in range(2)
+        ]})
+        cfg = config_from_dict(data)
+        dmap = cfg.difficulty_map
+        state = initial_state(cfg, np.random.default_rng(cfg.seed))
+        assert state.total == 0.0
+        assert state.difficulty == hash_to_difficulty(0.0, dmap) == dmap.intercept > dmap.floor
+        records = run(cfg).records
+        assert len(records) == 50
+        assert records[0].difficulty < dmap.intercept  # reached by stall quanta alone
+        assert csv_lines(records) == csv_lines(dense_model.blocks(cfg, max_stall_quanta=1000))
 
 
     def test_a_block_that_does_not_advance_the_clock_is_an_error(self):
