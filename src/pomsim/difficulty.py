@@ -7,10 +7,9 @@ exponentially smoothed block interval tracks a target interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DomainError, ParameterError
 
@@ -33,6 +32,9 @@ class DifficultyMap:
     floor: float = MIN_DIFFICULTY
 
     def __post_init__(self):
+        for name in ("slope", "intercept", "floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.slope > 0.0):
             raise ParameterError(f"slope must be positive, got {self.slope}")
         if not (self.floor > 0.0):
@@ -54,15 +56,20 @@ def hash_to_difficulty(h: float, m: DifficultyMap) -> float:
 def fit_difficulty_map(
     anchors: Iterable[Sequence[float]] = DEFAULT_ANCHORS, floor: float = MIN_DIFFICULTY
 ) -> DifficultyMap:
-    """Least-squares affine fit through (hashrate, difficulty) anchor pairs."""
+    """Least-squares affine fit through (hashrate, difficulty) anchor pairs, in closed
+    form: sums by `math.fsum`, every other step one correctly rounded IEEE operation,
+    so the fit has the same bits on any host. Unfittable anchors raise `ParameterError`."""
     pts = [(float(h), float(d)) for h, d in anchors]
     if len(pts) < 2:
         raise ParameterError("need at least two anchor pairs")
-    hs = np.array([p[0] for p in pts])
-    ds = np.array([p[1] for p in pts])
-    design = np.vstack([hs, np.ones_like(hs)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, ds, rcond=None)
-    return DifficultyMap(slope=float(slope), intercept=float(intercept), floor=floor)
+    try:
+        h_mean, d_mean = (math.fsum(column) / len(pts) for column in zip(*pts))
+        dh, dd = [h - h_mean for h, _ in pts], [d - d_mean for _, d in pts]
+        slope = math.fsum(x * y for x, y in zip(dh, dd)) / math.fsum(x * x for x in dh)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        # no spread (or one whose squares underflow), a sum that overflows, or inf - inf
+        raise ParameterError(f"anchors {pts} cannot be fitted: {exc}") from None
+    return DifficultyMap(slope=slope, intercept=d_mean - slope * h_mean, floor=floor)
 
 
 @dataclass(frozen=True)

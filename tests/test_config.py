@@ -236,7 +236,17 @@ HARDENING = [
     ("zero-floor-of-a-fit",
      _example(difficulty_map={"anchors": [[40, 1.75], [51, 2.2]], "floor": 0}), "$.difficulty_map"),
     ("one-anchor", _example(difficulty_map={"anchors": [[40, 1.75]]}), "$.difficulty_map"),
+    # anchors that cannot be fitted: one shared hashrate, squares that underflow to 0,
+    # and sums that overflow
+    ("anchors-at-one-hashrate",
+     _example(difficulty_map={"anchors": [[40, 1.75], [40, 2.2]]}), "$.difficulty_map"),
+    ("subnormal-anchor-hashrates",
+     _example(difficulty_map={"anchors": [[1e-320, 1], [2e-320, 2]]}), "$.difficulty_map"),
+    ("overflowing-anchor-hashrates",
+     _example(difficulty_map={"anchors": [[1e308, 1], [1.5e308, 2]]}), "$.difficulty_map"),
     ("negative-class-count", _example(population={**EXAMPLE_POPULATION, "n_small": -1}),
+     "$.population"),
+    ("inverted-small-hash", _example(population={**EXAMPLE_POPULATION, "small_hash": [2.0, 1.0]}),
      "$.population"),
     ("zero-small-hash-bound", _example(population={**EXAMPLE_POPULATION, "small_hash": [0, 2]}),
      "$.population"),

@@ -124,25 +124,31 @@ def digest(lines) -> str:
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
+# Re-pinned, all 18, when `fit_difficulty_map` became the closed-form least-squares
+# fit in Python floats in place of `np.linalg.lstsq`, whose last bits depended on the
+# CPU kernel OpenBLAS picks. Every case runs on the fitted default map, which moved
+# (slope 0x1.51dd0972ad3abp-5 -> 0x1.51dd0972ad3b6p-5, intercept 0x1.979035680a781p-4
+# -> 0x1.979035680a660p-4), and so does its solve-rate constant. The parent commit,
+# given each config with that map as flat fields, prints this table (README).
 GOLDEN = {
-    "dynamics-s0-cutoff": "77e2606a8817378da59e1596641987f5e94fc9420722070972ad1b359f473d12",
-    "dynamics-s0-constant": "c010a449ac2276cc7e9ee20104e5d38ef88e3dbcbb7e9a752d75b4549c8fbac9",
-    "dynamics-s1-cutoff": "c8a2ddb3a5db74c4bda86a2b1caf5fd463ceaf06c5d4a010429ef76aae55afd4",
-    "dynamics-s1-constant": "a0e3c518953abd8a60424448e3b820bf55743912402338acb22058f21dca65dd",
-    "dynamics-s2-cutoff": "c8770298460aa7f05a4dd82577331881d6b31b1002ebbe7574e9071c283c7191",
-    "dynamics-s2-constant": "0f29419f9650ce0efe0b3e77171dc031248ef0d50675a7de4267970a20edf3a7",
-    "price_step-s0-cutoff": "43ce012a93ee181d6fd9789bb9dbe67c40e268b274e5604c25333204fdc92aa6",
-    "price_step-s0-constant": "3684d6d9ef3f8a726854ef04ebd1ad11dfc9e2e6c02aed3268b4a29e0fbdc6ad",
-    "price_step-s1-cutoff": "3115ae327721165debe14db851364f590888eb9a2c962dd0519650c437a61a32",
-    "price_step-s1-constant": "db82c0ceadd1a4abcdc354935059abdae18598485a5ecfe18e35099631f945d4",
-    "price_step-s2-cutoff": "4bb8a2d5935b2bf3a473f816c8a506c633f8a555294727fe6483d8d5de2cfbb5",
-    "price_step-s2-constant": "415ddde265f72a0c1ed17783a0f499e139170337eb6a101c113b1042246a879c",
-    "cliff-s0": "ab74883f73a4edd2bcb2009b4e123f4db30f9db7fd9df776677eaf9e48b9926c",
-    "cliff-s1": "dfa3f4af2b81be3988f8a720de656c5a0b1453ba800a6322822ec47b64edb033",
-    "cliff-s2": "c7034f1defc3d32f699c2e1e94a559468ccb039a09da15b62e44c30411de010e",
-    "duty-s0": "689a61bd3ecaad5af8fd822d9c779fe76994dea9a1fac139bb8db34114c8c0ee",
-    "duty-s1": "5b636f27a2c8d2054acebd16265c7fe35f4820fbd6a6de836c57283f7765f934",
-    "duty-s2": "add5aeaee25269c660f645d0780bbbd04cb121b10af19920990f9d8054b0ef94",
+    "dynamics-s0-cutoff": "2afc16a7da2ad14a6daaeaee405b75a1921be1f12ed4c95c5f7515eaf81467d6",
+    "dynamics-s0-constant": "33d9f39d1f27f79f6ddab9d6a9788d887435ba5504f88aec909919fd2b808e8c",
+    "dynamics-s1-cutoff": "804f6131dece84cd7e625807c4d28825b27e95b2ada22ec8556d267ee7ad2cc1",
+    "dynamics-s1-constant": "b36599e71f7868d310e8081d1cb587cf5ae937cd113e2ec628444412a4403f91",
+    "dynamics-s2-cutoff": "9b7a66beda569709ab46e552bbbfd5d233428af6e833580fd2330d35987fa629",
+    "dynamics-s2-constant": "950dd2a4c8d43e78dd552851f82435d1ab0bec3e2f890453c5cf9e2e760b55bb",
+    "price_step-s0-cutoff": "4f09f3d4013a86b88c66571f8f47b26b50e72dfeb973fee63775356ff708c23e",
+    "price_step-s0-constant": "94e6957eed3b93bf07a0207d259fce0b80e2c7d2598d5861789feb11f26387a7",
+    "price_step-s1-cutoff": "b6fac384cb16773abc3244df5c2ac47e1dfaae29e1e7ae1c3f5cb0bb4dcae0a5",
+    "price_step-s1-constant": "8ad12d0af4d68e2fbf7c6c953e12951428657c27ac77be967efcf664031ed260",
+    "price_step-s2-cutoff": "fdb2c65dcff7072e9e5975b358bd8e3b9499a3138c161b053cd61b7a100d2d2d",
+    "price_step-s2-constant": "f59bb1bc9b7eb6ea0138c520cd8e61dada73263d9ee3eef69082d263ac754ed3",
+    "cliff-s0": "0689de6c21ee411e959320a378757c94ccf39dfb26c144137881571f9173a537",
+    "cliff-s1": "8f5cbfcbcff04e7b0729c531fbf66e27eeb8ef456f100518b6a8ac84caee1241",
+    "cliff-s2": "6f6549fafc92c2ae5e04b66e42f8051a03c350e92ccae93bb4931f8ad705ff94",
+    "duty-s0": "9865749561301ff64a30e75c1b1f3ebd30fb9d53f11a081ed0c9c8ac18a25e11",
+    "duty-s1": "d3f9ad874aefb49315ea1b3bc7780c1fbf9572fe674f6c3432f1cc56a8fda920",
+    "duty-s2": "92ff42849ea6f9a15580216bac7b52f5c237a7974d4dbd68b57b96a66cfa3b89",
 }
 
 
