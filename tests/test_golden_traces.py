@@ -10,13 +10,11 @@ and paste the printed table over `GOLDEN`, saying in the change why the traces
 moved.  The script exits 1 if the kernel and `dense_model` disagree on any case,
 so a table it prints with exit status 0 is the model's too.
 
-Each case has three tests: the kernel's digest is pinned here, the dense model's
-lines equal the kernel's in `test_simulator.TestDenseModel`, and the two agree,
-unpinned, at two further seeds of the case.
+Each case has two tests: the kernel's lines are the dense model's and their digest
+is pinned, and the two agree, unpinned, at two further seeds of the case.
 """
 
 import dataclasses
-import functools
 import hashlib
 import io
 import sys
@@ -113,12 +111,6 @@ def traces(config):
     return records, csv_lines(records), model, csv_lines(model)
 
 
-@functools.lru_cache(maxsize=None)
-def pinned_traces(name):
-    """`traces` of the pinned case `name`, run once for the tests that share it."""
-    return traces(PINNED[name])
-
-
 def digest(lines) -> str:
     """The SHA-256 of the `blocks.csv` that holds these lines."""
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
@@ -165,7 +157,8 @@ UNPINNED = [
 
 @pytest.mark.parametrize("name", PINNED)
 def test_blocks_csv_digest_is_pinned(name):
-    records, kernel, _, _ = pinned_traces(name)
+    records, kernel, _, model = traces(PINNED[name])
+    assert kernel == model  # so the pinned digest is the model's too
     assert digest(kernel) == GOLDEN[name]
     assert_invariants(records, schedule_max(PINNED[name].schedule)[1])
 

@@ -24,7 +24,7 @@ from pomsim.agents import (
     revenue_rate,
 )
 from pomsim.config import PricePath, config_from_dict, load_config
-from pomsim.difficulty import hash_to_difficulty
+from pomsim.difficulty import RetargetConfig, hash_to_difficulty
 from pomsim import reward_curve, simulator
 from pomsim.errors import ConfigError, DomainError, InternalError, ParameterError, PomSimError
 from pomsim.metrics import EquilibriumSummary, equilibrium_summary
@@ -44,9 +44,7 @@ from pomsim.simulator import (
 from pomsim.reward_curve import calibrate_schedule
 
 import dense_model
-from test_golden_traces import (
-    GOLDEN, PINNED, assert_invariants, csv_lines, digest, duty_miners, pinned_traces,
-)
+from test_golden_traces import PINNED, assert_invariants, csv_lines, duty_miners
 
 SCHEDULE = calibrate_schedule(1.75, 2.20, 2.37, 9.0)
 DYNAMICS = load_config("configs/dynamics.json")
@@ -291,25 +289,14 @@ def available(state):
 
 
 class _FixedDraw(Draws):
-    """A draw source whose uniform draw is always `u`: by default 1.0, the top of the range."""
+    """A draw source whose uniform draw is always `u`."""
 
-    def __init__(self, seed, dwell, u=1.0):
+    def __init__(self, seed, dwell, u):
         super().__init__(seed, dwell)
         self.uniform = lambda: u
 
 
 class TestWinnerAvailability:
-    def test_top_draw_picks_last_available_miner(self):
-        last_off = explicit_miner("c", 5.0)
-        last_off.active = False
-        cfg = make_config(
-            explicit_population=[explicit_miner("a", 10.0), explicit_miner("b", 30.0), last_off],
-            constant_reward=True,
-        )
-        state = initial_state(cfg, np.random.default_rng(cfg.seed))
-        rec = step(state, cfg, _FixedDraw(cfg.seed, cfg.economics.dwell))
-        assert rec.winner == "b"
-
     @pytest.mark.parametrize("duty", [None, (2, 1)], ids=["no-duty", "duty"])
     def test_winner_is_the_dense_draws_at_every_boundary(self, duty):
         # unavailable miners first, in the middle and last; with a duty cycle,
@@ -411,23 +398,6 @@ def duty_population(credit, stalls):
 
 
 class TestDutyCycle:
-    def test_duty_miner_sits_out_its_off_phase(self):
-        cfg = make_config(
-            horizon=60,
-            explicit_population=[
-                explicit_miner("full", 10.0),
-                explicit_miner("duty", 10.0, duty=(5, 5)),
-            ],
-            constant_reward=True,
-        )
-        series = run(cfg)
-        for r in series.records:
-            if r.height % 10 >= 5:
-                assert r.winner == "full"
-                assert r.active_miner_count == 1
-            else:
-                assert r.active_miner_count == 2
-
     def test_a_duty_cycle_without_an_off_phase_is_always_on(self):
         # [5, 0] and [1, 0] have phase edges every 5 blocks and every block, but
         # never take their miner out: the same bytes and no refresh at those edges
@@ -759,11 +729,36 @@ class TestDraws:
             assert draws.uniform() == winners.random()
 
 
-# (hashrate, unit_cost, block reward, total) at which a revenue or x leaves the normal range
-OUTSIDE_THE_NORMAL_RANGE = {
-    "subnormal-reward": (1.0, 5e-324, 5e-324, 2.0),
-    "subnormal-hashrate": (5e-324, 1.0, 1.0, 2.0),
-    "overflowing-x": (1.0, 1.5e308, 1e307, 100.0),
+def nudge(v, ulps):
+    """`v` moved by `ulps` units in the last place, up if positive."""
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+TARGET = RetargetConfig().target_interval
+# the ceiling `rate` of a stall quantum at reward 4.2: an inactive 1-MHash/s miner at
+# this unit cost and margin_on 1.0 costs exactly what it earns there
+STALL_RATE = revenue_rate(1.0, 1.0, 4.2, 30.0, TARGET)
+# per row: each miner's (hashrate, unit_cost, active) and dwell left, each pass's
+# (block_reward, total), and the (flips, expiries) per pass that show the row reaches
+# its edge.  Every row runs at margin_on 1.0, which only the stall tie needs
+EDGES = {
+    # x and both ends of the band are 0: the zero-cost miners coming out of their dwell
+    # sit on them (the active one stays, the inactive one enters), and m2, ready and
+    # above them, leaves for certain
+    "zero-reward-expiry": ([(1.0, 0.0, True), (1.0, 0.0, False), (2.0, 1.0, True)], [1, 1, 0],
+                           [(1.0, 10.0), (0.0, 10.0)], [(0, 2), (2, 0)]),
+    # m0's key is an ulp above x, yet it earns exactly its off_cost and stays
+    "an-ulp-from-x": ([(26.975264810243004, 2.055111956427169, True),
+                       (21.039540405604793, 0.0, True)], [0, 0],
+                      [(0.09867580028461041, 48.0148052158478)], [(0, 0)]),
+    # a revenue or x outside the normal range, where the exact test is off
+    "subnormal-reward": ([(1.0, 5e-324, True)], [0], [(5e-324, 2.0)], [(1, 0)]),
+    "overflowing-x": ([(1.0, 1.5e308, True)], [0], [(1e307, 100.0)], [(1, 0)]),
+    "subnormal-hashrate": ([(5e-324, 1.0, True)], [3], [(1.0, 2.0)] * 4,
+                           [(0, 0), (0, 0), (0, 1), (1, 0)]),
+    "stall-tie": ([(1.0, STALL_RATE, False)], [0], [(4.2, 0.0)], [(1, 0)]),
 }
 
 
@@ -772,31 +767,51 @@ class TestDecisionPass:
 
     @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
     @given(data=st.data())
-    def test_matches_decide_all_over_the_whole_population(self, data):
+    def test_matches_the_dense_pass(self, data):
+        # aimed at the band's edges: keys a few ulps from x or either end of the band,
+        # subnormal hashrates, rewards outside the exact test's window, and a tie at
+        # the ceiling of a stall quantum
         n = data.draw(st.integers(1, 12), label="miners")
         dwell = data.draw(st.sampled_from([0, 1, 3, 30]), label="dwell")
+        tie = data.draw(st.booleans(), label="stall tie")
+        margin_on = 1.0 if tie else data.draw(st.sampled_from([1.1, 1.0]), label="margin_on")
+        economics = EconomicsConfig(margin_on=margin_on, dwell=dwell)
+        hashrates = data.draw(st.sampled_from([st.floats(0.1, 30.0), st.floats(5e-324, 1e-300)]))
+        base_reward = data.draw(
+            st.floats(0.0, 20.0) | st.sampled_from([5e-324, 1e-300, 1e300]), label="reward"
+        )
+        base_total = data.draw(st.floats(1.0, 200.0), label="total")
+        margin = simulator._MARGIN
+        aim = data.draw(st.sampled_from([None, 1.0, 1.0 - margin, 1.0 + margin]), label="aim")
         miners = data.draw(
             st.lists(
                 st.tuples(
-                    st.floats(0.1, 30.0),
-                    st.just(0.0) | st.floats(0.0, 3.0),
+                    hashrates,
+                    st.just(0.0) | st.floats(0.0, 3.0) if aim is None else st.integers(-3, 3),
                     st.booleans(),
                     st.integers(0, 2 * dwell),
                 ),
                 min_size=n,
                 max_size=n,
             ),
-            label="(hashrate, unit_cost, active, dwell left)",
+            label="(hashrate, unit_cost or its ulps from the aim, active, dwell left)",
         )
+        rate = revenue_rate(1.0, 1.0, base_reward, 30.0, TARGET)
+        if aim is not None:  # the unit cost that puts the miner's key at x * aim, nudged
+            x = rate / base_total
+            miners = [
+                (h, max(0.0, nudge(x * aim / (economics.margin_off if a else margin_on), k)), a, w)
+                for h, k, a, w in miners
+            ]
+        if tie:
+            miners[0] = (1.0, rate, False, miners[0][3])
         agents = [
             MinerAgent(id=f"m{i}", hashrate=h, unit_cost=c, active=a)
             for i, (h, c, a, _) in enumerate(miners)
         ]
-        cfg = make_config(explicit_population=agents, economics=EconomicsConfig(dwell=dwell))
+        cfg = make_config(explicit_population=agents, economics=economics)
         state = initial_state(cfg, np.random.default_rng(0))
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        base_reward = data.draw(st.floats(0.0, 20.0), label="reward")
-        base_total = data.draw(st.floats(1.0, 200.0), label="total")
         conditions = [
             # mostly the same conditions pass after pass, so most passes judge nobody
             (base_reward * data.draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 2.0])),
@@ -805,45 +820,14 @@ class TestDecisionPass:
         ]
         check_against_dense_pass(cfg, state, [m[3] for m in miners], seed, conditions)
 
-    @pytest.mark.parametrize("dwell", [0, 3])
-    def test_many_flips_and_expiries_in_one_pass(self, dwell):
-        # 300 miners whose keys spread around x: each swing of the reward flips
-        # dozens, and with a dwell of 3 dozens come out of it at the same pass
-        rng = np.random.default_rng(11)
-        agents = [
-            MinerAgent(id=f"m{i}", hashrate=float(h), unit_cost=float(c), active=bool(a))
-            for i, (h, c, a) in enumerate(
-                zip(rng.uniform(0.5, 5.0, 300), rng.uniform(0.5, 1.5, 300), rng.random(300) < 0.5)
-            )
-        ]
-        cfg = make_config(explicit_population=agents, economics=EconomicsConfig(dwell=dwell))
+    @pytest.mark.parametrize("miners,left,conditions,seen", EDGES.values(), ids=EDGES)
+    def test_the_hand_placed_edges_match_the_dense_pass(self, miners, left, conditions, seen):
+        agents = [MinerAgent(id=f"m{i}", hashrate=h, unit_cost=c, active=a)
+                  for i, (h, c, a) in enumerate(miners)]
+        cfg = make_config(explicit_population=agents,
+                          economics=EconomicsConfig(margin_on=1.0, dwell=0))
         state = initial_state(cfg, np.random.default_rng(0))
-        total = 400.0
-        unit = revenue_rate(1.0, total, 1.0, 30.0, cfg.retarget.target_interval)  # x at reward 1
-        conditions = [(x / unit, total) for x in [0.6, 1.4, 0.9, 1.1, 0.7, 1.3] * 4]
-        seen = check_against_dense_pass(
-            cfg, state, rng.integers(0, 2 * dwell + 1, 300), 5, conditions
-        )
-        assert max(f for f, _ in seen) >= 50
-        if dwell:
-            assert max(e for _, e in seen) >= 30
-
-    @pytest.mark.parametrize(
-        "hashrate,unit_cost,reward,total,left",
-        [(*case, left) for left in (0, 1, 3) for case in OUTSIDE_THE_NORMAL_RANGE.values()],
-        ids=[name + (f"-dwell-{left}" if left else "")
-             for left in (0, 1, 3) for name in OUTSIDE_THE_NORMAL_RANGE],
-    )
-    def test_products_outside_the_normal_range_are_judged_in_full(
-        self, hashrate, unit_cost, reward, total, left
-    ):
-        # rounding there leaves any relative margin: the dense rule flips this miner,
-        # whether it was ready or comes out of a dwell of `left` passes at the last one
-        agents = [MinerAgent(id="m", hashrate=hashrate, unit_cost=unit_cost)]
-        cfg = make_config(explicit_population=agents, economics=EconomicsConfig(dwell=0))
-        state = initial_state(cfg, np.random.default_rng(0))
-        seen = check_against_dense_pass(cfg, state, [left], 0, [(reward, total)] * (left + 1))
-        assert seen == [(0, 0)] * (left - 1) + [(0, 1)] * (left > 0) + [(1, 0)]
+        assert check_against_dense_pass(cfg, state, left, 0, conditions) == seen
 
     @staticmethod
     def _ready_state(miners, passes, left=None):
@@ -853,30 +837,6 @@ class TestDecisionPass:
         state.passes = passes
         set_dwell(state, left or [0] * len(miners))
         return cfg, state
-
-    @staticmethod
-    def _reward_for(state, cfg, i, revenue, prospective):
-        """The block reward at which miner `i` earns `revenue` at `prospective` total."""
-        unit = revenue_rate(state.hashrate[i], prospective, 1.0, 30.0, cfg.retarget.target_interval)
-        return revenue / unit
-
-    @pytest.mark.parametrize("active", [True, False])
-    def test_a_miner_just_past_its_threshold_is_not_skipped(self, active):
-        # a 2e5 zero-cost miner sets the total, so the inactive miner's prospective
-        # share is within 1e-5 of its share of the total: the margin must still hold
-        cfg, state = self._ready_state(
-            [MinerAgent(id="m", hashrate=2.0, unit_cost=1.0, active=active),
-             MinerAgent(id="big", hashrate=2e5, unit_cost=0.0)],
-            passes=1,
-        )
-        on_cost, off_cost = costs(state)
-        total = state.total  # of the active miners
-        if active:  # 1e-10 below the exit threshold
-            block_reward = self._reward_for(state, cfg, 0, off_cost[0] * (1 - 1e-10), total)
-        else:  # 1e-10 above the entry threshold
-            block_reward = self._reward_for(state, cfg, 0, on_cost[0] * (1 + 1e-10), total + 2.0)
-        assert check_against_dense_pass(cfg, state, [0, 0], 0, [(block_reward, total)]) == [(1, 0)]
-        assert state.active[0] != active
 
     @staticmethod
     def _conditions_with_bound_at(cfg, key, lowest_total=10.0):
@@ -1040,34 +1000,6 @@ class TestDecisionPass:
         assert check_against_dense_pass(cfg, state, [0, 0, 0], 0, [(reward, total)]) == [(flipped, 0)]
         assert len(calls) == judged
 
-    def test_a_dwell_expiry_brings_the_miner_into_the_bounds(self):
-        cfg, state = self._ready_state(
-            [MinerAgent(id="m", hashrate=2.0, unit_cost=1.0),
-             MinerAgent(id="big", hashrate=20.0, unit_cost=0.0)],
-            passes=1,
-        )
-        off_cost = costs(state)[1]
-        stay = self._reward_for(state, cfg, 0, off_cost[0] * 2.0, 22.0)
-        leave = self._reward_for(state, cfg, 0, off_cost[0] * 0.5, 22.0)
-        # m is in its dwell at pass 1, where only big is ready; it stays at pass 2 and leaves at 3
-        conditions = [(leave, 22.0), (stay, 22.0), (leave, 22.0)]
-        assert check_against_dense_pass(cfg, state, [1, 0], 0, conditions) == [(0, 1), (0, 0), (1, 0)]
-        assert not state.active[0]
-
-    def test_with_no_dwell_a_flipped_miner_is_judged_in_its_new_state(self):
-        cfg, state = self._ready_state(
-            [MinerAgent(id="m", hashrate=2.0, unit_cost=1.0),
-             MinerAgent(id="big", hashrate=20.0, unit_cost=0.0)],
-            passes=1,
-        )
-        on_cost, off_cost = costs(state)
-        leave = self._reward_for(state, cfg, 0, off_cost[0] * 0.5, 22.0)
-        enter = self._reward_for(state, cfg, 0, on_cost[0] * 2.0, 22.0)
-        # m leaves; it stays out at the pass after, then is ready at once and enters
-        conditions = [(leave, 22.0), (leave, 20.0), (enter, 20.0)]
-        assert check_against_dense_pass(cfg, state, [0, 0], 0, conditions) == [(1, 0), (0, 0), (1, 0)]
-        assert state.active[0]
-
     def test_quiet_network_skips_its_passes(self, monkeypatch):
         calls = self._count_judged(monkeypatch)
 
@@ -1186,14 +1118,6 @@ def explicit_populations(draw):
 
 class TestDenseModel:
     """The kernel gives the bytes of `dense_model`, which keeps none of its bookkeeping."""
-
-    @pytest.mark.parametrize("name", PINNED)
-    def test_the_pinned_cases(self, name):
-        # the model's lines are the kernel's, so the pinned digest is the model's too
-        _, kernel, records, model = pinned_traces(name)
-        assert model == kernel
-        assert digest(model) == GOLDEN[name]
-        assert_invariants(records, schedule_max(PINNED[name].schedule)[1])
 
     @settings(max_examples=200, deadline=None, phases=NO_EXPLAIN)
     @example(make_config(  # numpy's pairwise sums gave these large miners a share above 1
