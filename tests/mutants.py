@@ -6,7 +6,7 @@ run starts with an empty Hypothesis database), and a set of tests runs on the co
 
     python tests/mutants.py model              # every mutant against the model checks
     python tests/mutants.py --seed 1 suite margin-0 stall-ceiling-lt
-    python tests/mutants.py --check            # each mutant's text is in the source once
+    python tests/mutants.py --check            # each mutant applies and changes the program
 
 `model` is the dense model's checks: the golden traces, `TestDenseModel`, the
 per-pass property and the edge table; `table` is the edge table alone; `suite`
@@ -15,10 +15,13 @@ is the whole Tier-1 suite.  Kinds: `output` changes some run's records or error;
 (calls, refreshes, stored toggles), which no check of output can see;
 `equivalent` differs from the source only at a tie, where both forms give the
 same records (its comment says why).  A source edit that moves a mutated line
-must update its row here: `--check` fails until it does.
+must update its row here: `--check`, and `test_mutants.py` in Tier-1, fail until
+it does.  They also fail on a mutant that does not parse or leaves the parsed
+program as it was, so that no kill is a syntax error and no survivor a no-op.
 """
 
 import argparse
+import ast
 import shutil
 import subprocess
 import sys
@@ -75,11 +78,28 @@ SETS = {
     "suite": [],  # pyproject's testpaths
 }
 IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__", ".perfbench")
+KINDS = ("output", "work", "equivalent")
+
+
+def problem(name, kind, path, old, new):
+    """Why this mutant does not stand as written, or None if it does."""
+    text = (ROOT / path).read_text()
+    if kind not in KINDS:
+        return f"its kind {kind!r} is none of {KINDS}"
+    if text.count(old) != 1:
+        return f"its old text is not in {path} exactly once"
+    try:
+        mutated = ast.parse(text.replace(old, new), path)
+    except SyntaxError as err:
+        return f"{path} does not parse with it: {err}"
+    if ast.dump(mutated) == ast.dump(ast.parse(text, path)):
+        return f"it leaves the program in {path} as it was"
+    return None
 
 
 def check():
-    """The mutants whose old text is not in their file exactly once."""
-    return [name for name, _, path, old, _ in MUTANTS if (ROOT / path).read_text().count(old) != 1]
+    """(name, problem) of each mutant that does not stand as written."""
+    return [(row[0], why) for row in MUTANTS if (why := problem(*row))]
 
 
 def run(name, path, old, new, tests, seed):
@@ -105,17 +125,17 @@ def run(name, path, old, new, tests, seed):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--check", action="store_true", help="only check each mutant's text")
+    parser.add_argument("--check", action="store_true", help="only check that each mutant applies")
     parser.add_argument("--seed", type=int, default=0, help="--hypothesis-seed (default 0)")
     parser.add_argument("set", nargs="?", choices=SETS, default="model")
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     args = parser.parse_args()
     if args.check:
-        missing = check()
-        for name in missing:
-            print(f"{name}: its old text is not in its file exactly once")
-        print(f"{len(MUTANTS) - len(missing)} of {len(MUTANTS)} mutants apply")
-        return 1 if missing else 0
+        problems = check()
+        for name, why in problems:
+            print(f"{name}: {why}")
+        print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants apply")
+        return 1 if problems else 0
     for name, kind, path, old, new in MUTANTS:
         if not args.names or name in args.names:
             first = run(name, path, old, new, SETS[args.set], args.seed)

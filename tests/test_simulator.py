@@ -740,6 +740,19 @@ TARGET = RetargetConfig().target_interval
 # the ceiling `rate` of a stall quantum at reward 4.2: an inactive 1-MHash/s miner at
 # this unit cost and margin_on 1.0 costs exactly what it earns there
 STALL_RATE = revenue_rate(1.0, 1.0, 4.2, 30.0, TARGET)
+
+
+def reward_at(revenue, hashrate, total):
+    """The block reward at which a `hashrate` miner earns `revenue` at `total`."""
+    return revenue / revenue_rate(hashrate, total, 1.0, 30.0, TARGET)
+
+
+# (hashrate, unit_cost, block reward, total) at which a revenue or x leaves the normal range
+OUTSIDE_THE_NORMAL_RANGE = {
+    "subnormal-reward": (1.0, 5e-324, 5e-324, 2.0),
+    "overflowing-x": (1.0, 1.5e308, 1e307, 100.0),
+    "subnormal-hashrate": (5e-324, 1.0, 1.0, 2.0),
+}
 # per row: each miner's (hashrate, unit_cost, active) and dwell left, each pass's
 # (block_reward, total), and the (flips, expiries) per pass that show the row reaches
 # its edge.  Every row runs at margin_on 1.0, which only the stall tie needs
@@ -753,12 +766,35 @@ EDGES = {
     "an-ulp-from-x": ([(26.975264810243004, 2.055111956427169, True),
                        (21.039540405604793, 0.0, True)], [0, 0],
                       [(0.09867580028461041, 48.0148052158478)], [(0, 0)]),
-    # a revenue or x outside the normal range, where the exact test is off
-    "subnormal-reward": ([(1.0, 5e-324, True)], [0], [(5e-324, 2.0)], [(1, 0)]),
-    "overflowing-x": ([(1.0, 1.5e308, True)], [0], [(1e307, 100.0)], [(1, 0)]),
-    "subnormal-hashrate": ([(5e-324, 1.0, True)], [3], [(1.0, 2.0)] * 4,
-                           [(0, 0), (0, 0), (0, 1), (1, 0)]),
+    # a revenue or x outside the normal range, where the exact test is off: the miner
+    # leaves when ready, or at the pass after its dwell of 1 or 3 passes runs out
+    **{name + (f"-dwell-{left}" if left else ""):
+       ([(h, c, True)], [left], [(reward, total)] * (left + 1),
+        [(0, 0)] * (left - 1) + [(0, 1)] * (left > 0) + [(1, 0)])
+       for left in (0, 1, 3) for name, (h, c, reward, total) in OUTSIDE_THE_NORMAL_RANGE.items()},
     "stall-tie": ([(1.0, STALL_RATE, False)], [0], [(4.2, 0.0)], [(1, 0)]),
+    # a 2e5 zero-cost miner sets the total, so m0's prospective share is within 1e-5 of
+    # its share of the total, yet 1e-10 past its exit or entry threshold it flips
+    "just-below-the-exit-threshold": ([(2.0, 1.0, True), (2e5, 0.0, True)], [0, 0],
+                                      [(reward_at(1.8 * (1 - 1e-10), 2.0, 2e5 + 2.0), 2e5 + 2.0)],
+                                      [(1, 0)]),
+    "just-above-the-entry-threshold": ([(2.0, 1.0, False), (2e5, 0.0, True)], [0, 0],
+                                       [(reward_at(2.0 * (1 + 1e-10), 2.0, 2e5 + 2.0), 2e5)],
+                                       [(1, 0)]),
+    # m0 (off_cost 1.8) is in its dwell at the first pass, where only m1 is ready; it
+    # stays at twice its off_cost and leaves at half of it
+    "a-dwell-expiry-into-the-band": ([(2.0, 1.0, True), (20.0, 0.0, True)], [1, 0],
+                                     [(reward_at(0.9, 2.0, 22.0), 22.0),
+                                      (reward_at(3.6, 2.0, 22.0), 22.0),
+                                      (reward_at(0.9, 2.0, 22.0), 22.0)],
+                                     [(0, 1), (0, 0), (1, 0)]),
+    # with no dwell m0 leaves, stays out at the pass after, then is judged inactive and
+    # enters at twice its on_cost of 2.0
+    "judged-in-its-new-state": ([(2.0, 1.0, True), (20.0, 0.0, True)], [0, 0],
+                                [(reward_at(0.9, 2.0, 22.0), 22.0),
+                                 (reward_at(0.9, 2.0, 22.0), 20.0),
+                                 (reward_at(4.0, 2.0, 22.0), 20.0)],
+                                [(1, 0), (0, 0), (1, 0)]),
 }
 
 
