@@ -18,6 +18,8 @@ same records (its comment says why).  A source edit that moves a mutated line
 must update its row here: `--check`, and `test_mutants.py` in Tier-1, fail until
 it does.  They also fail on a mutant that does not parse or leaves the parsed
 program as it was, so that no kill is a syntax error and no survivor a no-op.
+A run leaves `test_mutants.py` out: on a mutated copy it fails by design, since
+the mutant's old text is gone, and would count every mutant as killed.
 """
 
 import argparse
@@ -77,6 +79,8 @@ SETS = {
     "table": TABLE,
     "suite": [],  # pyproject's testpaths
 }
+# checks the table against the unmutated source, so no mutant run includes it
+TABLE_CHECK = "tests/test_mutants.py"
 IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__", ".perfbench")
 KINDS = ("output", "work", "equivalent")
 
@@ -102,19 +106,19 @@ def check():
     return [(row[0], why) for row in MUTANTS if (why := problem(*row))]
 
 
-def run(name, path, old, new, tests, seed):
+def run(row, tests, seed):
     """Apply one mutant to a copy of the repository and run `tests` on it: the first
     failing test's id, or None if every test passed."""
+    name, _, path, old, new = row
+    if why := problem(*row):
+        sys.exit(f"{name}: {why}")
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORE)
         source = copy / path
-        text = source.read_text()
-        if text.count(old) != 1:
-            sys.exit(f"{name}: its old text is not in {path} exactly once")
-        source.write_text(text.replace(old, new))
+        source.write_text(source.read_text().replace(old, new))
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               f"--hypothesis-seed={seed}", *tests]
+               f"--hypothesis-seed={seed}", f"--ignore={TABLE_CHECK}", *tests]
         done = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode not in (0, 1, 2):  # 0 passed, 1 failed, 2 a collection error
@@ -136,9 +140,10 @@ def main():
             print(f"{name}: {why}")
         print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants apply")
         return 1 if problems else 0
-    for name, kind, path, old, new in MUTANTS:
+    for row in MUTANTS:
+        name, kind = row[:2]
         if not args.names or name in args.names:
-            first = run(name, path, old, new, SETS[args.set], args.seed)
+            first = run(row, SETS[args.set], args.seed)
             print(f"{name:32} {kind:10} {'killed' if first else 'survived':8} {first or ''}",
                   flush=True)
     return 0

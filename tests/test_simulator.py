@@ -755,7 +755,7 @@ OUTSIDE_THE_NORMAL_RANGE = {
 }
 # per row: each miner's (hashrate, unit_cost, active) and dwell left, each pass's
 # (block_reward, total), and the (flips, expiries) per pass that show the row reaches
-# its edge.  Every row runs at margin_on 1.0, which only the stall tie needs
+# its edge.  Every row runs at the default margin_on but the stall tie, which needs 1.0
 EDGES = {
     # x and both ends of the band are 0: the zero-cost miners coming out of their dwell
     # sit on them (the active one stays, the inactive one enters), and m2, ready and
@@ -779,7 +779,7 @@ EDGES = {
                                       [(reward_at(1.8 * (1 - 1e-10), 2.0, 2e5 + 2.0), 2e5 + 2.0)],
                                       [(1, 0)]),
     "just-above-the-entry-threshold": ([(2.0, 1.0, False), (2e5, 0.0, True)], [0, 0],
-                                       [(reward_at(2.0 * (1 + 1e-10), 2.0, 2e5 + 2.0), 2e5)],
+                                       [(reward_at(2.2 * (1 + 1e-10), 2.0, 2e5 + 2.0), 2e5)],
                                        [(1, 0)]),
     # m0 (off_cost 1.8) is in its dwell at the first pass, where only m1 is ready; it
     # stays at twice its off_cost and leaves at half of it
@@ -789,11 +789,11 @@ EDGES = {
                                       (reward_at(0.9, 2.0, 22.0), 22.0)],
                                      [(0, 1), (0, 0), (1, 0)]),
     # with no dwell m0 leaves, stays out at the pass after, then is judged inactive and
-    # enters at twice its on_cost of 2.0
+    # enters at twice its on_cost of 2.2
     "judged-in-its-new-state": ([(2.0, 1.0, True), (20.0, 0.0, True)], [0, 0],
                                 [(reward_at(0.9, 2.0, 22.0), 22.0),
                                  (reward_at(0.9, 2.0, 22.0), 20.0),
-                                 (reward_at(4.0, 2.0, 22.0), 20.0)],
+                                 (reward_at(4.4, 2.0, 22.0), 20.0)],
                                 [(1, 0), (0, 0), (1, 0)]),
 }
 
@@ -856,12 +856,14 @@ class TestDecisionPass:
         ]
         check_against_dense_pass(cfg, state, [m[3] for m in miners], seed, conditions)
 
-    @pytest.mark.parametrize("miners,left,conditions,seen", EDGES.values(), ids=EDGES)
-    def test_the_hand_placed_edges_match_the_dense_pass(self, miners, left, conditions, seen):
+    @pytest.mark.parametrize("row", EDGES)
+    def test_the_hand_placed_edges_match_the_dense_pass(self, row):
+        miners, left, conditions, seen = EDGES[row]
         agents = [MinerAgent(id=f"m{i}", hashrate=h, unit_cost=c, active=a)
                   for i, (h, c, a) in enumerate(miners)]
+        margin_on = 1.0 if row == "stall-tie" else EconomicsConfig.margin_on
         cfg = make_config(explicit_population=agents,
-                          economics=EconomicsConfig(margin_on=1.0, dwell=0))
+                          economics=EconomicsConfig(margin_on=margin_on, dwell=0))
         state = initial_state(cfg, np.random.default_rng(0))
         assert check_against_dense_pass(cfg, state, left, 0, conditions) == seen
 
