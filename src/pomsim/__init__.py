@@ -7,8 +7,6 @@ from .agents import (
     MinerAgent,
     PomCredit,
     PopulationSpec,
-    decide,
-    expected_revenue_rate,
     generate_population,
     pom_multiplier,
 )
@@ -51,9 +49,7 @@ from .config import (
     config_from_dict,
     load_config,
     schedule_from_dict,
-    schedule_from_json,
     schedule_to_dict,
-    schedule_to_json,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

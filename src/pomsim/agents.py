@@ -5,21 +5,22 @@ operating cost through a hysteresis band; the simulator holds each flip
 for a dwell time, so a single noisy block cannot flap them.  The
 proof-of-mining credit scales a winner's reward by its recent
 participation.  Each rule is written once (`revenue_rate`, `flips`,
-`pom_credit`); the simulator applies them to the population and the scalar
-forms to one `MinerAgent`.
+`EconomicsConfig.costs`, `pom_credit`) and is itself the scalar API: the
+simulator applies the rules to the population, and `pom_multiplier` applies
+the credit to one `MinerAgent`'s history.  No wrapper restates a rule.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .errors import InternalError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -111,37 +112,6 @@ def pom_credit(active_blocks, blocks_seen: int, credit: PomCredit) -> float:
         return 1.0
     c = float(active_blocks) / credit.required
     return c if c < 1.0 else 1.0  # min(1.0, c), by its one comparison
-
-
-def expected_revenue_rate(
-    m: MinerAgent,
-    total_hash: float,
-    block_reward: float,
-    price: float,
-    target_interval: float,
-) -> float:
-    """Expected currency earned per hour at the miner's share of the network:
-    for an inactive miner, the share it would hold after joining, as the
-    simulator judges it, so on an empty network that share is 1."""
-    if m.active and total_hash <= 0.0:
-        raise InternalError("active miner with zero network hashrate")
-    joined = total_hash if m.active else m.hashrate + total_hash
-    return revenue_rate(m.hashrate, joined, block_reward, price, target_interval)
-
-
-def decide(
-    m: MinerAgent,
-    revenue_rate: float,
-    margin_on: float = EconomicsConfig.margin_on,
-    margin_off: float = EconomicsConfig.margin_off,
-) -> MinerAgent:
-    """`flips` for one miner out of its dwell: the agent flipped, or as it was.
-
-    The dwell is the simulator's alone (`dwell + U[0, dwell)` passes after a flip)."""
-    econ = EconomicsConfig(margin_on, margin_off)  # validates the margins
-    if flips(m.active, revenue_rate, *econ.costs(m.unit_cost, m.hashrate)):
-        return replace(m, active=not m.active)
-    return m
 
 
 def pom_multiplier(m: MinerAgent, c: PomCredit) -> float:

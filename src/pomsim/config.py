@@ -283,18 +283,6 @@ def schedule_to_dict(s: RewardScheduleParams) -> dict:
     return {**dump(s.base), **(dump(s.cutoff) if s.cutoff else {})}
 
 
-def schedule_to_json(s: RewardScheduleParams) -> str:
-    return json.dumps(schedule_to_dict(s), sort_keys=True)
-
-
-def schedule_from_json(text: str) -> RewardScheduleParams:
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise ConfigError(f"$: not valid JSON ({exc})") from exc
-    return schedule_from_dict(data)
-
-
 def _difficulty_map(cls, obj, path: str) -> DifficultyMap:
     """Anchor pairs to fit the map to, or its slope/intercept/floor fields."""
     obj = _mapping(obj, path)

@@ -7,17 +7,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pomsim.agents import (
+    EconomicsConfig,
     MinerAgent,
     PomCredit,
     PopulationSpec,
-    decide,
-    expected_revenue_rate,
+    flips,
     generate_population,
     pom_credit,
     pom_multiplier,
     revenue_rate,
 )
-from pomsim.errors import InternalError, ParameterError
+from pomsim.errors import ParameterError
 
 
 def miner(hashrate=1.0, unit_cost=0.5, active=True, history=()):
@@ -28,31 +28,25 @@ def miner(hashrate=1.0, unit_cost=0.5, active=True, history=()):
 
 class TestRevenueRate:
     def test_solo_network(self):
-        m = miner(hashrate=10.0)
-        assert expected_revenue_rate(m, 10.0, 1.0, 1.0, 3600.0) == pytest.approx(1.0)
+        assert revenue_rate(10.0, 10.0, 1.0, 1.0, 3600.0) == pytest.approx(1.0)
 
     def test_half_share(self):
-        m = miner(hashrate=10.0)
-        assert expected_revenue_rate(m, 20.0, 1.0, 1.0, 3600.0) == pytest.approx(0.5)
+        assert revenue_rate(10.0, 20.0, 1.0, 1.0, 3600.0) == pytest.approx(0.5)
 
     def test_arithmetic(self):
-        m = miner(hashrate=1.0)
-        assert expected_revenue_rate(m, 10.0, 9.0, 0.02, 120.0) == pytest.approx(0.54)
-
-    def test_zero_total_with_active_miner(self):
-        with pytest.raises(InternalError):
-            expected_revenue_rate(miner(active=True), 0.0, 1.0, 1.0, 120.0)
+        assert revenue_rate(1.0, 10.0, 9.0, 0.02, 120.0) == pytest.approx(0.54)
 
     def test_zero_total_inactive_earns_the_whole_reward(self):
         # on an empty network a miner that joins holds all of it: this lets the network restart
-        assert expected_revenue_rate(miner(active=False), 0.0, 1.0, 1.0, 120.0) == 30.0
+        assert revenue_rate(1.0, 1.0 + 0.0, 1.0, 1.0, 120.0) == 30.0
 
     @pytest.mark.parametrize("h,total", [(10.0, 10.0), (1.0, 0.0), (0.3, 115.0), (24.0, 1e-9)])
     def test_inactive_miner_is_judged_by_its_share_after_joining(self, h, total):
-        # the value `simulator._decision_pass` judges an inactive miner by
-        m = miner(hashrate=h, active=False)
-        want = revenue_rate(h, h + total, 9.0, 30.0, 120.0)
-        assert expected_revenue_rate(m, total, 9.0, 30.0, 120.0) == want
+        # the kernel judges an inactive miner at h / (h + total): never more than the
+        # whole reward, and all of it only when joining leaves the total at its own h
+        joined = revenue_rate(h, h + total, 9.0, 30.0, 120.0)
+        whole = revenue_rate(h, h, 9.0, 30.0, 120.0)
+        assert joined <= whole and (joined == whole) == (h + total == h)
 
 
 @pytest.mark.parametrize("field", ["hashrate", "unit_cost"])
@@ -62,40 +56,33 @@ def test_a_non_finite_hashrate_or_cost_is_rejected(field, value):
         miner(**{field: value})
 
 
-class TestDecide:
+class TestFlips:
+    """`flips` on the costs that `EconomicsConfig.costs` gives one miner."""
+
     def test_zero_cost_turns_on_and_stays(self):
-        m = miner(unit_cost=0.0, active=False)
-        m = decide(m, 0.01)
-        assert m.active
-        for _ in range(50):
-            m = decide(m, 0.01)
-        assert m.active
+        costs = EconomicsConfig().costs(0.0, 1.0)
+        assert flips(False, 0.01, *costs)
+        assert not flips(True, 0.01, *costs)
 
     def test_dead_band_keeps_state(self):
-        cost_rate = 0.5  # hashrate 1, cost 0.5
+        costs = EconomicsConfig(margin_on=1.1, margin_off=0.9).costs(0.5, 1.0)  # cost rate 0.5
         for active in (True, False):
-            m = miner(active=active)
-            out = decide(m, 1.0 * cost_rate, margin_on=1.1, margin_off=0.9)
-            assert out.active == active
+            assert not flips(active, 0.5, *costs)
 
     def test_exit_below_off_margin(self):
-        m = miner(unit_cost=1.0, active=True)
-        out = decide(m, 0.9, margin_on=1.05, margin_off=0.95)
-        assert not out.active
+        assert flips(True, 0.9, *EconomicsConfig(margin_on=1.05, margin_off=0.95).costs(1.0, 1.0))
 
     def test_inverted_margins_rejected(self):
         with pytest.raises(ParameterError):
-            decide(miner(), 1.0, margin_on=0.9, margin_off=1.1)
+            EconomicsConfig(0.9, 1.1)
 
     def test_no_flap_under_constant_conditions(self):
-        m = miner(unit_cost=1.0, active=True)
-        flips = 0
-        prev = m.active
+        costs = EconomicsConfig().costs(1.0, 1.0)
+        active, flipped = True, 0
         for _ in range(100):
-            m = decide(m, 0.5)
-            flips += m.active != prev
-            prev = m.active
-        assert flips <= 1
+            if flips(active, 0.5, *costs):
+                active, flipped = not active, flipped + 1
+        assert flipped <= 1
 
     @given(
         st.floats(0.1, 20.0),
@@ -106,9 +93,10 @@ class TestDecide:
     )
     def test_homogeneity(self, hashrate, unit_cost, revenue, k, active):
         # jointly scaling price (hence revenue) and cost leaves the decision unchanged
-        m1 = miner(hashrate=hashrate, unit_cost=unit_cost, active=active)
-        m2 = miner(hashrate=hashrate, unit_cost=unit_cost * k, active=active)
-        assert decide(m1, revenue).active == decide(m2, revenue * k).active
+        econ = EconomicsConfig()
+        assert flips(active, revenue, *econ.costs(unit_cost, hashrate)) == flips(
+            active, revenue * k, *econ.costs(unit_cost * k, hashrate)
+        )
 
 
 class TestPomMultiplier:

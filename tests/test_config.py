@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pomsim.agents import MinerAgent
-from pomsim.config import config_from_dict, load_config, schedule_from_dict, schedule_from_json
+from pomsim.config import config_from_dict, load_config, schedule_from_dict
 from pomsim.errors import ConfigError
 from pomsim.simulator import SimConfig, run
 
@@ -378,13 +378,6 @@ def test_mutated_config_parses_or_names_a_field_path(data):
     ({"a": 0.5, "b": 1.0, "bb": 2.0}, "$: unknown key(s) ['bb']"),
 ])
 def test_flat_schedule_reader_is_strict(data, message):
-    for parse in (lambda: schedule_from_dict(data), lambda: schedule_from_json(json.dumps(data))):
-        with pytest.raises(ConfigError) as info:
-            parse()
-        assert str(info.value) == message
-
-
-def test_schedule_text_that_is_not_json_is_a_config_error():
     with pytest.raises(ConfigError) as info:
-        schedule_from_json("{bad")
-    assert str(info.value).startswith("$: not valid JSON (")
+        schedule_from_dict(data)
+    assert str(info.value) == message

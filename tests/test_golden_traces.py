@@ -2,21 +2,27 @@
 kernel gives the dense model's lines on every case.
 
 Any change to the simulator that moves a single bit of output, or a single
-draw of the seeded generators, fails here.  To re-pin on purpose, run
+draw of the seeded generators, fails here.  So does one that keeps the output
+but changes how much work the kernel does for it: each case's count of judged
+miners, filed miners, bisections and refreshes is pinned in `WORK`.  To
+re-pin on purpose, run
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-and paste the printed table over `GOLDEN`, saying in the change why the traces
-moved.  The script exits 1 if the kernel and `dense_model` disagree on any case,
-so a table it prints with exit status 0 is the model's too.
+and paste the printed tables over `GOLDEN` and `WORK`, saying in the change why
+the traces or the counts moved.  The script exits 1 if the kernel and
+`dense_model` disagree on any case, so a table it prints with exit status 0 is
+the model's too.
 
-Each case has two tests: the kernel's lines are the dense model's and their digest
-is pinned, and the two agree, unpinned, at two further seeds of the case.
+Each case has three tests: the kernel's lines are the dense model's and their
+digest is pinned, its work counts are pinned, and the kernel and model agree,
+unpinned, at two further seeds of the case.
 """
 
 import dataclasses
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 from unittest import mock
@@ -111,6 +117,35 @@ def traces(config):
     return records, csv_lines(records), model, csv_lines(model)
 
 
+# each count, and the kernel functions whose calls it sums
+COUNTED = {"flips": ("flips",), "insort": ("insort",),
+           "bisect": ("bisect_left", "bisect_right"), "_refresh": ("_refresh",)}
+
+
+def work(config) -> dict:
+    """The kernel's work on one run, as calls to `simulator`'s `flips` (miners judged),
+    `insort` (miners filed into a ready list), `bisect_left` and `bisect_right` together
+    (three per exact pass past the quiet skip; one per winner draw, window count past
+    its shortcut and toggle compaction) and `_refresh`, with `_MAX_STALL_QUANTA` at
+    `STALL_QUANTA` as in `traces`.  The two bisections share one count, since a
+    change that swaps one for the other does the same work."""
+    counts = dict.fromkeys(COUNTED, 0)
+
+    def counted(count, name):
+        wrapped = getattr(simulator, name)
+
+        def call(*args, **kw):
+            counts[count] += 1
+            return wrapped(*args, **kw)
+
+        return call
+
+    counters = {name: counted(count, name) for count, names in COUNTED.items() for name in names}
+    with mock.patch.multiple(simulator, _MAX_STALL_QUANTA=STALL_QUANTA, **counters):
+        run(config)
+    return counts
+
+
 def digest(lines) -> str:
     """The SHA-256 of the `blocks.csv` that holds these lines."""
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
@@ -143,6 +178,29 @@ GOLDEN = {
     "duty-s2": "92ff42849ea6f9a15580216bac7b52f5c237a7974d4dbd68b57b96a66cfa3b89",
 }
 
+# The kernel's work per case (`work`), which no output shows: a pass that judges or
+# files miners it need not, or refreshes the network more often, gives the same lines
+WORK = {
+    "dynamics-s0-cutoff": {"flips": 626, "insort": 589, "bisect": 4147, "_refresh": 540},
+    "dynamics-s0-constant": {"flips": 0, "insort": 62, "bisect": 1078, "_refresh": 1},
+    "dynamics-s1-cutoff": {"flips": 633, "insort": 584, "bisect": 4113, "_refresh": 550},
+    "dynamics-s1-constant": {"flips": 0, "insort": 62, "bisect": 1084, "_refresh": 1},
+    "dynamics-s2-cutoff": {"flips": 641, "insort": 615, "bisect": 4206, "_refresh": 564},
+    "dynamics-s2-constant": {"flips": 0, "insort": 62, "bisect": 1081, "_refresh": 1},
+    "price_step-s0-cutoff": {"flips": 643, "insort": 591, "bisect": 3934, "_refresh": 437},
+    "price_step-s0-constant": {"flips": 18, "insort": 68, "bisect": 1227, "_refresh": 35},
+    "price_step-s1-cutoff": {"flips": 635, "insort": 589, "bisect": 3937, "_refresh": 441},
+    "price_step-s1-constant": {"flips": 25, "insort": 68, "bisect": 1258, "_refresh": 40},
+    "price_step-s2-cutoff": {"flips": 778, "insort": 582, "bisect": 4124, "_refresh": 485},
+    "price_step-s2-constant": {"flips": 28, "insort": 69, "bisect": 1249, "_refresh": 37},
+    "cliff-s0": {"flips": 4715, "insort": 3943, "bisect": 1363, "_refresh": 232},
+    "cliff-s1": {"flips": 5928, "insort": 4657, "bisect": 1380, "_refresh": 199},
+    "cliff-s2": {"flips": 6049, "insort": 4134, "bisect": 1372, "_refresh": 210},
+    "duty-s0": {"flips": 33, "insort": 36, "bisect": 1660, "_refresh": 342},
+    "duty-s1": {"flips": 34, "insort": 35, "bisect": 1709, "_refresh": 339},
+    "duty-s2": {"flips": 37, "insort": 39, "bisect": 1756, "_refresh": 338},
+}
+
 
 CASES = cases()
 PINNED = dict(CASES)  # the golden traces' configs, by name
@@ -170,8 +228,13 @@ def test_the_kernel_gives_the_models_lines_off_the_pinned_seeds(name, config):
     assert_invariants(records, schedule_max(config.schedule)[1])
 
 
+@pytest.mark.parametrize("name", PINNED)
+def test_the_kernels_work_is_pinned(name):
+    assert work(PINNED[name]) == WORK[name]
+
+
 def test_every_case_is_pinned():
-    assert sorted(GOLDEN) == sorted(name for name, _ in CASES)
+    assert sorted(GOLDEN) == sorted(WORK) == sorted(name for name, _ in CASES)
 
 
 def test_the_example_config_is_dynamics_with_every_default_written_out():
@@ -182,13 +245,14 @@ def test_the_example_config_is_dynamics_with_every_default_written_out():
 
 
 if __name__ == "__main__":
-    golden, disagree = {}, []
+    golden, counts, disagree = {}, {}, []
     for name, config in CASES:
         _, kernel, _, model = traces(config)
-        golden[name] = digest(kernel)
+        golden[name], counts[name] = digest(kernel), work(config)
         if kernel != model:
             disagree.append(name)
     print("GOLDEN = {", *(f'    "{k}": "{v}",' for k, v in golden.items()), "}", sep="\n")
+    print("WORK = {", *(f'    "{k}": {json.dumps(v)},' for k, v in counts.items()), "}", sep="\n")
     print(f"kernel and dense model agree on {len(CASES) - len(disagree)} of {len(CASES)} cases",
           *disagree, file=sys.stderr)
     sys.exit(1 if disagree else 0)

@@ -795,6 +795,10 @@ EDGES = {
                                  (reward_at(0.9, 2.0, 22.0), 20.0),
                                  (reward_at(4.4, 2.0, 22.0), 20.0)],
                                 [(1, 0), (0, 0), (1, 0)]),
+    # an active miner at a total below 1e-300 is judged by its share of 1e-300: it earns
+    # 0.081 against its off_cost of 900 and leaves (by its share of the total, h / total,
+    # it would earn 8,100 and stay)
+    "active-below-1e-300": ([(1e-305, 1e308, True)], [0], [(9.0, 1e-305)], [(1, 0)]),
 }
 
 
