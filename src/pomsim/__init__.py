@@ -7,14 +7,15 @@ from .agents import (
     MinerAgent,
     PomCredit,
     PopulationSpec,
+    flips,
     generate_population,
-    pom_multiplier,
+    pom_credit,
+    revenue_rate,
 )
 from .difficulty import (
     DEFAULT_ANCHORS,
     DifficultyMap,
     RetargetConfig,
-    RetargetState,
     fit_difficulty_map,
     hash_to_difficulty,
     rate_constant_from_map,

@@ -6,16 +6,13 @@ for a dwell time, so a single noisy block cannot flap them.  The
 proof-of-mining credit scales a winner's reward by its recent
 participation.  Each rule is written once (`revenue_rate`, `flips`,
 `EconomicsConfig.costs`, `pom_credit`) and is itself the scalar API: the
-simulator applies the rules to the population, and `pom_multiplier` applies
-the credit to one `MinerAgent`'s history.  No wrapper restates a rule.
+simulator applies the rules to the population.  No wrapper restates a rule.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,8 +70,6 @@ class MinerAgent:
     active: bool = True  # at genesis
     # forced (on_blocks, off_blocks) duty cycle; None or an off-phase of 0: always available
     duty: Optional[tuple[int, int]] = None
-    # run state, not configuration: JSON does not carry it
-    history: deque = field(default_factory=deque, metadata={"json": False})
 
     def __post_init__(self):
         # `blocks.csv` writes ids unquoted
@@ -112,13 +107,6 @@ def pom_credit(active_blocks, blocks_seen: int, credit: PomCredit) -> float:
         return 1.0
     c = float(active_blocks) / credit.required
     return c if c < 1.0 else 1.0  # min(1.0, c), by its one comparison
-
-
-def pom_multiplier(m: MinerAgent, c: PomCredit) -> float:
-    """`pom_credit` over the miner's history, oldest first; a history shorter
-    than the window earns full credit, as in the simulator's warm-up."""
-    recent = islice(reversed(m.history), c.window)  # the last window, not the whole history
-    return pom_credit(sum(map(bool, recent)), len(m.history), c)
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,6 @@ class SimConfig:
                 raise ConfigError(
                     f"$.population.explicit[{j}].id: duplicate id {m.id!r} (also explicit[{i}])"
                 )
-            if m.history:  # a run counts each miner's credit from its own toggles, from genesis
-                raise ConfigError(f"$.population.explicit[{j}]: history is run state, "
-                                  "which a run does not read: leave it empty")
             self._check_costs(m.unit_cost, m.hashrate, f"$.population.explicit[{j}]")
         if self.explicit_population is None:  # a drawn miner's cost is at most its class's bound
             p = self.population

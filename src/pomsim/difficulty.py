@@ -2,13 +2,15 @@
 
 The map is affine and fitted (least squares) to anchor pairs taken from the
 reference network; the retarget controller nudges difficulty so the
-exponentially smoothed block interval tracks a target interval.
+exponentially smoothed block interval tracks a target interval.  The
+controller's step is written once, `retarget`, on the difficulty and the
+interval EMA as two floats; the simulator calls it, and it is the scalar API.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ParameterError
@@ -95,22 +97,7 @@ class RetargetConfig:
             raise ParameterError(f"clamp must exceed 1, got {self.clamp}")
 
 
-@dataclass(frozen=True, kw_only=True)
-class RetargetState(RetargetConfig):
-    """Difficulty controller state; updated by a pure transition per block."""
-
-    current_difficulty: float
-    ema_interval: float
-    floor: float = MIN_DIFFICULTY
-
-    def __post_init__(self):
-        for name in ("current_difficulty", "ema_interval"):
-            if not (getattr(self, name) > 0.0):
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        super().__post_init__()
-
-
-def retarget_step(
+def retarget(
     rc: RetargetConfig, floor: float, d: float, ema: float, observed: float
 ) -> tuple[float, float]:
     """One controller step: the new (difficulty, interval EMA) after an observed interval."""
@@ -125,13 +112,6 @@ def retarget_step(
         ratio = clamp
     d *= ratio
     return floor if floor > d else d, ema
-
-
-def retarget(state: RetargetState, observed_interval: float) -> RetargetState:
-    """One controller step from a freshly observed block interval (`retarget_step`)."""
-    d, ema = state.current_difficulty, state.ema_interval
-    d, ema = retarget_step(state, state.floor, d, ema, observed_interval)
-    return replace(state, current_difficulty=d, ema_interval=ema)
 
 
 def rate_constant_from_map(

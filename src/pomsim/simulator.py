@@ -32,8 +32,7 @@ import numpy as np
 
 from .agents import flips, generate_population, pom_credit, revenue_rate
 from .config import SimConfig
-from .difficulty import hash_to_difficulty
-from .difficulty import retarget_step as retarget  # by this name perfbench traces the step
+from .difficulty import hash_to_difficulty, retarget
 from .errors import ConfigError, InternalError
 from .metrics import EquilibriumSummary, equilibrium_summary
 from .reward_curve import RewardScheduleParams, find_peak, reward
@@ -106,7 +105,7 @@ class NetworkState:
     draws from a `Draws`, one stream per purpose.
 
     The controller's state is two floats, `difficulty` and `ema` (the block
-    interval's EMA).  After each block and stall quantum `retarget_step` takes
+    interval's EMA).  After each block and stall quantum `retarget` takes
     the EMA of the interval, then moves difficulty by target / EMA, clamped
     to [1 / clamp, clamp] and floored at `floor`.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pomsim.agents import flips, generate_population, pom_credit, revenue_rate
-from pomsim.difficulty import hash_to_difficulty, retarget_step
+from pomsim.difficulty import hash_to_difficulty, retarget
 from pomsim.errors import InternalError
 from pomsim.reward_curve import find_peak, reward
 from pomsim.simulator import BlockRecord, Draws
@@ -95,7 +95,7 @@ def blocks(config, max_stall_quanta=100_000):
             if stalls == max_stall_quanta:
                 raise InternalError(f"network stalled at height {height}")
             clock += rc.target_interval * rc.clamp
-            d, ema = retarget_step(rc, floor, d, ema, rc.target_interval * rc.clamp)
+            d, ema = retarget(rc, floor, d, ema, rc.target_interval * rc.clamp)
             decision_pass(pop, draws, block_reward(d), price, 0.0)
         total = float(cum[-1])
         rate = kappa * total  # 0 if the product underflows: the interval is inf
@@ -113,6 +113,6 @@ def blocks(config, max_stall_quanta=100_000):
         large_share = float(padded_cumsum(avail & large)[-1]) / total
         record = BlockRecord(height, clock, d, total, agents[w].id, raw, mult, raw * mult,
                              int(np.count_nonzero(avail)), large_share)
-        d, ema = retarget_step(rc, floor, d, ema, interval)
+        d, ema = retarget(rc, floor, d, ema, interval)
         decision_pass(pop, draws, raw, price, total)
         yield record

@@ -8,16 +8,16 @@ shows the verdict for every criterion.
 import dataclasses
 import math
 import time
-from collections import deque
 
 import numpy as np
 import pytest
 
-from pomsim.agents import MinerAgent, PomCredit, pom_multiplier
+from pomsim.agents import MinerAgent, PomCredit
 from pomsim.config import load_config
 from pomsim.difficulty import (
     DEFAULT_ANCHORS,
-    RetargetState,
+    MIN_DIFFICULTY,
+    RetargetConfig,
     fit_difficulty_map,
     hash_to_difficulty,
     rate_constant_from_map,
@@ -39,16 +39,6 @@ from pomsim.simulator import (
     schedule_max,
     write_series_csv,
 )
-
-def make_state(difficulty):
-    return RetargetState(
-        current_difficulty=difficulty,
-        ema_interval=120.0,
-        target_interval=120.0,
-        smoothing=0.2,
-        clamp=1.25,
-    )
-
 
 _CAPTURE = None
 
@@ -154,16 +144,17 @@ def test_retarget_convergence():
     kappa = rate_constant_from_map(m, 40.0, 120.0)
     hashrate = 40.0
     d_eq = kappa * hashrate * 120.0
+    rc = RetargetConfig(target_interval=120.0, smoothing=0.2, clamp=1.25)
     passes = total = 0
     for seed in range(30):
         rng = np.random.default_rng(seed)
         for start in (d_eq * 100.0, d_eq / 100.0):
-            state = make_state(difficulty=start)
+            d, ema = start, 120.0
             iv = []
             for _ in range(200):
-                obs = rng.exponential(state.current_difficulty / (kappa * hashrate))
+                obs = rng.exponential(d / (kappa * hashrate))
                 iv.append(obs)
-                state = retarget(state, obs)
+                d, ema = retarget(rc, MIN_DIFFICULTY, d, ema, obs)
             trailing = np.convolve(iv, np.ones(50) / 50.0, mode="valid")
             total += 1
             passes += bool((np.abs(trailing / 120.0 - 1.0) <= 0.05).any())
@@ -227,34 +218,37 @@ def test_determinism(tmp_path):
 
 
 def test_pom_credit():
-    credit = PomCredit(window=50, required=40)
+    schedule = calibrate_schedule(1.75, 2.20, 2.37, 9.0)
 
-    def agent(history):
-        h = deque(maxlen=50)
-        h.extend(history)
-        return MinerAgent(id="m", hashrate=1.0, unit_cost=0.0, history=h)
+    def duty_credits(duty, credit):
+        # the multiplier of every win by `duty` past the warm-up, beside an always-on miner
+        series = run(SimConfig(
+            schedule=schedule, horizon=2000, seed=0, pom=credit, constant_reward=True,
+            explicit_population=[
+                MinerAgent(id="full", hashrate=10.0, unit_cost=0.0),
+                MinerAgent(id="duty", hashrate=10.0, unit_cost=0.0, duty=duty),
+            ],
+        ))
+        return [r.pom_multiplier for r in series.records
+                if r.winner == "duty" and r.height >= credit.window]
 
     # active exactly required-of-window blocks earns the full multiplier
-    ok = pom_multiplier(agent([True] * 40 + [False] * 10), credit) == 1.0
+    credits = duty_credits((40, 10), PomCredit(window=50, required=40))
+    ok = bool(credits) and all(c == 1.0 for c in credits)
 
     # a 50% duty cycle against a full-window requirement earns exactly half
-    full_req = PomCredit(window=50, required=50)
-    half = pom_multiplier(agent([i % 2 == 0 for i in range(50)]), full_req)
-    ok &= abs(half - 0.5) <= 1e-12
+    credits = duty_credits((25, 25), PomCredit(window=50, required=50))
+    ok &= bool(credits) and all(abs(c - 0.5) <= 1e-12 for c in credits)
 
     # full uptime beats a matched intermittent miner on credited reward
-    schedule = calibrate_schedule(1.75, 2.20, 2.37, 9.0)
     for seed in range(10):
         cfg = SimConfig(
             schedule=schedule,
             horizon=2000,
             seed=seed,
             explicit_population=[
-                MinerAgent(id="full", hashrate=10.0, unit_cost=0.0, history=deque(maxlen=50)),
-                MinerAgent(
-                    id="duty", hashrate=10.0, unit_cost=0.0, duty=(25, 25),
-                    history=deque(maxlen=50),
-                ),
+                MinerAgent(id="full", hashrate=10.0, unit_cost=0.0),
+                MinerAgent(id="duty", hashrate=10.0, unit_cost=0.0, duty=(25, 25)),
             ],
             constant_reward=True,
         )

@@ -1,5 +1,4 @@
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -14,16 +13,13 @@ from pomsim.agents import (
     flips,
     generate_population,
     pom_credit,
-    pom_multiplier,
     revenue_rate,
 )
 from pomsim.errors import ParameterError
 
 
-def miner(hashrate=1.0, unit_cost=0.5, active=True, history=()):
-    h = deque(maxlen=50)
-    h.extend(history)
-    return MinerAgent(id="m", hashrate=hashrate, unit_cost=unit_cost, active=active, history=h)
+def miner(hashrate=1.0, unit_cost=0.5, active=True):
+    return MinerAgent(id="m", hashrate=hashrate, unit_cost=unit_cost, active=active)
 
 
 class TestRevenueRate:
@@ -99,47 +95,35 @@ class TestFlips:
         )
 
 
-class TestPomMultiplier:
+class TestPomCredit:
     def test_full_window(self):
-        c = PomCredit(window=50, required=40)
-        assert pom_multiplier(miner(history=[True] * 50), c) == 1.0
+        assert pom_credit(50, 50, PomCredit(window=50, required=40)) == 1.0
 
     def test_exactly_required(self):
-        c = PomCredit(window=50, required=40)
-        hist = [True] * 40 + [False] * 10
-        assert pom_multiplier(miner(history=hist), c) == 1.0
+        assert pom_credit(40, 50, PomCredit(window=50, required=40)) == 1.0
 
     def test_half_of_required(self):
-        c = PomCredit(window=50, required=40)
-        hist = [True] * 20 + [False] * 30
-        assert pom_multiplier(miner(history=hist), c) == 0.5
+        assert pom_credit(20, 50, PomCredit(window=50, required=40)) == 0.5
 
     def test_fifty_percent_duty_against_full_requirement(self):
         c = PomCredit(window=50, required=50)
-        hist = [i % 2 == 0 for i in range(50)]
-        assert pom_multiplier(miner(history=hist), c) == pytest.approx(0.5, abs=1e-12)
+        assert pom_credit(25, 50, c) == pytest.approx(0.5, abs=1e-12)
 
-    def test_empty_history(self):
-        assert pom_multiplier(miner(history=[]), PomCredit()) == 1.0
+    def test_no_block_seen(self):
+        assert pom_credit(0, 0, PomCredit()) == 1.0
 
-    def test_default_history_keeps_a_window_longer_than_fifty(self):
-        m = MinerAgent(id="m", hashrate=1.0, unit_cost=0.0)
-        m.history.extend([False] * 100)
-        assert pom_multiplier(m, PomCredit(window=60, required=40)) == 0.0
+    def test_a_window_longer_than_fifty(self):
+        assert pom_credit(0, 100, PomCredit(window=60, required=40)) == 0.0
 
     def test_short_history_is_warm_up(self):
         # fewer blocks than the window: full credit, as in the simulator's warm-up
-        assert pom_multiplier(miner(history=[True] * 10), PomCredit()) == 1.0
-        assert pom_multiplier(miner(history=[False] * 49), PomCredit()) == 1.0
+        assert pom_credit(10, 10, PomCredit()) == 1.0
+        assert pom_credit(0, 49, PomCredit()) == 1.0
 
     def test_monotone_in_active_blocks(self):
         c = PomCredit(window=50, required=40)
-        prev = -1.0
-        for k in range(51):
-            hist = [True] * k + [False] * (50 - k)
-            cur = pom_multiplier(miner(history=hist), c)
-            assert cur >= prev
-            prev = cur
+        credits = [pom_credit(k, 50, c) for k in range(51)]
+        assert credits == sorted(credits)
 
     @given(st.integers(0, 2**64), st.integers(1, 2**64), st.integers(0, 2**64))
     @example(40, 40, 0)  # exactly the required count: 1.0

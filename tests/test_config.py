@@ -2,14 +2,12 @@ import copy
 import dataclasses
 import json
 import math
-from collections import deque
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pomsim.agents import MinerAgent
 from pomsim.config import config_from_dict, load_config, schedule_from_dict
 from pomsim.errors import ConfigError
 from pomsim.simulator import SimConfig, run
@@ -187,6 +185,7 @@ HARDENING = [
     ("empty-series", _example(price={"series": []}), "$.price"),
     ("negative-seed", _example(seed=-1), "$.seed"),
     ("miner-class", _example(**_miner(**{"class": "large"})), "$.population.explicit[0]"),
+    ("miner-history", _example(**_miner(history=[False] * 50)), "$.population.explicit[0]"),
     ("id-equal-to-a-default-id",  # the first miner's default id is m000
      _example(population={"explicit": [{"hashrate": 1, "unit_cost": 0},
                                        {"id": "m000", "hashrate": 2, "unit_cost": 0}]}),
@@ -266,17 +265,6 @@ def test_an_empty_explicit_population_is_rejected_when_the_config_is_built():
     cfg = config_from_dict(_example())
     with pytest.raises(ConfigError, match=r"^\$\.population\.explicit: must contain at least one"):
         dataclasses.replace(cfg, explicit_population=[])
-
-
-@pytest.mark.parametrize("state", [dict(history=deque([False] * 50))], ids=["history"])
-def test_run_state_that_a_run_does_not_read_is_rejected(state):
-    # every miner starts from genesis with a toggle list of [0] or []
-    cfg = config_from_dict(_example())
-    miners = [MinerAgent(id="a", hashrate=1.0, unit_cost=0.5, history=deque(maxlen=50)),
-              MinerAgent(id="b", hashrate=1.0, unit_cost=0.5, **state)]
-    dataclasses.replace(cfg, explicit_population=miners[:1])  # an empty history is no state
-    with pytest.raises(ConfigError, match=r"^\$\.population\.explicit\[1\]: history "):
-        dataclasses.replace(cfg, explicit_population=miners)
 
 
 # one config per variant form: landmarks, anchors and a population spec; a

@@ -1,23 +1,20 @@
-import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pomsim.difficulty import (
     DEFAULT_ANCHORS,
+    MIN_DIFFICULTY,
     DifficultyMap,
     RetargetConfig,
-    RetargetState,
     fit_difficulty_map,
     hash_to_difficulty,
     rate_constant_from_map,
     retarget,
-    retarget_step,
 )
 from pomsim.errors import DomainError, ParameterError
 
@@ -117,35 +114,13 @@ class TestFit:
             assert abs(Fraction(m.slope * h + m.intercept) - line) <= tolerance
 
 
-def make_state(difficulty=2.0, ema=120.0, target=120.0, smoothing=0.2, clamp=1.25):
-    return RetargetState(
-        current_difficulty=difficulty,
-        ema_interval=ema,
-        target_interval=target,
-        smoothing=smoothing,
-        clamp=clamp,
-    )
-
-
 @pytest.mark.parametrize("field,value", [
     ("target_interval", 0.0), ("target_interval", -1.0), ("smoothing", 0.0),
     ("smoothing", 1.5), ("clamp", 1.0), ("clamp", 0.5), ("clamp", math.nan),
 ])
-def test_config_and_state_reject_the_same_parameters(field, value):
-    # the controller parameters have one range check, shared by both classes
-    with pytest.raises(ParameterError) as from_config:
+def test_config_rejects_each_parameter_out_of_range(field, value):
+    with pytest.raises(ParameterError, match=f"^{field} must "):
         RetargetConfig(**{field: value})
-    with pytest.raises(ParameterError) as from_state:
-        RetargetState(current_difficulty=1.0, ema_interval=120.0, **{field: value})
-    assert str(from_config.value) == str(from_state.value)
-    assert field in str(from_state.value)
-
-
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
-@pytest.mark.parametrize("field", ["current_difficulty", "ema_interval"])
-def test_state_rejects_a_non_positive_difficulty_or_ema(field, value):
-    with pytest.raises(ParameterError, match=f"^{field} must be positive, got {value}$"):
-        RetargetState(**{"current_difficulty": 1.0, "ema_interval": 120.0, field: value})
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
@@ -154,59 +129,6 @@ def test_rate_constant_rejects_a_non_positive_anchor_or_target(field, value):
     args = {"anchor_hashrate": 40.0, "target_interval": 120.0, field: value}
     with pytest.raises(ParameterError, match=f"{field}={value}(,|$)"):
         rate_constant_from_map(fit_difficulty_map(), **args)
-
-
-class TestRetarget:
-    def test_fixed_point(self):
-        s = make_state()
-        s2 = retarget(s, 120.0)
-        assert s2.current_difficulty == s.current_difficulty
-        assert s2.ema_interval == s.ema_interval
-
-    def test_exact_doubling(self):
-        s = make_state(difficulty=2.0, smoothing=1.0, clamp=4.0)
-        s2 = retarget(s, 60.0)
-        assert s2.current_difficulty == pytest.approx(4.0)
-
-    def test_clamp_binding(self):
-        s = make_state(difficulty=2.0, smoothing=1.0, clamp=4.0)
-        s2 = retarget(s, 1.0)
-        assert s2.current_difficulty == pytest.approx(8.0)
-
-    def test_nonpositive_interval_rejected(self):
-        with pytest.raises(DomainError):
-            retarget(make_state(), 0.0)
-
-    @given(
-        st.floats(1.0, 1000.0),
-        st.floats(1.0, 1000.0),
-        st.floats(0.01, 10.0),
-    )
-    def test_monotone_response(self, obs_a, obs_b, difficulty):
-        s = make_state(difficulty=difficulty)
-        d_a = retarget(s, obs_a).current_difficulty
-        d_b = retarget(s, obs_b).current_difficulty
-        if obs_a < obs_b:
-            assert d_a >= d_b
-
-    @given(st.floats(1e-3, 1e5), st.floats(0.1, 100.0), st.floats(0.05, 1.0))
-    def test_clamp_safety(self, obs, difficulty, smoothing):
-        s = make_state(difficulty=difficulty, smoothing=smoothing)
-        d2 = retarget(s, obs).current_difficulty
-        ratio = d2 / difficulty
-        assert 1.0 / s.clamp - 1e-12 <= ratio <= s.clamp + 1e-12
-
-
-def _agree(state, obs):
-    """`retarget` and `retarget_step` give the same bits; the other fields are carried over."""
-    new = retarget(state, obs)
-    d, ema = retarget_step(state, state.floor, state.current_difficulty, state.ema_interval, obs)
-    assert type(new) is RetargetState
-    assert (new.current_difficulty.hex(), new.ema_interval.hex()) == (d.hex(), ema.hex())
-    assert dataclasses.replace(new, current_difficulty=1.0, ema_interval=1.0) == (
-        dataclasses.replace(state, current_difficulty=1.0, ema_interval=1.0)
-    )
-    return new
 
 
 def _step_by_calls(rc, floor, d, ema, observed):
@@ -219,9 +141,42 @@ def _step_by_calls(rc, floor, d, ema, observed):
 # the positive finite floats down to the subnormals, or any float at all: NaN, ±0, ±inf
 _ANY = st.one_of(st.floats(5e-324, 1e308), st.floats())
 
+# one step with smoothing 1: the EMA is the observed interval
+_SNAP = RetargetConfig(smoothing=1.0)
 
-class TestRetargetStep:
-    positive = st.floats(1e-12, 1e12)
+
+class TestRetarget:
+    def test_fixed_point(self):
+        assert retarget(RetargetConfig(), MIN_DIFFICULTY, 2.0, 120.0, 120.0) == (2.0, 120.0)
+
+    def test_exact_doubling(self):
+        rc = RetargetConfig(smoothing=1.0, clamp=4.0)
+        d, _ = retarget(rc, MIN_DIFFICULTY, 2.0, 120.0, 60.0)
+        assert d == pytest.approx(4.0)
+
+    def test_clamp_binding(self):
+        rc = RetargetConfig(smoothing=1.0, clamp=4.0)
+        d, _ = retarget(rc, MIN_DIFFICULTY, 2.0, 120.0, 1.0)
+        assert d == pytest.approx(8.0)
+
+    @given(
+        st.floats(1.0, 1000.0),
+        st.floats(1.0, 1000.0),
+        st.floats(0.01, 10.0),
+    )
+    def test_monotone_response(self, obs_a, obs_b, difficulty):
+        rc = RetargetConfig()
+        d_a, _ = retarget(rc, MIN_DIFFICULTY, difficulty, 120.0, obs_a)
+        d_b, _ = retarget(rc, MIN_DIFFICULTY, difficulty, 120.0, obs_b)
+        if obs_a < obs_b:
+            assert d_a >= d_b
+
+    @given(st.floats(1e-3, 1e5), st.floats(0.1, 100.0), st.floats(0.05, 1.0))
+    def test_clamp_safety(self, obs, difficulty, smoothing):
+        rc = RetargetConfig(smoothing=smoothing)
+        d2, _ = retarget(rc, MIN_DIFFICULTY, difficulty, 120.0, obs)
+        ratio = d2 / difficulty
+        assert 1.0 / rc.clamp - 1e-12 <= ratio <= rc.clamp + 1e-12
 
     @given(_ANY, _ANY, _ANY, _ANY, _ANY, _ANY, _ANY)
     # target / ema exactly at clamp and at 1 / clamp; d * ratio exactly at the floor
@@ -245,67 +200,18 @@ class TestRetargetStep:
             except ZeroDivisionError as exc:
                 return type(exc)
 
-        assert outcome(retarget_step) == outcome(_step_by_calls)
-
-    @given(
-        st.floats(0.0, 1.0, exclude_min=True),
-        st.floats(1.0, 100.0, exclude_min=True),
-        positive,
-        positive,
-        positive,
-        positive,
-        positive,
-    )
-    def test_the_wrapper_is_the_step(self, smoothing, clamp, target, floor, d, ema, obs):
-        state = RetargetState(
-            target_interval=target, smoothing=smoothing, clamp=clamp,
-            current_difficulty=d, ema_interval=ema, floor=floor,
-        )
-        _agree(state, obs)
+        assert outcome(retarget) == outcome(_step_by_calls)
 
     def test_a_step_onto_the_floor(self):
-        s = dataclasses.replace(make_state(difficulty=0.5, smoothing=1.0), floor=0.5)
-        assert _agree(s, 1000.0).current_difficulty == 0.5  # ratio 1 / clamp, then floored
+        d, _ = retarget(_SNAP, 0.5, 0.5, 120.0, 1000.0)
+        assert d == 0.5  # ratio 1 / clamp, then floored
 
     @pytest.mark.parametrize("obs,ratio", [(1.0, 1.25), (1e6, 1.0 / 1.25)], ids=["up", "down"])
     def test_both_clamp_bounds(self, obs, ratio):
-        s = make_state(difficulty=2.0, smoothing=1.0)
-        assert _agree(s, obs).current_difficulty == 2.0 * ratio
+        d, _ = retarget(_SNAP, MIN_DIFFICULTY, 2.0, 120.0, obs)
+        assert d == 2.0 * ratio
 
     @pytest.mark.parametrize("obs", [0.0, -1.0, math.nan])
-    def test_both_reject_an_interval_that_is_not_positive(self, obs):
-        s = make_state()
-        with pytest.raises(DomainError):
-            retarget(s, obs)
-        with pytest.raises(DomainError):
-            retarget_step(s, s.floor, s.current_difficulty, s.ema_interval, obs)
-
-
-def synthetic_intervals(seed, start_difficulty, hashrate=40.0, n_blocks=200):
-    """Constant-hashrate run of the retarget loop with exponential solves."""
-    m = fit_difficulty_map()
-    kappa = rate_constant_from_map(m, 40.0, 120.0)
-    rng = np.random.default_rng(seed)
-    state = make_state(difficulty=start_difficulty)
-    out = []
-    for _ in range(n_blocks):
-        iv = rng.exponential(state.current_difficulty / (kappa * hashrate))
-        out.append(iv)
-        state = retarget(state, iv)
-    return np.array(out)
-
-
-class TestConvergence:
-    def test_reaches_target_band(self):
-        # trailing 50-block mean interval enters the 5% band by block 200
-        m = fit_difficulty_map()
-        kappa = rate_constant_from_map(m, 40.0, 120.0)
-        d_eq = kappa * 40.0 * 120.0
-        passes = total = 0
-        for seed in range(30):
-            for start in (d_eq * 100.0, d_eq / 100.0):
-                iv = synthetic_intervals(seed, start)
-                trailing = np.convolve(iv, np.ones(50) / 50.0, mode="valid")
-                total += 1
-                passes += bool((np.abs(trailing / 120.0 - 1.0) <= 0.05).any())
-        assert passes / total >= 0.9
+    def test_an_interval_that_is_not_positive_is_rejected(self, obs):
+        with pytest.raises(DomainError, match="^observed interval must be positive"):
+            retarget(RetargetConfig(), MIN_DIFFICULTY, 2.0, 120.0, obs)

@@ -25,7 +25,8 @@ from pomsim.agents import (
 )
 from pomsim.config import PricePath, config_from_dict, load_config
 from pomsim.difficulty import RetargetConfig, hash_to_difficulty
-from pomsim import reward_curve, simulator
+import pomsim
+from pomsim import agents, difficulty, reward_curve, simulator
 from pomsim.errors import ConfigError, DomainError, InternalError, ParameterError, PomSimError
 from pomsim.metrics import EquilibriumSummary, equilibrium_summary
 from pomsim.simulator import (
@@ -60,6 +61,23 @@ def make_config(**kw):
     defaults = dict(schedule=SCHEDULE, horizon=500, seed=0)
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+# the scalar API: (defining module, rule, whether the kernel imports it by name)
+RULES = [(agents, "revenue_rate", True), (agents, "flips", True),
+         (agents, "EconomicsConfig.costs", False), (agents, "pom_credit", True),
+         (difficulty, "retarget", True)]
+
+
+@pytest.mark.parametrize("module,name,imported", RULES, ids=[r[1] for r in RULES])
+def test_the_package_exports_the_rule_that_the_kernel_calls(module, name, imported):
+    # one object each, so the kernel runs the public rule and not a copy; it reaches
+    # `costs` through `config.economics`
+    rule = operator.attrgetter(name)(module)
+    assert operator.attrgetter(name)(pomsim) is rule
+    assert name.split(".")[0] in pomsim.__all__
+    if imported:
+        assert getattr(simulator, name) is rule
 
 
 class TestDeterminism:
@@ -447,6 +465,25 @@ class TestDutyCycle:
         assert mults[:window] == [1.0] * window
         assert min(mults[window:]) < 1.0
         assert (state.passes > state.height) == stalls  # each stall quantum is a pass
+
+    @pytest.mark.parametrize("duty,credit", [
+        ((40, 10), PomCredit(50, 40)), ((45, 5), PomCredit(50, 40)), ((25, 25), PomCredit(50, 50)),
+        ((25, 25), PomCredit(50, 40)), ((1, 6), PomCredit(7, 3)), ((2, 5), PomCredit(14, 8)),
+    ], ids=["40-10@50-40", "45-5@50-40-capped", "25-25@50-50", "25-25@50-40", "1-6@7-3",
+            "2-5@14-8"])
+    def test_credit_is_the_closed_form_of_a_period_that_divides_the_window(self, duty, credit):
+        # every window holds window // period whole on-phases, whatever its phase;
+        # `full` costs nothing and never leaves, and is available at every block
+        on, off = duty
+        cfg = dataclasses.replace(
+            DYNAMICS, horizon=2000, constant_reward=True, pom=credit,
+            explicit_population=[explicit_miner("full", 10.0),
+                                 explicit_miner("duty", 10.0, duty=duty)],
+        )
+        past = [r for r in run(cfg).records if r.height >= credit.window]
+        duty_credits = {r.pom_multiplier for r in past if r.winner == "duty"}
+        assert {r.pom_multiplier for r in past if r.winner == "full"} == {1.0}
+        assert duty_credits == {min(1.0, credit.window // (on + off) * on / credit.required)}
 
     def test_window_count_is_a_dense_recount_with_or_without_compaction(self):
         # every miner's count, after every block, against the availability each block
