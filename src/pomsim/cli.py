@@ -9,7 +9,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +134,7 @@ def cmd_run(args) -> int:
 
     try:
         if workers > 1 and len(seeds) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only for a pool
             with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
                 summaries = list(pool.map(_run_one, [config] * len(seeds), seeds, [args.out] * len(seeds)))
         else:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import filecmp
@@ -207,7 +208,7 @@ class TestRun:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setenv("POM_SIM_THREADS", "5000")
         out = tmp_path / "o"
         assert main(["run", "--config", str(small_config), "--seeds", "2", "--out", str(out)]) == 0
@@ -230,6 +231,23 @@ class TestRun:
         }
         assert trees["2"] == trees["1"]
 
+    def test_a_serial_run_loads_no_pool_module(self, small_config, tmp_path):
+        # a fresh interpreter: the pool tests load these modules into this one
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(small_config), "--seeds", "2", "--out", str(out)]
+        code = (
+            "import sys, pomsim, pomsim.cli\n"
+            f"assert pomsim.cli.main({argv!r}) == 0\n"
+            "pool = [m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules]\n"
+            "assert not pool, pool\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "POM_SIM_THREADS"}
+        env["PYTHONPATH"] = str(Path(pomsim.__file__).parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (out / "seed_4" / "blocks.csv").is_file()
+
     @staticmethod
     def dynamics_config(tmp_path, **overrides):
         cfg = {**json.loads(Path("configs/dynamics.json").read_text()), "horizon": 300}
@@ -237,10 +255,16 @@ class TestRun:
         path.write_text(json.dumps({**cfg, **overrides}))
         return path
 
-    def test_a_block_that_does_not_advance_the_clock_is_an_internal_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", ["1", "2"])  # "2": the seed fails in a pool worker
+    def test_a_block_that_does_not_advance_the_clock_is_an_internal_error(
+            self, threads, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POM_SIM_THREADS", threads)
         cfg = self.dynamics_config(tmp_path, rate_constant=1e300)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INTERNAL
-        assert "does not advance the clock 7050.0 s at height 29" in capsys.readouterr().err
+        argv = ["run", "--config", str(cfg), "--seeds", "2", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation failed: ")
+        assert "does not advance the clock 7050.0 s at height 29\n" in err
 
     def test_an_infinite_block_interval_is_an_internal_error(self, tmp_path, capsys):
         cfg = self.dynamics_config(tmp_path, rate_constant=1e-320, horizon=1)
