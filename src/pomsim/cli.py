@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config, schedule_from_dict
-from .errors import ConfigError, InternalError, PomSimError
+from .errors import InternalError, PomSimError
 from .metrics import ComparisonDeltas, compare
 from .reward_curve import base_reward, calibrate_schedule, cutoff_factor, reward
 from .simulator import RunSummary, read_series_csv, run, schedule_max, write_rows, write_series_csv
@@ -124,7 +124,7 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     try:
         config = load_config(args.config)
-    except (OSError, ConfigError, PomSimError) as exc:
+    except (OSError, PomSimError) as exc:
         print(f"error: cannot load config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -252,8 +252,7 @@ def main(argv=None) -> int:
     except PomSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError,
-            PermissionError) as exc:  # an --out that cannot be written; the message names it
+    except OSError as exc:  # a path that cannot be read or written; the message names it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -41,11 +41,9 @@ class DifficultyMap:
             raise ParameterError(f"slope must be positive, got {self.slope}")
         if not (self.floor > 0.0):
             raise ParameterError(f"floor must be positive, got {self.floor}")
-        for h in (1.0, 200.0):
-            if self.slope * h + self.intercept <= 0.0:
-                raise ParameterError(
-                    f"map must be positive over H in [1, 200]; fails at H={h}"
-                )
+        # the slope is positive and rounding monotone: positive at H = 1 is positive above
+        if self.slope + self.intercept <= 0.0:
+            raise ParameterError(f"map must be positive at H=1, got {self.slope + self.intercept}")
 
 
 def hash_to_difficulty(h: float, m: DifficultyMap) -> float:

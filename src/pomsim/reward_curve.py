@@ -96,7 +96,7 @@ def base_reward(d: float, p: BaseCurveParams) -> float:
         raise DomainError(f"difficulty must be nonnegative, got {d}")
     radicand = (math.exp(-p.a * d) - math.exp(-p.b * d)) * d
     if radicand < 0.0:
-        # only reachable through rounding; the factorization is nonnegative
+        # unreached while libm's exp is monotone, which neither C nor glibc promises
         radicand = 0.0
     return p.scale * math.sqrt(radicand)
 
@@ -227,9 +227,9 @@ def calibrate_schedule(
         )
     a_star, _ = _golden_max(lambda a: -abs(residual(a)), a_lo, a_hi, 1e-12)
 
+    # > 0: the cutoff is >= 1/2 at the base peak, and the bell's top underflows only where
+    # b overflows (BaseCurveParams rejects it) or b_ratio is ulps above 1 (no bracket)
     _, r_unscaled = find_peak(shape(a_star))
-    if not (r_unscaled > 0.0):
-        raise CalibrationError(f"composed peak found no positive reward at a={a_star:.6g}")
     schedule = shape(a_star, r_max_target / r_unscaled)
 
     half_ratio = reward(half_d, schedule) / r_max_target

@@ -1,4 +1,4 @@
-"""Planted one-line mutants of the kernel, and which tests kill them.
+"""Planted one-line mutants of the kernel and its rules, and which tests kill them.
 
 Each mutant is applied alone to a fresh copy of the repository (without
 `.git`, `.hypothesis`, `.pytest_cache`, `__pycache__` or `.perfbench`, so every
@@ -10,17 +10,20 @@ run starts with an empty Hypothesis database), and a set of tests runs on the co
 
 `model` is the dense model's checks: the golden traces, `TestDenseModel`, the
 per-pass property and the edge table; `table` is the edge table alone; `suite`
-is the whole Tier-1 suite.  Kinds: `output` changes some run's records or error;
+is the whole Tier-1 suite.  `model` and `table` judge only the kernel's rows
+(`simulator.py`); the rows of the rule modules, calibration to the CLI, are
+judged by `suite`.  Kinds: `output` changes some run's records or error;
 `work` keeps every run's records but changes what the kernel does on the way
 (calls, refreshes, stored toggles), which no check of output can see, but the
 golden file's pinned `WORK` counts and the tests that count calls can;
-`equivalent` differs from the source only at a tie, where both forms give the
-same records and, on every pinned case, the same work (its comment says why).
-At seed 0, `suite` kills every `output` and `work` row, and every `equivalent`
-row survives.  A source edit that moves a mutated line
-must update its row here: `--check`, and `test_mutants.py` in Tier-1, fail until
-it does.  They also fail on a mutant that does not parse or leaves the parsed
-program as it was, so that no kill is a syntax error and no survivor a no-op.
+`equivalent` differs from the source only at a tie or in a branch that no input
+enters, where both forms give the same records and, on every pinned case, the
+same work (its comment says why).  At seed 0, `suite` kills every `output` and
+`work` row, and every `equivalent` row survives.  A source edit that moves a
+mutated line must update its row here: `--check`, and `test_mutants.py` in
+Tier-1, fail until it does.  They also fail on a mutant that does not parse or
+leaves the parsed program as it was, so that no kill is a syntax error and no
+survivor a no-op.
 A run leaves `test_mutants.py` out: on a mutated copy it fails by design, since
 the mutant's old text is gone, and would count every mutant as killed.
 """
@@ -34,7 +37,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIM = "src/pomsim/simulator.py"
+SIM, CURVE = "src/pomsim/simulator.py", "src/pomsim/reward_curve.py"
+DIFF, AGENTS, METRICS = "src/pomsim/difficulty.py", "src/pomsim/agents.py", "src/pomsim/metrics.py"
+CONFIG, CLI = "src/pomsim/config.py", "src/pomsim/cli.py"
 # name, kind, file, old text (exactly once in the file), new text
 MUTANTS = [
     ("exact-totals-unbounded", "output", SIM,
@@ -74,6 +79,68 @@ MUTANTS = [
     ("margin-1e-3", "work", SIM, "_MARGIN = 1e-9", "_MARGIN = 1e-3"),
     ("exact-test-never", "work", SIM, "if exact and lo_total", "if False and lo_total"),
     ("refresh-every-quantum", "work", SIM, "if state.height >= state.refresh_at:", "if True:"),
+    # the rules that the kernel calls
+    ("golden-section-0.6", "output", CURVE, "_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0", "_GOLDEN = 0.6"),
+    ("cutoff-spread-ln10", "output", CURVE, "LN9 = math.log(9.0)", "LN9 = math.log(10.0)"),
+    ("cutoff-below-peak-allowed", "output", CURVE, "if not (self.cutoff.d_co > peak):", "if False:"),
+    # with 0 <= a < b and d >= 0, rounding keeps -b*d <= -a*d, so a monotone exp never
+    # gives a negative radicand and the branch is never entered: 2,000,000 near-tie
+    # samples gave none. It stays as the guard for a libm whose exp is not monotone
+    ("radicand-negated", "equivalent", CURVE, "radicand = 0.0", "radicand = -radicand"),
+    ("cutoff-factor-rising", "output", CURVE, "e = math.exp(-x)", "e = math.exp(x)"),
+    ("peak-search-1e-6", "output", CURVE, "lo, hi, 1e-9)", "lo, hi, 1e-6)"),
+    ("a-search-1e-9", "output", CURVE, "a_lo, a_hi, 1e-12)", "a_lo, a_hi, 1e-9)"),
+    ("unimodal-check-dropped", "output", CURVE, "if max(fc, fd) < min(f(lo), f(hi)):", "if False:"),
+    ("bracket-check-dropped", "output", CURVE, "if not (r_lo > 0.0 > r_hi):", "if False:"),
+    ("landmark-tolerance-0.05", "output", CURVE, "abs(half_ratio - 0.5) > 0.01",
+     "abs(half_ratio - 0.5) > 0.05"),
+    ("map-zero-at-1-allowed", "output", DIFF, "if self.slope + self.intercept <= 0.0:",
+     "if self.slope + self.intercept < 0.0:"),
+    ("map-floor-dropped", "output", DIFF, "return max(m.slope * h + m.intercept, m.floor)",
+     "return m.slope * h + m.intercept"),
+    ("fit-intercept-plus", "output", DIFF, "intercept=d_mean - slope * h_mean",
+     "intercept=d_mean + slope * h_mean"),
+    ("ema-weights-swapped", "output", DIFF,
+     "ema = rc.smoothing * observed + (1.0 - rc.smoothing) * ema",
+     "ema = rc.smoothing * ema + (1.0 - rc.smoothing) * observed"),
+    # at 1 / clamp == ratio both forms leave ratio equal to 1 / clamp
+    ("retarget-low-clamp-ge", "equivalent", DIFF, "if 1.0 / clamp > ratio:", "if 1.0 / clamp >= ratio:"),
+    ("retarget-high-clamp-dropped", "output", DIFF, "if clamp < ratio:", "if False:"),
+    ("retarget-floor-dropped", "output", DIFF, "return floor if floor > d else d, ema", "return d, ema"),
+    ("rate-constant-per-second", "output", DIFF, "/ (anchor_hashrate * target_interval)",
+     "/ anchor_hashrate"),
+    ("exit-at-off-cost", "output", AGENTS, "return revenue < off_cost", "return revenue <= off_cost"),
+    ("entry-above-on-cost", "output", AGENTS, "else revenue >= on_cost", "else revenue > on_cost"),
+    ("costs-swapped", "output", AGENTS, "return self.margin_on * cost, self.margin_off * cost",
+     "return self.margin_off * cost, self.margin_on * cost"),
+    ("revenue-per-block-times-hour", "output", AGENTS, "(3600.0 / target_interval)",
+     "(3600.0 * target_interval)"),
+    ("credit-warm-up-le", "output", AGENTS, "if blocks_seen < credit.window:",
+     "if blocks_seen <= credit.window:"),
+    ("credit-over-window", "output", AGENTS, "c = float(active_blocks) / credit.required",
+     "c = float(active_blocks) / credit.window"),
+    ("burn-in-quarter", "output", METRICS, "burn_in = len(records) // 5", "burn_in = len(records) // 4"),
+    ("burn-in-whole-series", "output", METRICS, "if burn_in >= len(records):",
+     "if burn_in > len(records):"),
+    ("interval-from-first-block", "output", METRICS, "np.concatenate([[0.0], ts])",
+     "np.concatenate([ts[:1], ts])"),
+    ("share-ratio-unguarded", "output", METRICS,
+     'share_ratio=t.mean_share / b.mean_share if b.mean_share else float("nan")',
+     "share_ratio=t.mean_share / b.mean_share"),
+    ("bool-as-number", "output", CONFIG, "if tp is float and type(v) in (int, float)",
+     "if tp is float and isinstance(v, (int, float))"),
+    ("unknown-keys-allowed", "output", CONFIG, "    if unknown:\n", "    if False:\n"),
+    ("digest-keeps-seed", "output", CONFIG, 'd.pop("seed")', 'd.get("seed")'),
+    ("duplicate-ids-allowed", "output", CONFIG, "if i != j:", "if False:"),
+    ("overflowing-cost-allowed", "output", CONFIG, "if not math.isfinite(cost):", "if False:"),
+    ("negative-base-seed-allowed", "output", CLI,
+     "if args.base_seed is not None and args.base_seed < 0:", "if False:"),
+    ("zero-threads-allowed", "output", CLI, "if workers < 1:", "if workers < 0:"),
+    ("seed-dir-name-unchecked", "output", CLI, 'if sub.name == f"seed_{seed}" and (sub', "if (sub"),
+    # the five OSError subclasses that main caught before it caught OSError
+    ("os-error-subclasses-only", "output", CLI, "except OSError as exc:",
+     "except (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError,"
+     " PermissionError) as exc:"),
 ]
 SIMULATOR_TESTS = "tests/test_simulator.py::"
 TABLE = [SIMULATOR_TESTS + "TestDecisionPass::test_the_hand_placed_edges_match_the_dense_pass"]

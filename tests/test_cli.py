@@ -472,12 +472,19 @@ def test_bad_arguments_are_usage_errors(argv, small_config, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["curve", "--params", "1.0", "2.0", "1.0", "--out", "{tmp}/nodir/x.csv"],
-    ["run", "--config", "{config}", "--out", "{config}"],  # an existing file
-    ["compare", "{sweep}", "{sweep}", "--out", "{tmp}/nodir/x.csv"],
-], ids=["curve", "run", "compare"])
-def test_an_unwritable_out_is_a_usage_error(argv, small_config, tmp_path, capsys):
+LONG_NAME = "{tmp}/" + "x" * 300  # past the usual 255-byte name limit: ENAMETOOLONG
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["curve", "--params", "1.0", "2.0", "1.0", "--out", "{tmp}/nodir/x.csv"], -1),
+    (["run", "--config", "{config}", "--out", "{config}"], -1),  # an existing file
+    (["compare", "{sweep}", "{sweep}", "--out", "{tmp}/nodir/x.csv"], -1),
+    (["curve", "--params", "1.0", "2.0", "1.0", "--out", LONG_NAME], -1),
+    (["run", "--config", "{config}", "--out", LONG_NAME], -1),
+    (["compare", LONG_NAME, "{sweep}"], 1),
+], ids=["curve", "run", "compare", "curve-long-name", "run-long-name", "compare-long-baseline"])
+def test_an_unwritable_out_is_a_usage_error(argv, path, small_config, tmp_path, capsys):
+    # `path` indexes the argument that the message must name
     sweep = tmp_path / "sweep"
     if "{sweep}" in argv:
         assert main(["run", "--config", str(small_config), "--out", str(sweep)]) == 0
@@ -486,7 +493,7 @@ def test_an_unwritable_out_is_a_usage_error(argv, small_config, tmp_path, capsys
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert argv[-1] in err
+    assert argv[path] in err
 
 
 def test_compare_names_the_file_and_line_of_a_truncated_run(small_config, tmp_path, capsys):

@@ -195,7 +195,7 @@ HARDENING = [
                                        {"id": "b", "hashrate": 1.0, "unit_cost": 0.0},
                                        {"id": "a", "hashrate": 2.0, "unit_cost": 0.0}]}),
      "$.population.explicit[2].id"),
-    ("landmark-reward-underflow",  # the composed peak search finds only zero reward
+    ("landmarks-no-schedule-meets",  # the calibrated schedule misses the half-max
      _example(schedule={"landmarks": {**LANDMARKS, "tenth_d": 1e6}}), "$.schedule"),
     ("empty-explicit", _example(population={"explicit": []}), "$.population.explicit"),
     ("explicit-not-a-list", _example(population={"explicit": {}}), "$.population.explicit"),

@@ -50,9 +50,11 @@ class TestDifficultyMap:
         with pytest.raises(ParameterError):
             DifficultyMap(slope=0.0, intercept=1.0)
 
-    def test_negative_over_operating_range_rejected(self):
-        with pytest.raises(ParameterError):
-            DifficultyMap(slope=0.01, intercept=-0.5)
+    @pytest.mark.parametrize("slope,intercept", [(0.01, -0.5), (1.0, -1.0)],
+                             ids=["negative-at-1", "zero-at-1"])
+    def test_negative_over_operating_range_rejected(self, slope, intercept):
+        with pytest.raises(ParameterError, match="^map must be positive at H=1"):
+            DifficultyMap(slope=slope, intercept=intercept)
 
     @pytest.mark.parametrize("field,value", [
         ("slope", math.inf), ("intercept", math.nan), ("intercept", math.inf),

@@ -7,16 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pomsim
 from pomsim.config import schedule_from_dict, schedule_to_dict
 from pomsim.errors import (
     BracketingError,
+    CalibrationError,
     DomainError,
     OrderingError,
     ParameterError,
+    PomSimError,
 )
 from pomsim.reward_curve import (
     BaseCurveParams,
@@ -280,6 +282,33 @@ class TestCalibrateSchedule:
     def test_ordering_enforced(self):
         with pytest.raises(OrderingError):
             calibrate_schedule(2.20, 1.75, 2.37, 1.0)
+
+    @pytest.mark.parametrize("landmarks,match", [
+        ((1.0, 100.0, 100.001), "do not bracket a root"),
+        # without the bracket check: a schedule that peaks at d = 0.977 and meets both
+        # the half-max and the tenth-max
+        ((1.0, 1.05, 1.071), "do not bracket a root"),
+        ((1.0, 1.5, 1.8), "misses landmarks"),  # half-max by 0.0232
+    ])
+    def test_landmarks_that_no_schedule_meets(self, landmarks, match):
+        with pytest.raises(CalibrationError, match=match):
+            calibrate_schedule(*landmarks, 1.0)
+
+    @given(st.floats(-300.0, 300.0), st.floats(1e-6, 1e3), st.floats(1e-6, 1e3),
+           st.floats(1.0, 1e3, exclude_min=True))
+    @example(-300.0, 0.2571, 0.0773, 1.0 + 2.0**-52)  # b_ratio one ulp above 1
+    @example(-307.92, 0.2571, 0.0773, 1.0 + 2.0**-52)  # where that bell is 0 at every d
+    @example(300.0, 0.2571, 0.0773, 4.0)
+    @settings(deadline=None)
+    def test_a_calibration_is_a_schedule_or_a_pomsim_error(self, e, half, tenth, b_ratio):
+        # the reference landmarks' spacing is (0.2571, 0.0773); a composed peak of zero
+        # reward would divide r_max_target by zero
+        peak = 10.0**e
+        try:
+            calibrate_schedule(peak, peak * (1 + half), peak * (1 + half) * (1 + tenth), 1.0,
+                               b_ratio=b_ratio)
+        except PomSimError:
+            pass
 
     def test_bad_target_rejected(self):
         with pytest.raises(ParameterError):
